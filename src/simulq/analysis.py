@@ -24,6 +24,7 @@ import numpy as np
 from . import gates, states
 from .measurement import sample_projective, support_distinguisher
 from .protocols import (
+    DENSE_CHANNELS,
     enumerate_teleportation_with_lock,
     run_dense_coding_with_lock,
 )
@@ -212,15 +213,14 @@ def _subsystem_report(views: dict, closed_form: np.ndarray | None) -> SubsystemR
 
 def _dense_sweep(channel: str, lock: Unitary):
     """Run all 16 encodings; collect intercepted views and decode results."""
-    sub_bob = {"bell": ("A1", "B"), "ghz": ("A1", "B1", "B2"), "w": ("A1", "B1", "B2")}[channel]
-    sub_charlie = {"bell": ("A2", "C"), "ghz": ("A2", "C1", "C2"), "w": ("A2", "C1", "C2")}[channel]
-    views = {"".join(sub_bob): {}, "".join(sub_charlie): {}}
+    subs = tuple(DENSE_CHANNELS[channel].values())
+    views = {"".join(sub): {} for sub in subs}
     decode_ok = True
     for bits in _ENCODINGS:
         bob, charlie = bits[:2], bits[2:]
         t = run_dense_coding_with_lock(channel, bob, charlie, lock, seed=0)
-        views["".join(sub_bob)][bits] = t.intercepts[("step2_lock_send", sub_bob)].entries
-        views["".join(sub_charlie)][bits] = t.intercepts[("step2_lock_send", sub_charlie)].entries
+        for sub in subs:
+            views["".join(sub)][bits] = t.intercepts[("step2_lock_send", sub)].entries
         decode_ok = decode_ok and t.outcomes["bob"] == bob and t.outcomes["charlie"] == charlie
     return views, decode_ok
 
@@ -301,7 +301,9 @@ def verify_counterexample(seed=1789, shots: int = 25) -> LockingReport:
     # The support measurement itself, simulated shot by shot.
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
     accuracy = {}
-    for name, bit_idx, bit in (("A1B", 0, "b1"), ("A2C", 3, "c2")):
+    layout = DENSE_CHANNELS["bell"]
+    for sub, bit_idx, bit in ((layout["bob"], 0, "b1"), (layout["charlie"], 3, "c2")):
+        name = "".join(sub)
         sub_views = views[name]
         avg0 = np.mean([m for bits, m in sub_views.items() if bits[bit_idx] == 0], axis=0)
         avg1 = np.mean([m for bits, m in sub_views.items() if bits[bit_idx] == 1], axis=0)
@@ -309,10 +311,9 @@ def verify_counterexample(seed=1789, shots: int = 25) -> LockingReport:
         report.per_subsystem[name].bit_evidence[bit]["support_overlap_strict"] = (
             analysis.overlap <= ATOL_STRICT
         )
-        labels = tuple(c for c in (name[:2], name[2:]) if c)  # "A1B" -> ("A1","B")
         correct = total = 0
         for bits, mat in sub_views.items():
-            rho = DensityMatrix(mat, labels)
+            rho = DensityMatrix(mat, sub)
             for _ in range(shots):
                 inside = sample_projective(rho, analysis.projector, rng)
                 predicted = 0 if inside else 1

@@ -19,30 +19,38 @@ runs five::
 
 Transcripts record a snapshot per step, the standard intercepted reduced
 matrices, and the measured / decoded outcomes.
+
+A sampled run measures one pair at a time.  The exhaustive enumerator
+instead uses that a Bell measurement is a basis rotation followed by a
+computational readout: it rotates every ``(Ai, Ti)`` pair into the Bell
+basis once, and then every joint branch is one row of the rotated register,
+read as a ``4^N x 2^N`` table.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gates, states
-from .measurement import enumerate_branches, measure_in_family, resolve_rng
+from .measurement import measure_in_family, resolve_rng
 from .qlinalg import (
-    ATOL,
     DensityMatrix,
     StateVector,
     Unitary,
     apply,
-    contract,
     fidelity,
     partial_trace,
     tensor,
     to_wire,
 )
 
-_DENSE_CHANNELS = {
+# Per channel, each receiver's subsystem once the locked qubits arrive: the
+# sender qubit A_i plus the receiver's own qubits.  The analysis sweeps key
+# their intercepted views by these label tuples.
+DENSE_CHANNELS = {
     "bell": {"bob": ("A1", "B"), "charlie": ("A2", "C")},
     "ghz": {"bob": ("A1", "B1", "B2"), "charlie": ("A2", "C1", "C2")},
     "w": {"bob": ("A1", "B1", "B2"), "charlie": ("A2", "C1", "C2")},
@@ -78,9 +86,9 @@ class DenseCodingInput:
     lock: str = "qft"
 
     def __post_init__(self) -> None:
-        if self.channel not in _DENSE_CHANNELS:
+        if self.channel not in DENSE_CHANNELS:
             raise ValueError(
-                f"unknown channel {self.channel!r}; expected one of {sorted(_DENSE_CHANNELS)}"
+                f"unknown channel {self.channel!r}; expected one of {sorted(DENSE_CHANNELS)}"
             )
         if self.lock not in _LOCKS:
             raise ValueError(f"unknown lock {self.lock!r}; expected one of {sorted(_LOCKS)}")
@@ -198,7 +206,7 @@ def run_dense_coding_with_lock(
     """Dense coding with an arbitrary two-qubit locking unitary."""
     if lock.dim != 4:
         raise ValueError(f"the lock acts on (A1, A2) and must be 4x4, got {lock.dim}")
-    cfg = _DENSE_CHANNELS[channel]
+    cfg = DENSE_CHANNELS[channel]
     fam = states.family(channel)
     rng = resolve_rng(seed)
     seed_val = seed if isinstance(seed, int) else None
@@ -360,6 +368,27 @@ def run_teleportation_qft(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     return run_teleportation(inp, seed)
 
 
+def _correct_in_place(table: np.ndarray, encoders) -> None:
+    """Apply every receiver's Pauli correction to the rows of ``table``.
+
+    Row ``b`` of the ``4^n x 2^n`` table is branch ``b``; receiver ``i``
+    re-applies ``encoders[d]``, where ``d`` is base-4 digit ``i`` of ``b``
+    (most significant first).  Each encoder is a signed permutation of the
+    receiver's two amplitudes, so it is applied as a gather plus signs on the
+    rows that share the digit.
+    """
+    n = table.shape[1].bit_length() - 1
+    for i in range(n):
+        # axes: (earlier digits, digit i, later digits | earlier receivers,
+        # receiver i, later receivers); a reshape of a contiguous array is a view
+        view = table.reshape(4**i, 4, 4 ** (n - 1 - i), 2**i, 2, 2 ** (n - 1 - i))
+        for digit, enc in enumerate(encoders):
+            src = np.argmax(np.abs(enc), axis=1)
+            sign = enc[np.arange(2), src]
+            block = view[:, digit]
+            np.multiply(block[:, :, :, src], sign[:, None], out=block)
+
+
 def enumerate_teleportation_with_lock(
     payloads, lock: Unitary, unlock: Unitary, receiver_labels=None
 ) -> list[TeleportBranch]:
@@ -368,6 +397,17 @@ def enumerate_teleportation_with_lock(
     ``payloads`` is one single-qubit state per receiver; ``lock`` acts on the
     sender qubits (A1..AN) and ``unlock`` on the receiver register.  Used both
     by the named schemes and to probe candidate locking operators.
+
+    All ``4^N`` branches come from one register.  A Bell measurement of
+    ``(Ai, Ti)`` is a rotation into the Bell basis followed by a
+    computational readout, so after rotating every pair the amplitudes,
+    ordered ``(A1, T1, ..., AN, TN | R1 .. RN)``, form a ``4^N x 2^N`` table
+    whose row ``b`` is the unnormalised receiver register of branch ``b``:
+    pair 1 is the most significant base-4 digit and members run ``(0,0),
+    (0,1), (1,0), (1,1)``.  Row norms squared are the branch probabilities
+    (each exactly ``4^-N``, since the sender halves are maximally mixed), the
+    unlock is one matrix product on the normalised rows, and the per-receiver
+    corrections and fidelities act on all rows at once.
     """
     payloads = tuple(payloads)
     n = len(payloads)
@@ -382,37 +422,46 @@ def enumerate_teleportation_with_lock(
     r_labels = tuple(receiver_labels)
     if len(r_labels) != n:
         raise ValueError(f"{n} receivers need {n} receiver labels, got {r_labels}")
+
     bell = states.bell_family()
+    outcomes = [gates.EncodedBits(*xy) for xy in bell.members]
+    # row k is <member k|: maps the Bell member (x, y) of a pair to |x y>
+    rotation = Unitary(np.array([m.amplitudes.conj() for m in bell.members.values()]))
 
     state = _teleport_initial(payloads, t_labels, a_labels, r_labels)
     state = apply(state, lock, a_labels)
-
-    # Walk the branch tree: measuring pair i drops (Ai, Ti) from the register,
-    # so each leaf ends on exactly the receiver register.
-    frontier = [((), 1.0, state)]
     for a, tl in zip(a_labels, t_labels):
-        grown = []
-        for labels_so_far, prob, st in frontier:
-            for (x, y), member in bell.members.items():
-                residual, rest = contract(st, member.amplitudes, (a, tl))
-                p = float(np.sum(np.abs(residual) ** 2))
-                if p <= ATOL:
-                    continue
-                nxt = StateVector(residual / np.sqrt(p), rest)
-                grown.append((labels_so_far + (gates.EncodedBits(x, y),), prob * p, nxt))
-        frontier = grown
+        state = apply(state, rotation, (a, tl))
 
-    branches = []
-    for results, prob, pre_unlock in frontier:
-        corrected = apply(pre_unlock, unlock, r_labels)
-        for bits, r in zip(results, r_labels):
-            corrected = apply(corrected, gates.pauli_encoder(bits), (r,))
-        fids = tuple(
-            fidelity(payloads[i], partial_trace(corrected, (r,)))
-            for i, r in enumerate(r_labels)
+    order = [q for pair in zip(a_labels, t_labels) for q in pair] + list(r_labels)
+    perm = [state.axis_of(q) for q in order]
+    table = (
+        state.amplitudes.reshape([2] * (3 * n)).transpose(perm).copy().reshape(4**n, 2**n)
+    )
+    del state  # the table holds every amplitude; free the 3N-qubit register
+    norms = np.linalg.norm(table, axis=1)
+    table /= norms[:, None]
+
+    corrected = table @ unlock.entries.T
+    _correct_in_place(corrected, [gates.pauli_encoder(bits).entries for bits in outcomes])
+    fids = np.empty((4**n, n))
+    for i, payload in enumerate(payloads):
+        split = corrected.reshape(4**n, 2**i, 2, 2 ** (n - 1 - i))
+        overlap = np.tensordot(split, payload.amplitudes.conj(), axes=([2], [0]))
+        fids[:, i] = np.sum(np.abs(overlap) ** 2, axis=(1, 2))
+
+    return [
+        TeleportBranch(
+            results, prob, StateVector(pre, r_labels), StateVector(post, r_labels), tuple(f)
         )
-        branches.append(TeleportBranch(results, prob, pre_unlock, corrected, fids))
-    return branches
+        for results, prob, pre, post, f in zip(
+            itertools.product(outcomes, repeat=n),
+            (norms**2).tolist(),
+            table,
+            corrected,
+            fids.tolist(),
+        )
+    ]
 
 
 def enumerate_teleportation(inp: TeleportInput) -> list[TeleportBranch]:

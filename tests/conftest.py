@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from simulq.qlinalg import DensityMatrix, StateVector
+from simulq.qlinalg import DensityMatrix, StateVector, Unitary
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -43,3 +43,12 @@ def random_density(rng, n_qubits, labels=None) -> DensityMatrix:
     if labels is None:
         labels = tuple(f"q{i}" for i in range(n_qubits))
     return DensityMatrix(rho, labels)
+
+
+def random_unitary(rng, n_qubits) -> Unitary:
+    """A Haar-random unitary: QR of a complex Ginibre matrix, phases fixed."""
+    dim = 1 << n_qubits
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return Unitary(q * (d / np.abs(d)))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from simulq import gates
+from simulq import analysis, gates
 from simulq.analysis import (
     classify_locking_unitary,
     verify_counterexample,
@@ -71,6 +71,18 @@ class TestCounterexample:
         # the other three bits leave no trace at all
         for bit in ("b2", "c1", "c2"):
             assert ev[bit]["avg_trace_distance"] < 1e-10
+
+    def test_sampled_views_live_on_the_channel_subsystems(self, monkeypatch):
+        seen = set()
+        sample = analysis.sample_projective
+
+        def spy(rho, projector, rng):
+            seen.add(rho.labels)
+            return sample(rho, projector, rng)
+
+        monkeypatch.setattr(analysis, "sample_projective", spy)
+        verify_counterexample(seed=3, shots=1)
+        assert seen == {("A1", "B"), ("A2", "C")}
 
 
 class TestClassifierDenseCoding:

@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from simulq import gates
@@ -31,7 +33,8 @@ from simulq.qlinalg import (
     equal_up_to_global_phase,
     tensor,
 )
-from tests.conftest import random_state
+from tests.conftest import random_state, random_unitary
+from tests.teleport_oracle import walk_teleportation_with_lock
 
 ALL_ENCODINGS = list(itertools.product((0, 1), repeat=4))
 
@@ -298,6 +301,62 @@ class TestTeleportQft:
         assert branches[0].pre_unlock_state.labels == ("R1", "R2")
         with pytest.raises(ValueError):
             enumerate_teleportation_with_lock(payloads, lock, unlock, ("only-one",))
+
+
+def _lock(name: str, n: int, rng) -> Unitary:
+    if name == "qft":
+        return gates.qft(n)
+    if name == "ulock":
+        return gates.lock_operator()
+    return random_unitary(rng, n)
+
+
+# (lock, receivers): the Hadamard--CNOT lock exists for two receivers only
+_LOCK_CASES = st.one_of(
+    st.tuples(st.sampled_from(("qft", "haar")), st.integers(1, 4)),
+    st.tuples(st.just("ulock"), st.just(2)),
+)
+
+
+class TestBranchEngineAgainstWalk:
+    """The batched enumerator against the branch-by-branch reference walk."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=_LOCK_CASES, custom_labels=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_walk(self, case, custom_labels, seed):
+        lock_name, n = case
+        rng = np.random.default_rng(seed)
+        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n))
+        lock = _lock(lock_name, n, rng)
+        unlock = Unitary(lock.entries.conj())
+        labels = tuple(f"R{i + 1}" for i in range(n)) if custom_labels else None
+
+        got = enumerate_teleportation_with_lock(payloads, lock, unlock, labels)
+        want = walk_teleportation_with_lock(payloads, lock, unlock, labels)
+
+        assert [br.results for br in got] == [br.results for br in want]
+        for g, w in zip(got, want):
+            assert g.probability == pytest.approx(w.probability, abs=1e-12)
+            for field in ("pre_unlock_state", "corrected_state"):
+                gs, ws = getattr(g, field), getattr(w, field)
+                assert gs.labels == ws.labels
+                assert_allclose(gs.amplitudes, ws.amplitudes, rtol=0, atol=1e-12)
+            assert_allclose(g.fidelities, w.fidelities, rtol=0, atol=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_every_branch_is_equally_likely_under_any_lock(self, n, seed):
+        # the sender halves A1..AN are maximally mixed, so no unitary lock can
+        # make a Bell outcome less likely than 4^-n: no branch is ever pruned
+        rng = np.random.default_rng(seed)
+        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n))
+        lock = random_unitary(rng, n)
+        branches = enumerate_teleportation_with_lock(
+            payloads, lock, Unitary(lock.entries.conj())
+        )
+        assert len(branches) == 4**n
+        for br in branches:
+            assert br.probability == pytest.approx(4.0**-n, abs=1e-12)
 
 
 class TestTranscriptSerialization:
