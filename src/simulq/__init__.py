@@ -7,150 +7,4 @@ orthonormal families (``measurement``), the protocol pipelines themselves
 (``analysis``).
 """
 
-from __future__ import annotations
-
-from .analysis import (
-    LockingReport,
-    SubsystemReport,
-    classify_locking_unitary,
-    verify_counterexample,
-    verify_theorem,
-)
-from .gates import (
-    EncodedBits,
-    adjoint,
-    cnot,
-    hadamard,
-    identity,
-    lock_operator,
-    named_gate,
-    pauli_encoder,
-    qft,
-)
-from .measurement import (
-    MeasurementOutcome,
-    ProtocolViolation,
-    SupportAnalysis,
-    enumerate_branches,
-    measure_in_family,
-    sample_projective,
-    support_distinguisher,
-    support_projector,
-)
-from .protocols import (
-    DENSE_STEPS,
-    TELEPORT_STEPS,
-    DenseCodingInput,
-    ProtocolTranscript,
-    TeleportBranch,
-    TeleportInput,
-    enumerate_teleportation,
-    enumerate_teleportation_with_lock,
-    intercept_reduced,
-    run_dense_coding,
-    run_dense_coding_with_lock,
-    run_teleportation,
-    run_teleportation_qft,
-    run_teleportation_ulock,
-)
-from .qlinalg import (
-    ATOL,
-    ATOL_STRICT,
-    DensityMatrix,
-    StateVector,
-    Unitary,
-    apply,
-    density_from_wire,
-    equal_up_to_global_phase,
-    fidelity,
-    inner,
-    matrix_close,
-    partial_trace,
-    reorder,
-    state_from_wire,
-    tensor,
-    to_density,
-    to_wire,
-    unitary_from_wire,
-)
-from .states import (
-    BasisFamily,
-    bell_family,
-    family,
-    ghz,
-    ghz_family,
-    initial_state,
-    named_state,
-    phi,
-    w,
-    w_family,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ATOL",
-    "ATOL_STRICT",
-    "BasisFamily",
-    "DENSE_STEPS",
-    "DenseCodingInput",
-    "DensityMatrix",
-    "EncodedBits",
-    "LockingReport",
-    "MeasurementOutcome",
-    "ProtocolTranscript",
-    "ProtocolViolation",
-    "StateVector",
-    "SubsystemReport",
-    "SupportAnalysis",
-    "TELEPORT_STEPS",
-    "TeleportBranch",
-    "TeleportInput",
-    "Unitary",
-    "adjoint",
-    "apply",
-    "bell_family",
-    "classify_locking_unitary",
-    "cnot",
-    "density_from_wire",
-    "enumerate_branches",
-    "enumerate_teleportation",
-    "enumerate_teleportation_with_lock",
-    "equal_up_to_global_phase",
-    "family",
-    "fidelity",
-    "ghz",
-    "ghz_family",
-    "hadamard",
-    "identity",
-    "initial_state",
-    "inner",
-    "intercept_reduced",
-    "lock_operator",
-    "matrix_close",
-    "measure_in_family",
-    "named_gate",
-    "named_state",
-    "partial_trace",
-    "pauli_encoder",
-    "phi",
-    "qft",
-    "reorder",
-    "run_dense_coding",
-    "run_dense_coding_with_lock",
-    "run_teleportation",
-    "run_teleportation_qft",
-    "run_teleportation_ulock",
-    "sample_projective",
-    "state_from_wire",
-    "support_distinguisher",
-    "support_projector",
-    "tensor",
-    "to_density",
-    "to_wire",
-    "unitary_from_wire",
-    "verify_counterexample",
-    "verify_theorem",
-    "w",
-    "w_family",
-]

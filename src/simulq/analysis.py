@@ -22,12 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates, states
-from .measurement import sample_projective, support_distinguisher
-from .protocols import (
-    DENSE_CHANNELS,
-    enumerate_teleportation_with_lock,
-    run_dense_coding_with_lock,
-)
+from .measurement import resolve_rng, sample_projective, support_distinguisher
+from .protocols import enumerate_teleportation_with_lock, run_dense_coding_with_lock
 from .qlinalg import ATOL, ATOL_STRICT, DensityMatrix, StateVector, Unitary, partial_trace
 
 BIT_NAMES = ("b1", "b2", "c1", "c2")
@@ -213,7 +209,7 @@ def _subsystem_report(views: dict, closed_form: np.ndarray | None) -> SubsystemR
 
 def _dense_sweep(channel: str, lock: Unitary):
     """Run all 16 encodings; collect intercepted views and decode results."""
-    subs = tuple(DENSE_CHANNELS[channel].values())
+    subs = tuple(states.DENSE_CHANNELS[channel].values())
     views = {"".join(sub): {} for sub in subs}
     decode_ok = True
     for bits in _ENCODINGS:
@@ -225,6 +221,41 @@ def _dense_sweep(channel: str, lock: Unitary):
     return views, decode_ok
 
 
+def _dense_report(channel: str, lock: Unitary, lock_used: str, theorem: bool) -> LockingReport:
+    """Sweep all 16 encodings under ``lock`` and judge it as a dense coding lock.
+
+    The lock is valid when every intercepted view is encoding-independent and
+    the receivers decode every message.  A ``theorem`` report also checks each
+    view against its closed form and for leaked bits.  The report passes when
+    every check does, which without ``theorem`` is when the lock is valid.
+    """
+    views, decode_ok = _dense_sweep(channel, lock)
+    report = LockingReport(
+        protocol=f"dense_coding:{channel}",
+        lock_used=lock_used,
+        per_subsystem={
+            name: _subsystem_report(v, _expected_view(channel)) for name, v in views.items()
+        },
+        end_to_end_correct=decode_ok,
+    )
+    for name, sub in report.per_subsystem.items():
+        report.checks[f"encoding_independent:{name}"] = sub.independent_of_encoding
+        if theorem:
+            leaked = sub.recoverable_bits or sub.leaky_bits
+            report.checks[f"closed_form:{name}"] = bool(sub.matches_closed_form)
+            report.checks[f"no_bit_recoverable:{name}"] = not leaked
+    report.checks["decode_correct"] = decode_ok
+    report.valid_lock = decode_ok and all(
+        s.independent_of_encoding for s in report.per_subsystem.values()
+    )
+    if theorem:
+        report.notes["maximally_mixed"] = {
+            name: sub.maximally_mixed for name, sub in report.per_subsystem.items()
+        }
+    report.passed = all(report.checks.values())
+    return report
+
+
 def verify_theorem(channel: str) -> LockingReport:
     """Verify the locked dense coding guarantee for one channel type.
 
@@ -234,28 +265,7 @@ def verify_theorem(channel: str) -> LockingReport:
     Encoding-independence is the security claim; maximal mixedness holds for
     the Bell channel only and is reported without being required.
     """
-    views, decode_ok = _dense_sweep(channel, gates.qft(2))
-    report = LockingReport(
-        protocol=f"dense_coding:{channel}",
-        lock_used="qft",
-        per_subsystem={
-            name: _subsystem_report(v, _expected_view(channel)) for name, v in views.items()
-        },
-        end_to_end_correct=decode_ok,
-    )
-    for name, sub in report.per_subsystem.items():
-        report.checks[f"encoding_independent:{name}"] = sub.independent_of_encoding
-        report.checks[f"closed_form:{name}"] = bool(sub.matches_closed_form)
-        report.checks[f"no_bit_recoverable:{name}"] = not sub.recoverable_bits and not sub.leaky_bits
-    report.checks["decode_correct"] = decode_ok
-    report.valid_lock = decode_ok and all(
-        s.independent_of_encoding for s in report.per_subsystem.values()
-    )
-    report.notes["maximally_mixed"] = {
-        name: sub.maximally_mixed for name, sub in report.per_subsystem.items()
-    }
-    report.passed = all(report.checks.values())
-    return report
+    return _dense_report(channel, gates.qft(2), "qft", theorem=True)
 
 
 def verify_counterexample(seed=1789, shots: int = 25) -> LockingReport:
@@ -299,9 +309,9 @@ def verify_counterexample(seed=1789, shots: int = 25) -> LockingReport:
     )
 
     # The support measurement itself, simulated shot by shot.
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = resolve_rng(seed)
     accuracy = {}
-    layout = DENSE_CHANNELS["bell"]
+    layout = states.DENSE_CHANNELS["bell"]
     for sub, bit_idx, bit in ((layout["bob"], 0, "b1"), (layout["charlie"], 3, "c2")):
         name = "".join(sub)
         sub_views = views[name]
@@ -349,23 +359,20 @@ def _probe_state(name: str, label: str) -> StateVector:
 def _classify_teleportation(u: Unitary) -> LockingReport:
     """Probe a candidate two-receiver teleportation lock.
 
-    The receivers' joint inverse is the elementwise conjugate of ``u`` (the
-    collapsed receiver register carries the transpose of the lock).  For
-    every ordered pair of stabilizer payloads, every branch is enumerated;
-    receiver views are conditioned on the receiver's own result bits and
-    averaged over the other receiver's, since only the former are sent to
-    him before the unlock.
+    For every ordered pair of stabilizer payloads, every branch is
+    enumerated (the receivers unlock as the enumerator does); receiver views
+    are conditioned on the receiver's own result bits and averaged over the
+    other receiver's, since only the former are sent to him before the
+    unlock.
     """
-    unlock = Unitary(u.entries.conj())
-    r_labels = ("B", "C")
     # views[receiver][own result bits] -> list over payload pairs
-    views = {r: {} for r in r_labels}
+    views = {}
     min_fidelity = 1.0
     for name1, name2 in itertools.product(_PROBES, repeat=2):
         payloads = (_probe_state(name1, "p1"), _probe_state(name2, "p2"))
-        branches = enumerate_teleportation_with_lock(payloads, u, unlock, r_labels)
+        branches = enumerate_teleportation_with_lock(payloads, u)
         min_fidelity = min(min_fidelity, min(min(b.fidelities) for b in branches))
-        for i, r in enumerate(r_labels):
+        for i, r in enumerate(branches[0].pre_unlock_state.labels):
             by_own = {}
             for br in branches:
                 rho = partial_trace(br.pre_unlock_state, (r,)).entries
@@ -373,7 +380,7 @@ def _classify_teleportation(u: Unitary) -> LockingReport:
                 entry[0] += br.probability
                 entry[1] = entry[1] + br.probability * rho
             for own, (weight, total) in by_own.items():
-                views[r].setdefault(own, []).append(total / weight)
+                views.setdefault(r, {}).setdefault(own, []).append(total / weight)
 
     report = LockingReport(
         protocol="teleportation:2 receivers",
@@ -381,9 +388,9 @@ def _classify_teleportation(u: Unitary) -> LockingReport:
         per_subsystem={},
         end_to_end_correct=bool(min_fidelity >= 1.0 - ATOL),
     )
-    for r in r_labels:
-        worst = max(_max_pairwise_diff(mats) for mats in views[r].values())
-        all_views = [m for mats in views[r].values() for m in mats]
+    for r, by_own in views.items():
+        worst = max(_max_pairwise_diff(mats) for mats in by_own.values())
+        all_views = [m for mats in by_own.values() for m in mats]
         report.per_subsystem[r] = SubsystemReport(
             independent_of_encoding=worst < ATOL,
             max_pairwise_diff=worst,
@@ -415,23 +422,7 @@ def classify_locking_unitary(u: Unitary, task: str, channel: str = "bell") -> Lo
     if u.dim != 4:
         raise ValueError(f"a channel lock acts on two sender qubits; got dim {u.dim}")
     if task == "dense_coding":
-        views, decode_ok = _dense_sweep(channel, u)
-        report = LockingReport(
-            protocol=f"dense_coding:{channel}",
-            lock_used="custom",
-            per_subsystem={
-                name: _subsystem_report(v, _expected_view(channel)) for name, v in views.items()
-            },
-            end_to_end_correct=decode_ok,
-        )
-        for name, sub in report.per_subsystem.items():
-            report.checks[f"encoding_independent:{name}"] = sub.independent_of_encoding
-        report.checks["decode_correct"] = decode_ok
-        report.valid_lock = decode_ok and all(
-            s.independent_of_encoding for s in report.per_subsystem.values()
-        )
-        report.passed = report.valid_lock
-        return report
+        return _dense_report(channel, u, "custom", theorem=False)
     if task == "teleportation":
         if channel != "bell":
             raise ValueError("teleportation locks are probed on shared Bell pairs only")

@@ -196,7 +196,7 @@ def _cmd_dump_gate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_state(args: argparse.Namespace) -> int:
-    if args.name in ("bell", "ghz", "w"):
+    if args.name in states.DENSE_CHANNELS:
         state = states.initial_state(args.name)
     else:
         state = states.named_state(args.name)
@@ -210,10 +210,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="simultaneous dense coding and teleportation with locked channels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    channels = tuple(states.DENSE_CHANNELS)
 
     run = sub.add_parser("run", help="run one protocol and print its transcript")
     which = run.add_mutually_exclusive_group(required=True)
-    which.add_argument("--protocol", choices=("bell", "ghz", "w"), help="dense coding channel")
+    which.add_argument("--protocol", choices=channels, help="dense coding channel")
     which.add_argument("--teleport", choices=("qft", "ulock"), help="teleportation scheme")
     run.add_argument("--bits", help="four message bits b1 b2 c1 c2, e.g. 1001 (dense coding)")
     run.add_argument(
@@ -239,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v_theorem = vsub.add_parser(
         "theorem", help="locked dense coding reveals nothing to either receiver"
     )
-    v_theorem.add_argument("--protocol", choices=("bell", "ghz", "w"), required=True)
+    v_theorem.add_argument("--protocol", choices=channels, required=True)
     v_counter = vsub.add_parser(
         "counterexample", help="the hadamard-cnot lock leaks one bit per receiver"
     )
@@ -247,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v_lock = vsub.add_parser("lock", help="classify an arbitrary 4x4 unitary as a channel lock")
     v_lock.add_argument("--matrix", required=True, help="JSON file holding the matrix")
     v_lock.add_argument("--task", choices=("dense_coding", "teleportation"), required=True)
-    v_lock.add_argument("--channel", choices=("bell", "ghz", "w"), default="bell")
+    v_lock.add_argument("--channel", choices=channels, default="bell")
     for vp in (v_theorem, v_counter, v_lock):
         vp.add_argument("--format", choices=("json", "table"), default="json")
         vp.set_defaults(func=_cmd_verify)

@@ -1,20 +1,20 @@
 """Step engines for locked simultaneous dense coding and teleportation.
 
 Dense coding (one sender Alice holding ``A1``/``A2``, receivers Bob and
-Charlie) runs four steps::
+Charlie, laid out per channel by ``states.DENSE_CHANNELS``) runs four steps::
 
     step1_encode     Alice applies a Pauli encoder per receiver message
     step2_lock_send  Alice locks (A1, A2) with a joint unitary and transmits
     step3_unlock     Bob and Charlie jointly apply the inverse lock
     step4_measure    each receiver measures his subsystem in the channel family
 
-Teleportation (payloads on ``T1..TN``, receivers on ``B..``/``B1..BN``)
-runs five::
+Teleportation (payloads on ``T1..TN``, receivers on ``B, C`` for the
+two-receiver scheme and ``B1..BN`` for the Fourier scheme) runs five::
 
     step1_lock            Alice locks her halves (A1..AN) of the shared pairs
     step2_bsm             Alice Bell-measures each (Ai, Ti) pair
     step3_classical_send  the two result bits per pair go to their receiver
-    step4_unlock          the receivers jointly invert the effective lock
+    step4_unlock          the receivers jointly apply the lock's elementwise conjugate
     step5_correct         each receiver applies his own Pauli encoder
 
 Transcripts record a snapshot per step, the standard intercepted reduced
@@ -46,15 +46,7 @@ from .qlinalg import (
     tensor,
     to_wire,
 )
-
-# Per channel, each receiver's subsystem once the locked qubits arrive: the
-# sender qubit A_i plus the receiver's own qubits.  The analysis sweeps key
-# their intercepted views by these label tuples.
-DENSE_CHANNELS = {
-    "bell": {"bob": ("A1", "B"), "charlie": ("A2", "C")},
-    "ghz": {"bob": ("A1", "B1", "B2"), "charlie": ("A2", "C1", "C2")},
-    "w": {"bob": ("A1", "B1", "B2"), "charlie": ("A2", "C1", "C2")},
-}
+from .states import DENSE_CHANNELS
 
 _LOCKS = {"qft": lambda: gates.qft(2), "ulock": gates.lock_operator}
 
@@ -273,21 +265,39 @@ class TeleportBranch:
     fidelities: tuple[float, ...]
 
 
+_TWO_RECEIVERS = ("B", "C")
+
+
+def _numbered(prefix: str, n: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}{i + 1}" for i in range(n))
+
+
+def _teleport_labels(n: int, receiver_labels=None):
+    """``T1..``, ``A1..`` and receiver labels; receivers default to ``B, C`` or ``B1..BN``."""
+    if receiver_labels is None:
+        receiver_labels = _TWO_RECEIVERS if n == 2 else _numbered("B", n)
+    r_labels = tuple(receiver_labels)
+    if len(r_labels) != n:
+        raise ValueError(f"{n} receivers need {n} receiver labels, got {r_labels}")
+    return _numbered("T", n), _numbered("A", n), r_labels
+
+
 def _teleport_layout(scheme: str, n: int):
-    t_labels = tuple(f"T{i + 1}" for i in range(n))
-    a_labels = tuple(f"A{i + 1}" for i in range(n))
+    """Receiver labels and lock of a named scheme."""
     if scheme == "ulock2":
-        r_labels = ("B", "C")
-        lock = gates.lock_operator()
-    else:
-        r_labels = tuple(f"B{i + 1}" for i in range(n))
-        lock = gates.qft(n)
-    # The joint state picked up by the receivers carries the transpose of the
-    # lock, so the inverse they must apply is its elementwise conjugate.  For
-    # the (real) Hadamard--CNOT lock that is the lock itself; for the
-    # (symmetric) Fourier lock it is the ordinary adjoint.
-    unlock = Unitary(lock.entries.conj())
-    return t_labels, a_labels, r_labels, lock, unlock
+        return _TWO_RECEIVERS, gates.lock_operator()
+    return _numbered("B", n), gates.qft(n)
+
+
+def _unlock(lock: Unitary) -> Unitary:
+    """The receivers' joint inverse of a teleportation lock.
+
+    The joint state picked up by the receivers carries the transpose of the
+    lock, so the inverse they must apply is its elementwise conjugate.  For
+    the (real) Hadamard--CNOT lock that is the lock itself; for the
+    (symmetric) Fourier lock it is the ordinary adjoint.
+    """
+    return Unitary(lock.entries.conj())
 
 
 def _teleport_initial(payloads, t_labels, a_labels, r_labels) -> StateVector:
@@ -310,7 +320,8 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     evaluates.
     """
     n = inp.n_receivers
-    t_labels, a_labels, r_labels, lock, unlock = _teleport_layout(inp.scheme, n)
+    r_labels, lock = _teleport_layout(inp.scheme, n)
+    t_labels, a_labels, r_labels = _teleport_labels(n, r_labels)
     rng = resolve_rng(seed)
     seed_val = seed if isinstance(seed, int) else None
     bell = states.bell_family()
@@ -337,7 +348,7 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     t.steps.append(("step3_classical_send", state))
 
     # step 4: joint unlock on the receiver register
-    state = apply(state, unlock, r_labels)
+    state = apply(state, _unlock(lock), r_labels)
     t.steps.append(("step4_unlock", state))
 
     # step 5: each receiver re-applies his own encoder
@@ -354,18 +365,6 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
         "recovered": recovered,
     }
     return t
-
-
-def run_teleportation_ulock(inp: TeleportInput, seed=0) -> ProtocolTranscript:
-    if inp.scheme != "ulock2":
-        raise ValueError(f"expected an ulock2 input, got scheme {inp.scheme!r}")
-    return run_teleportation(inp, seed)
-
-
-def run_teleportation_qft(inp: TeleportInput, seed=0) -> ProtocolTranscript:
-    if inp.scheme != "qftN":
-        raise ValueError(f"expected a qftN input, got scheme {inp.scheme!r}")
-    return run_teleportation(inp, seed)
 
 
 def _correct_in_place(table: np.ndarray, encoders) -> None:
@@ -390,13 +389,15 @@ def _correct_in_place(table: np.ndarray, encoders) -> None:
 
 
 def enumerate_teleportation_with_lock(
-    payloads, lock: Unitary, unlock: Unitary, receiver_labels=None
+    payloads, lock: Unitary, receiver_labels=None
 ) -> list[TeleportBranch]:
     """Exhaustively enumerate every joint Bell branch for an arbitrary lock.
 
     ``payloads`` is one single-qubit state per receiver; ``lock`` acts on the
-    sender qubits (A1..AN) and ``unlock`` on the receiver register.  Used both
-    by the named schemes and to probe candidate locking operators.
+    sender qubits (A1..AN), and the receivers unlock with its elementwise
+    conjugate.  Receivers are labelled ``B, C`` for two and ``B1..BN``
+    otherwise, unless ``receiver_labels`` names them.  Used both by the named
+    schemes and to probe candidate locking operators.
 
     All ``4^N`` branches come from one register.  A Bell measurement of
     ``(Ai, Ti)`` is a rotation into the Bell basis followed by a
@@ -411,17 +412,9 @@ def enumerate_teleportation_with_lock(
     """
     payloads = tuple(payloads)
     n = len(payloads)
-    if lock.dim != 1 << n or unlock.dim != 1 << n:
-        raise ValueError(
-            f"{n} receivers need {1 << n}-dimensional lock/unlock operators"
-        )
-    t_labels = tuple(f"T{i + 1}" for i in range(n))
-    a_labels = tuple(f"A{i + 1}" for i in range(n))
-    if receiver_labels is None:
-        receiver_labels = ("B", "C") if n == 2 else tuple(f"B{i + 1}" for i in range(n))
-    r_labels = tuple(receiver_labels)
-    if len(r_labels) != n:
-        raise ValueError(f"{n} receivers need {n} receiver labels, got {r_labels}")
+    if lock.dim != 1 << n:
+        raise ValueError(f"{n} receivers need a {1 << n}-dimensional lock")
+    t_labels, a_labels, r_labels = _teleport_labels(n, receiver_labels)
 
     bell = states.bell_family()
     outcomes = [gates.EncodedBits(*xy) for xy in bell.members]
@@ -442,7 +435,7 @@ def enumerate_teleportation_with_lock(
     norms = np.linalg.norm(table, axis=1)
     table /= norms[:, None]
 
-    corrected = table @ unlock.entries.T
+    corrected = table @ _unlock(lock).entries.T
     _correct_in_place(corrected, [gates.pauli_encoder(bits).entries for bits in outcomes])
     fids = np.empty((4**n, n))
     for i, payload in enumerate(payloads):
@@ -466,5 +459,5 @@ def enumerate_teleportation_with_lock(
 
 def enumerate_teleportation(inp: TeleportInput) -> list[TeleportBranch]:
     """Exhaustively enumerate the joint Bell branches of a named scheme."""
-    _, _, r_labels, lock, unlock = _teleport_layout(inp.scheme, inp.n_receivers)
-    return enumerate_teleportation_with_lock(inp.payloads, lock, unlock, r_labels)
+    r_labels, lock = _teleport_layout(inp.scheme, inp.n_receivers)
+    return enumerate_teleportation_with_lock(inp.payloads, lock, r_labels)

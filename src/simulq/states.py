@@ -110,6 +110,18 @@ def family(name: str) -> BasisFamily:
         ) from None
 
 
+# Per channel, each receiver's subsystem once the locked qubits arrive: the
+# sender qubit A_i plus the receiver's own qubits.  The initial state, the
+# protocol steps and the analysis sweeps all read their layout from here.
+DENSE_CHANNELS = {
+    "bell": {"bob": ("A1", "B"), "charlie": ("A2", "C")},
+    "ghz": {"bob": ("A1", "B1", "B2"), "charlie": ("A2", "C1", "C2")},
+    "w": {"bob": ("A1", "B1", "B2"), "charlie": ("A2", "C1", "C2")},
+}
+
+_CHANNEL_MEMBERS = {"bell": phi, "ghz": ghz, "w": w}
+
+
 def initial_state(channel: str) -> StateVector:
     """The shared entanglement before any encoding.
 
@@ -117,13 +129,11 @@ def initial_state(channel: str) -> StateVector:
     the sender qubit ``A1`` and receiver Bob, the second by ``A2`` and
     receiver Charlie.
     """
-    if channel == "bell":
-        return tensor(phi(0, 0, ("A1", "B")), phi(0, 0, ("A2", "C")))
-    if channel == "ghz":
-        return tensor(ghz(0, 0, ("A1", "B1", "B2")), ghz(0, 0, ("A2", "C1", "C2")))
-    if channel == "w":
-        return tensor(w(0, 0, ("A1", "B1", "B2")), w(0, 0, ("A2", "C1", "C2")))
-    raise ValueError(f"unknown channel {channel!r}; expected bell, ghz or w")
+    if channel not in DENSE_CHANNELS:
+        raise ValueError(f"unknown channel {channel!r}; expected bell, ghz or w")
+    member = _CHANNEL_MEMBERS[channel]
+    bob, charlie = DENSE_CHANNELS[channel].values()
+    return tensor(member(0, 0, bob), member(0, 0, charlie))
 
 
 # Named states addressable from the command line: phi00 ... w11.

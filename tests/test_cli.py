@@ -145,6 +145,54 @@ def test_verify_counterexample_table(capsys):
     assert "reveals b1" in out
 
 
+def _check_lines(out: str) -> list[str]:
+    keep = ("  ok ", "  FAIL ", "valid lock ", "result ")
+    return [line for line in out.splitlines() if line.startswith(keep)]
+
+
+def _theorem_checks(bob: str, charlie: str) -> list[str]:
+    per_view = ("encoding_independent", "closed_form", "no_bit_recoverable")
+    return [f"  ok   {check}:{view}" for view in (bob, charlie) for check in per_view]
+
+
+@pytest.mark.parametrize(
+    ("channel", "bob", "charlie"),
+    [("bell", "A1B", "A2C"), ("ghz", "A1B1B2", "A2C1C2"), ("w", "A1B1B2", "A2C1C2")],
+)
+def test_verify_theorem_table_check_order(capsys, channel, bob, charlie):
+    code, out, _ = run_cli(
+        capsys, "verify", "theorem", "--protocol", channel, "--format", "table"
+    )
+    assert code == 0
+    assert _check_lines(out) == _theorem_checks(bob, charlie) + [
+        "  ok   decode_correct",
+        "valid lock True",
+        "result     PASS",
+    ]
+
+
+def test_verify_lock_dense_table_check_order(capsys, tmp_path):
+    for gate, mark, valid, result in (
+        (("qft", "--n", "2"), "ok  ", "True", "PASS"),
+        (("ulock",), "FAIL", "False", "FAIL"),
+    ):
+        _, out, _ = run_cli(capsys, "dump-gate", *gate)
+        f = tmp_path / f"{gate[0]}.json"
+        f.write_text(out)
+        code, out, _ = run_cli(
+            capsys, "verify", "lock", "--matrix", str(f), "--task", "dense_coding",
+            "--format", "table",
+        )
+        assert code == (0 if result == "PASS" else 1)
+        assert _check_lines(out) == [
+            f"  {mark} encoding_independent:A1B",
+            f"  {mark} encoding_independent:A2C",
+            "  ok   decode_correct",
+            f"valid lock {valid}",
+            f"result     {result}",
+        ]
+
+
 def test_verify_lock_roundtrip_through_dump(capsys, tmp_path):
     # dump the Fourier lock, feed it back: valid for both tasks
     _, out, _ = run_cli(capsys, "dump-gate", "qft", "--n", "2")

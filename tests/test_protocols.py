@@ -23,8 +23,6 @@ from simulq.protocols import (
     run_dense_coding,
     run_dense_coding_with_lock,
     run_teleportation,
-    run_teleportation_qft,
-    run_teleportation_ulock,
 )
 from simulq.qlinalg import (
     StateVector,
@@ -229,18 +227,11 @@ class TestTeleportUlock2:
     def test_sampled_run_recovers_both_payloads(self, rng):
         p1 = random_state(rng, 1, ("p1",))
         p2 = random_state(rng, 1, ("p2",))
-        t = run_teleportation_ulock(TeleportInput("ulock2", (p1, p2), 2), seed=42)
+        t = run_teleportation(TeleportInput("ulock2", (p1, p2), 2), seed=42)
         assert tuple(name for name, _ in t.steps) == TELEPORT_STEPS
         assert set(t.outcomes["results"]) == {"B", "C"}
         for fid in t.outcomes["fidelities"].values():
             assert fid == pytest.approx(1.0, abs=1e-10)
-
-    def test_scheme_guard(self, rng):
-        p = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(2))
-        with pytest.raises(ValueError):
-            run_teleportation_ulock(TeleportInput("qftN", p, 2), seed=0)
-        with pytest.raises(ValueError):
-            run_teleportation_qft(TeleportInput("ulock2", p, 2), seed=0)
 
 
 class TestTeleportQft:
@@ -267,7 +258,7 @@ class TestTeleportQft:
 
     def test_single_receiver_reduces_to_plain_teleportation(self, rng):
         payload = random_state(rng, 1, ("p",))
-        t = run_teleportation_qft(TeleportInput("qftN", (payload,), 1), seed=8)
+        t = run_teleportation(TeleportInput("qftN", (payload,), 1), seed=8)
         assert t.outcomes["fidelities"]["B1"] == pytest.approx(1.0, abs=1e-10)
 
     def test_sampled_runs_n3(self, rng):
@@ -294,13 +285,10 @@ class TestTeleportQft:
     def test_receiver_label_override(self, rng):
         payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(2))
         lock = gates.qft(2)
-        unlock = Unitary(lock.entries.conj())
-        branches = enumerate_teleportation_with_lock(
-            payloads, lock, unlock, receiver_labels=("R1", "R2")
-        )
+        branches = enumerate_teleportation_with_lock(payloads, lock, receiver_labels=("R1", "R2"))
         assert branches[0].pre_unlock_state.labels == ("R1", "R2")
         with pytest.raises(ValueError):
-            enumerate_teleportation_with_lock(payloads, lock, unlock, ("only-one",))
+            enumerate_teleportation_with_lock(payloads, lock, ("only-one",))
 
 
 def _lock(name: str, n: int, rng) -> Unitary:
@@ -331,7 +319,7 @@ class TestBranchEngineAgainstWalk:
         unlock = Unitary(lock.entries.conj())
         labels = tuple(f"R{i + 1}" for i in range(n)) if custom_labels else None
 
-        got = enumerate_teleportation_with_lock(payloads, lock, unlock, labels)
+        got = enumerate_teleportation_with_lock(payloads, lock, labels)
         want = walk_teleportation_with_lock(payloads, lock, unlock, labels)
 
         assert [br.results for br in got] == [br.results for br in want]
@@ -351,9 +339,7 @@ class TestBranchEngineAgainstWalk:
         rng = np.random.default_rng(seed)
         payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n))
         lock = random_unitary(rng, n)
-        branches = enumerate_teleportation_with_lock(
-            payloads, lock, Unitary(lock.entries.conj())
-        )
+        branches = enumerate_teleportation_with_lock(payloads, lock)
         assert len(branches) == 4**n
         for br in branches:
             assert br.probability == pytest.approx(4.0**-n, abs=1e-12)

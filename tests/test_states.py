@@ -99,6 +99,10 @@ def test_initial_state_labels_and_values():
     w = states.initial_state("w")
     assert w.labels == ("A1", "B1", "B2", "A2", "C1", "C2")
 
+    # the channel table is the source of every layout
+    for channel, layout in states.DENSE_CHANNELS.items():
+        assert states.initial_state(channel).labels == layout["bob"] + layout["charlie"]
+
 
 def test_initial_state_rejects_unknown_channel():
     with pytest.raises(ValueError):
