@@ -24,7 +24,7 @@ import numpy as np
 from . import gates, states
 from .measurement import resolve_rng, sample_projective, support_distinguisher
 from .protocols import enumerate_teleportation_with_lock, run_dense_coding_with_lock
-from .qlinalg import ATOL, ATOL_STRICT, DensityMatrix, StateVector, Unitary, partial_trace
+from .qlinalg import ATOL, ATOL_STRICT, DensityMatrix, StateVector, Unitary, _checked_densities
 
 BIT_NAMES = ("b1", "b2", "c1", "c2")
 
@@ -142,12 +142,11 @@ class LockingReport:
 
 
 def _max_pairwise_diff(mats) -> float:
-    mats = list(mats)
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            worst = max(worst, float(np.max(np.abs(mats[i] - mats[j]))))
-    return worst
+    """Largest entrywise ``|a - b|`` over all pairs of ``mats`` (0.0 for fewer than two)."""
+    stack = np.asarray(mats)
+    if len(stack) < 2:
+        return 0.0
+    return float(np.abs(stack[:, None] - stack[None, :]).max())
 
 
 def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -294,12 +293,14 @@ def verify_counterexample(seed=1789, shots: int = 25) -> LockingReport:
     report.checks["lock_rejected"] = not all(
         s.independent_of_encoding for s in report.per_subsystem.values()
     )
-    report.checks["bob_view_reveals_exactly_b1"] = discovered.get("A1B") == ["b1"]
-    report.checks["charlie_view_reveals_exactly_c2"] = discovered.get("A2C") == ["c2"]
+    layout = states.DENSE_CHANNELS["bell"]
+    bob, charlie = ("".join(layout[who]) for who in ("bob", "charlie"))
+    report.checks["bob_view_reveals_exactly_b1"] = discovered.get(bob) == ["b1"]
+    report.checks["charlie_view_reveals_exactly_c2"] = discovered.get(charlie) == ["c2"]
 
     # Bob's side: conditional views match their closed forms and are
     # invariant within each class (no dependence on b2, c1, c2).
-    bob_views = views["A1B"]
+    bob_views = views[bob]
     cond = {v: [m for bits, m in bob_views.items() if bits[0] == v] for v in (0, 1)}
     report.checks["bob_conditional_closed_forms"] = all(
         float(np.max(np.abs(m - LOCKED_VIEW_BOB[v]))) <= ATOL for v in (0, 1) for m in cond[v]
@@ -311,7 +312,6 @@ def verify_counterexample(seed=1789, shots: int = 25) -> LockingReport:
     # The support measurement itself, simulated shot by shot.
     rng = resolve_rng(seed)
     accuracy = {}
-    layout = states.DENSE_CHANNELS["bell"]
     for sub, bit_idx, bit in ((layout["bob"], 0, "b1"), (layout["charlie"], 3, "c2")):
         name = "".join(sub)
         sub_views = views[name]
@@ -364,23 +364,38 @@ def _classify_teleportation(u: Unitary) -> LockingReport:
     are conditioned on the receiver's own result bits and averaged over the
     other receiver's, since only the former are sent to him before the
     unlock.
+
+    The branches of all pairs are stacked into one ``(pairs, 4^n, 2^n)``
+    amplitude table, whose row ``b`` is branch ``b`` with receiver ``i``'s
+    result as base-4 digit ``i`` (most significant first).  Each receiver's
+    per-branch ``2x2`` reduced states come from one ``einsum`` and are
+    validated as density matrices in one pass.  Conditioning on the
+    receiver's own digit is a probability-weighted sum over the other digits.
     """
-    # views[receiver][own result bits] -> list over payload pairs
-    views = {}
-    min_fidelity = 1.0
+    amps, probs, fids = [], [], []
     for name1, name2 in itertools.product(_PROBES, repeat=2):
         payloads = (_probe_state(name1, "p1"), _probe_state(name2, "p2"))
         branches = enumerate_teleportation_with_lock(payloads, u)
-        min_fidelity = min(min_fidelity, min(min(b.fidelities) for b in branches))
-        for i, r in enumerate(branches[0].pre_unlock_state.labels):
-            by_own = {}
-            for br in branches:
-                rho = partial_trace(br.pre_unlock_state, (r,)).entries
-                entry = by_own.setdefault(br.results[i], [0.0, np.zeros_like(rho)])
-                entry[0] += br.probability
-                entry[1] = entry[1] + br.probability * rho
-            for own, (weight, total) in by_own.items():
-                views.setdefault(r, {}).setdefault(own, []).append(total / weight)
+        amps.append([b.pre_unlock_state.amplitudes for b in branches])
+        probs.append([b.probability for b in branches])
+        fids.append([b.fidelities for b in branches])
+    r_labels = branches[0].pre_unlock_state.labels
+    n = len(r_labels)
+    amps, probs = np.array(amps), np.array(probs)
+    pairs = len(amps)
+    min_fidelity = min(1.0, float(np.min(fids)))
+
+    # views[receiver] -> (pairs, own digit, 2, 2)
+    views = {}
+    for i, r in enumerate(r_labels):
+        split = amps.reshape(pairs, 4**n, 2**i, 2, 2 ** (n - 1 - i))
+        rho = np.einsum("pbxjy,pbxky->pbjk", split, split.conj())
+        _checked_densities(rho.reshape(-1, 2, 2), (r,))
+        # digits (earlier receivers, receiver i, later receivers)
+        digits = (pairs, 4**i, 4, 4 ** (n - 1 - i))
+        total = (probs[..., None, None] * rho).reshape(digits + (2, 2)).sum(axis=(1, 3))
+        weight = probs.reshape(digits).sum(axis=(1, 3))
+        views[r] = total / weight[..., None, None]
 
     report = LockingReport(
         protocol="teleportation:2 receivers",
@@ -388,16 +403,13 @@ def _classify_teleportation(u: Unitary) -> LockingReport:
         per_subsystem={},
         end_to_end_correct=bool(min_fidelity >= 1.0 - ATOL),
     )
-    for r, by_own in views.items():
-        worst = max(_max_pairwise_diff(mats) for mats in by_own.values())
-        all_views = [m for mats in by_own.values() for m in mats]
+    for r, view in views.items():
+        worst = max(_max_pairwise_diff(view[:, own]) for own in range(4))
         report.per_subsystem[r] = SubsystemReport(
             independent_of_encoding=worst < ATOL,
             max_pairwise_diff=worst,
             matches_closed_form=None,
-            maximally_mixed=all(
-                float(np.max(np.abs(m - np.eye(2) / 2.0))) <= ATOL for m in all_views
-            ),
+            maximally_mixed=bool(np.abs(view - np.eye(2) / 2.0).max() <= ATOL),
         )
         report.checks[f"payload_independent:{r}"] = worst < ATOL
     report.checks["end_to_end_correct"] = report.end_to_end_correct

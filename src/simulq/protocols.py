@@ -40,6 +40,7 @@ from .qlinalg import (
     DensityMatrix,
     StateVector,
     Unitary,
+    _state_rows,
     apply,
     fidelity,
     partial_trace,
@@ -444,14 +445,12 @@ def enumerate_teleportation_with_lock(
         fids[:, i] = np.sum(np.abs(overlap) ** 2, axis=(1, 2))
 
     return [
-        TeleportBranch(
-            results, prob, StateVector(pre, r_labels), StateVector(post, r_labels), tuple(f)
-        )
+        TeleportBranch(results, prob, pre, post, tuple(f))
         for results, prob, pre, post, f in zip(
             itertools.product(outcomes, repeat=n),
             (norms**2).tolist(),
-            table,
-            corrected,
+            _state_rows(table, r_labels),
+            _state_rows(corrected, r_labels),
             fids.tolist(),
         )
     ]

@@ -42,6 +42,29 @@ def _check_labels(labels: Iterable[str]) -> tuple[str, ...]:
     return out
 
 
+def _checked_states(table: np.ndarray, labels: Iterable[str]) -> tuple[str, ...]:
+    """Validate a ``(k, 2^n)`` complex table of state amplitudes, one state per row.
+
+    Every row gets the checks of one ``StateVector``: distinct labels, finite
+    entries, ``2^n`` amplitudes and ``sum|amp|^2 = 1`` within ``ATOL``.  A
+    norm failure reports the row furthest from one.  Returns the labels.
+    """
+    labels = _check_labels(labels)
+    if not np.isfinite(table).all():
+        raise ValueError("amplitudes contains non-finite entries")
+    width = table.shape[1]
+    if width != 1 << len(labels):
+        raise ValueError(
+            f"{len(labels)} labels require {1 << len(labels)} amplitudes, got {width}"
+        )
+    nrm2 = (np.abs(table) ** 2).sum(axis=1)
+    dev = np.abs(nrm2 - 1.0)
+    worst = dev.argmax()
+    if dev[worst] > ATOL:
+        raise ValueError(f"state is not normalized: sum|amp|^2 = {float(nrm2[worst])!r}")
+    return labels
+
+
 @dataclass(frozen=True)
 class StateVector:
     """A normalized pure state on an ordered, labeled qubit register."""
@@ -50,16 +73,8 @@ class StateVector:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        labels = _check_labels(self.labels)
-        amps = _as_complex_array(self.amplitudes, "amplitudes").reshape(-1)
-        if amps.size != 1 << len(labels):
-            raise ValueError(
-                f"{len(labels)} labels require {1 << len(labels)} amplitudes,"
-                f" got {amps.size}"
-            )
-        nrm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(nrm2 - 1.0) > ATOL:
-            raise ValueError(f"state is not normalized: sum|amp|^2 = {nrm2!r}")
+        amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
+        labels = _checked_states(amps[None], self.labels)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "labels", labels)
@@ -81,6 +96,52 @@ class StateVector:
             ) from None
 
 
+def _state_rows(table: np.ndarray, labels: Iterable[str]) -> list[StateVector]:
+    """One ``StateVector`` per row of a ``(k, 2^n)`` complex amplitude table.
+
+    The table is validated once, with the constructor's checks and messages,
+    and then frozen in place: each state's amplitudes are a read-only view of
+    its row, so the caller hands the table over.
+    """
+    labels = _checked_states(table, labels)
+    table.setflags(write=False)
+    out = []
+    for row in table:
+        state = object.__new__(StateVector)
+        object.__setattr__(state, "amplitudes", row)
+        object.__setattr__(state, "labels", labels)
+        out.append(state)
+    return out
+
+
+def _checked_densities(stack: np.ndarray, labels: Iterable[str]) -> tuple[str, ...]:
+    """Validate a ``(k, d, d)`` complex stack of density matrices on one register.
+
+    Every matrix gets the checks of one ``DensityMatrix``: distinct labels,
+    finite entries, shape ``2^n x 2^n``, Hermitian and trace one within
+    ``ATOL``, and no eigenvalue below ``-ATOL``.  A trace failure reports the
+    matrix furthest from trace one.  Returns the labels.
+    """
+    labels = _check_labels(labels)
+    if not np.isfinite(stack).all():
+        raise ValueError("entries contains non-finite entries")
+    dim = 1 << len(labels)
+    if stack.shape[1:] != (dim, dim):
+        raise ValueError(
+            f"{len(labels)} labels require a {dim}x{dim} matrix, got {stack.shape[1:]}"
+        )
+    if np.abs(stack - stack.conj().swapaxes(1, 2)).max() > ATOL:
+        raise ValueError("density matrix is not Hermitian")
+    tr = stack.trace(axis1=1, axis2=2)
+    dev = np.abs(tr - 1.0)
+    worst = dev.argmax()
+    if dev[worst] > ATOL:
+        raise ValueError(f"density matrix has trace {complex(tr[worst])!r}, expected 1")
+    if np.linalg.eigvalsh(stack)[:, 0].min() < -ATOL:
+        raise ValueError("density matrix has a negative eigenvalue")
+    return labels
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A Hermitian, positive semidefinite, trace-one operator on a register."""
@@ -89,20 +150,8 @@ class DensityMatrix:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        labels = _check_labels(self.labels)
-        mat = _as_complex_array(self.entries, "entries")
-        dim = 1 << len(labels)
-        if mat.shape != (dim, dim):
-            raise ValueError(
-                f"{len(labels)} labels require a {dim}x{dim} matrix, got {mat.shape}"
-            )
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
-            raise ValueError("density matrix is not Hermitian")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > ATOL:
-            raise ValueError(f"density matrix has trace {tr!r}, expected 1")
-        if float(np.linalg.eigvalsh(mat)[0]) < -ATOL:
-            raise ValueError("density matrix has a negative eigenvalue")
+        mat = np.array(self.entries, dtype=np.complex128)
+        labels = _checked_densities(mat[None], self.labels)
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
         object.__setattr__(self, "labels", labels)

@@ -25,7 +25,7 @@ from simulq.protocols import (
     run_dense_coding,
     run_teleportation,
 )
-from simulq.qlinalg import StateVector, apply, equal_up_to_global_phase, partial_trace, tensor
+from simulq.qlinalg import StateVector, apply, equal_up_to_global_phase, tensor
 
 ALL_ENCODINGS = list(itertools.product((0, 1), repeat=4))
 

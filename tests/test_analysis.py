@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simulq import analysis, gates
 from simulq.analysis import (
+    _max_pairwise_diff,
     classify_locking_unitary,
     verify_counterexample,
     verify_theorem,
 )
 from simulq.qlinalg import Unitary
+from tests.classify_oracle import classify_teleportation_per_branch, max_pairwise_diff_loop
+from tests.conftest import random_unitary
 
 
 @pytest.mark.parametrize("channel", ["bell", "ghz", "w"])
@@ -51,6 +58,37 @@ class TestCounterexample:
     def test_all_checks_pass(self):
         report = verify_counterexample()
         assert report.passed, {k: v for k, v in report.checks.items() if not v}
+        # the report's keys, in order, as they reach the JSON output
+        assert list(report.checks) == [
+            "decode_correct",
+            "lock_rejected",
+            "bob_view_reveals_exactly_b1",
+            "charlie_view_reveals_exactly_c2",
+            "bob_conditional_closed_forms",
+            "bob_view_invariant_in_other_bits",
+            "b1_support_overlap_below_strict_tol",
+            "b1_measurement_accuracy_1",
+            "c2_support_overlap_below_strict_tol",
+            "c2_measurement_accuracy_1",
+        ]
+        data = json.loads(json.dumps(report.to_dict()))
+        assert list(data) == [
+            "protocol",
+            "lock_used",
+            "per_subsystem",
+            "end_to_end_correct",
+            "valid_lock",
+            "checks",
+            "notes",
+            "passed",
+        ]
+        assert data["checks"] == dict.fromkeys(report.checks, True)
+        assert list(data["per_subsystem"]) == ["A1B", "A2C"]
+        assert list(data["notes"]) == ["recoverable_bits", "measurement_accuracy"]
+        evidence = {name: sub["bit_evidence"] for name, sub in data["per_subsystem"].items()}
+        assert list(evidence["A1B"]) == list(analysis.BIT_NAMES)
+        assert "measurement_accuracy" in evidence["A1B"]["b1"]
+        assert "measurement_accuracy" in evidence["A2C"]["c2"]
 
     def test_leak_is_exactly_one_bit_per_receiver(self):
         report = verify_counterexample()
@@ -149,3 +187,51 @@ class TestClassifierTeleportation:
     def test_non_bell_channel_rejected(self):
         with pytest.raises(ValueError):
             classify_locking_unitary(gates.qft(2), "teleportation", channel="ghz")
+
+
+def _base_lock(name: str, seed: int) -> Unitary:
+    if name == "qft":
+        return gates.qft(2)
+    if name == "ulock":
+        return gates.lock_operator()
+    return random_unitary(np.random.default_rng(seed), 2)
+
+
+class TestTeleportClassifierAgainstPerBranch:
+    """The stacked teleportation classifier against the per-branch reference."""
+
+    @pytest.mark.parametrize("name", ["qft", "ulock", "haar"])
+    @settings(max_examples=2, deadline=None)
+    @example(phase=0.0, seed=0)
+    @given(phase=st.floats(0.0, 2 * np.pi), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_branch_classifier(self, name, phase, seed):
+        lock = Unitary(np.exp(1j * phase) * _base_lock(name, seed).entries)
+        got = classify_locking_unitary(lock, "teleportation")
+        want = classify_teleportation_per_branch(lock)
+        assert (got.valid_lock, got.passed, got.end_to_end_correct) == (
+            want.valid_lock,
+            want.passed,
+            want.end_to_end_correct,
+        )
+        assert list(got.checks.items()) == list(want.checks.items())
+        assert list(got.per_subsystem) == list(want.per_subsystem)
+        for r, sub in got.per_subsystem.items():
+            ref = want.per_subsystem[r]
+            flags = ("independent_of_encoding", "matches_closed_form", "maximally_mixed")
+            assert [getattr(sub, f) for f in flags] == [getattr(ref, f) for f in flags]
+            assert (sub.recoverable_bits, sub.leaky_bits) == (ref.recoverable_bits, ref.leaky_bits)
+            assert sub.max_pairwise_diff == pytest.approx(ref.max_pairwise_diff, abs=1e-12)
+        assert got.notes.keys() == want.notes.keys()
+        assert got.notes["min_fidelity"] == pytest.approx(want.notes["min_fidelity"], abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 16])
+@pytest.mark.parametrize("dim", [2, 4])
+def test_max_pairwise_diff_matches_the_pairwise_loop(k, dim):
+    rng = np.random.default_rng(100 * k + dim)
+    mats = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(k)]
+    got = _max_pairwise_diff(mats)
+    assert type(got) is float
+    assert got == max_pairwise_diff_loop(mats)  # bitwise, not approx
+    if k < 2:
+        assert got == 0.0

@@ -14,6 +14,8 @@ from simulq.qlinalg import (
     DensityMatrix,
     StateVector,
     Unitary,
+    _checked_densities,
+    _state_rows,
     apply,
     density_from_wire,
     equal_up_to_global_phase,
@@ -269,3 +271,88 @@ def test_tensor_then_trace_recovers_factor(seed):
     b = random_state(rng, 2, ("b", "c"))
     rho = partial_trace(tensor(a, b), ("b", "c"))
     assert_allclose(rho.entries, np.outer(b.amplitudes, b.amplitudes.conj()), atol=1e-12)
+
+
+def _message(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+class TestStateRows:
+    """The batch builder validates a whole table as the constructor validates one row."""
+
+    LABELS = ("a", "b")
+
+    def _table(self, k=5):
+        rng = np.random.default_rng(11)
+        table = rng.normal(size=(k, 4)) + 1j * rng.normal(size=(k, 4))
+        return table / np.linalg.norm(table, axis=1)[:, None]
+
+    def test_rows_become_read_only_states(self):
+        table = self._table()
+        rows = _state_rows(table.copy(), self.LABELS)
+        assert len(rows) == len(table)
+        for row, want in zip(rows, table):
+            assert isinstance(row, StateVector)
+            assert row.labels == self.LABELS
+            assert np.array_equal(row.amplitudes, want)
+            with pytest.raises(ValueError):
+                row.amplitudes[0] = 0.0
+
+    @pytest.mark.parametrize("bad", [0, 2, 4])
+    def test_unnormalized_row_has_the_constructor_message(self, bad):
+        table = self._table()
+        table[bad] *= 1.1
+        want = _message(lambda: StateVector(table[bad], self.LABELS))
+        assert want.startswith("state is not normalized")
+        assert _message(lambda: _state_rows(table, self.LABELS)) == want
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_has_the_constructor_message(self, value):
+        table = self._table()
+        table[3, 1] = value
+        want = _message(lambda: StateVector(table[3], self.LABELS))
+        assert _message(lambda: _state_rows(table, self.LABELS)) == want
+
+    def test_duplicate_labels_have_the_constructor_message(self):
+        table = self._table()
+        want = _message(lambda: StateVector(table[0], ("a", "a")))
+        assert _message(lambda: _state_rows(table, ("a", "a"))) == want
+
+    def test_wrong_width_has_the_constructor_message(self):
+        table = self._table()[:, :3]
+        want = _message(lambda: StateVector(table[0], self.LABELS))
+        assert _message(lambda: _state_rows(table, self.LABELS)) == want
+
+
+class TestCheckedDensities:
+    """The stacked density checks raise what the constructor raises for one matrix."""
+
+    def _stack(self, rng, k=5):
+        return np.array([random_density(rng, 1).entries for _ in range(k)])
+
+    @pytest.mark.parametrize("bad", [0, 2, 4])
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda m: m + np.array([[0, 1e-6], [0, 0]]),  # not Hermitian
+            lambda m: 1.5 * m,  # trace 1.5
+            lambda m: np.diag([1.5, -0.5]) + 0j,  # negative eigenvalue
+            lambda m: np.where(np.eye(2) > 0, np.nan, m),  # non-finite
+        ],
+    )
+    def test_bad_matrix_has_the_constructor_message(self, rng, bad, spoil):
+        stack = self._stack(rng)
+        stack[bad] = spoil(stack[bad])
+        want = _message(lambda: DensityMatrix(stack[bad], ("q",)))
+        assert _message(lambda: _checked_densities(stack, ("q",))) == want
+
+    def test_valid_stack_passes(self, rng):
+        stack = self._stack(rng)
+        assert _checked_densities(stack, ["q"]) == ("q",)
+
+    def test_wrong_shape_has_the_constructor_message(self, rng):
+        stack = self._stack(rng)
+        want = _message(lambda: DensityMatrix(stack[0], ("q", "r")))
+        assert _message(lambda: _checked_densities(stack, ("q", "r"))) == want
