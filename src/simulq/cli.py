@@ -13,8 +13,12 @@ verification FAIL, 2 bad usage or malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -94,7 +98,105 @@ def _load_unitary(path: str) -> Unitary:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
+
+
+# A numeric matrix with at least this many entries formats each distinct float
+# bit pattern once; below it, formatting every entry is faster than np.unique.
+_DISTINCT_MIN_ENTRIES = 256
+
+
+def _json_text(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, written faster.
+
+    With ``indent`` set, json encodes in pure Python, one generator step and
+    one ``float.__repr__`` per value.  Here the wire format's ``re``/``im``
+    matrices (a 10-qubit gate holds 2**21 floats) are joined in bulk, and a
+    large one formats each distinct value once: gates and states repeat few
+    values many times.
+    """
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _write_json(obj, newline: str, out: list[str]) -> None:
+    """Append ``obj`` to ``out``, indented as json does at the depth ``newline`` ends in."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        texts = _matrix_texts(obj)
+        if texts is not None:
+            width, cell = len(obj[0]), inner + "  "
+            rows = (
+                f"[{cell}" + f",{cell}".join(texts[i : i + width]) + f"{inner}]"
+                for i in range(0, len(texts), width)
+            )
+            out.append(f"[{inner}" + f",{inner}".join(rows) + f"{newline}]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        # non-string keys and types json rejects: json's own output (or error),
+        # re-indented; json escapes every newline inside a string
+        out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline))
+
+
+def _float_text(value: float) -> str:
+    """A float as json writes it, including its spellings of nan and infinity."""
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+
+
+def _matrix_texts(rows) -> list[str] | None:
+    """The entries of a list of equal-length float lists as json text, row-major.
+
+    ``None`` for anything else.  Distinct values are keyed by bit pattern, not
+    by value, so ``-0.0`` and ``0.0`` keep their own texts.
+    """
+    if any(type(row) is not list for row in rows):
+        return None
+    width = len(rows[0])
+    if width == 0 or any(len(row) != width for row in rows):
+        return None
+    flat = list(chain.from_iterable(rows))
+    if set(map(type, flat)) != {float}:
+        return None
+    if len(flat) < _DISTINCT_MIN_ENTRIES:
+        return list(map(_float_text, flat))
+    bits, inverse = np.unique(np.array(flat).view(np.uint64), return_inverse=True)
+    texts = list(map(_float_text, bits.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, inverse.tolist()))
 
 
 def _fmt_entry(re: float, im: float) -> str:
@@ -204,7 +306,9 @@ def _cmd_dump_state(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="simulq",
         description="simultaneous dense coding and teleportation with locked channels",
@@ -255,7 +359,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     dump_gate = sub.add_parser("dump-gate", help="print a named gate as JSON")
     dump_gate.add_argument("name", help="u00|u01|u10|u11|hadamard|cnot|ulock|qft|identity")
-    dump_gate.add_argument("--n", type=int, default=None, help="qubit count for qft/identity")
+    dump_gate.add_argument(
+        "--n",
+        type=int,
+        default=None,
+        help=f"qubit count for qft/identity (1..{gates.MAX_GATE_QUBITS})",
+    )
     dump_gate.set_defaults(func=_cmd_dump_gate)
 
     dump_state = sub.add_parser("dump-state", help="print a named state as JSON")
@@ -267,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ProtocolViolation as exc:

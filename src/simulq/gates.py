@@ -53,29 +53,40 @@ def pauli_encoder(bits) -> Unitary:
     return Unitary(_ENCODERS[as_bits(bits)])
 
 
-def _unit_root(num: int, den: int) -> complex:
-    """``exp(2 pi i num/den)``, exact when the root lies on an axis."""
-    num %= den
-    if (4 * num) % den == 0:
-        return (1.0, 1.0j, -1.0, -1.0j)[(4 * num) // den]
-    return complex(np.exp(2j * np.pi * num / den))
+# Largest qubit count ``qft`` and ``identity`` build: a 2**10 x 2**10 complex
+# matrix is 16 MB, and each qubit more quadruples it.
+MAX_GATE_QUBITS = 10
+
+# exp(2 pi i q/4) for q = 0..3, exact
+_AXIS_ROOTS = np.array((1.0, 1.0j, -1.0, -1.0j))
+
+
+def _gate_dim(n_qubits: int) -> int:
+    if n_qubits < 1:
+        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+    if n_qubits > MAX_GATE_QUBITS:
+        raise ValueError(
+            f"{n_qubits} qubits requested; qft and identity are capped at {MAX_GATE_QUBITS} qubits"
+        )
+    return 1 << n_qubits
 
 
 def qft(n_qubits: int) -> Unitary:
-    """The quantum Fourier transform on ``n_qubits`` qubits.
+    """The quantum Fourier transform on ``n_qubits`` qubits (1 to ``MAX_GATE_QUBITS``).
 
     Entry ``(k, j)`` is ``omega**(j*k) / sqrt(2**n)`` with
     ``omega = exp(2 pi i / 2**n)``; for one qubit this is the Hadamard.
     Roots of unity on the real or imaginary axis are exact, so the one- and
     two-qubit matrices reproduce their printed forms with no rounding dust.
     """
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    dim = 1 << n_qubits
-    mat = np.array(
-        [[_unit_root(j * k, dim) for j in range(dim)] for k in range(dim)]
-    ) / np.sqrt(dim)
-    return Unitary(mat)
+    dim = _gate_dim(n_qubits)
+    k = np.arange(dim)
+    num = np.outer(k, k) % dim
+    roots = np.exp(2j * np.pi * num / dim)
+    quarter, rem = np.divmod(4 * num, dim)
+    on_axis = rem == 0
+    roots[on_axis] = _AXIS_ROOTS[quarter[on_axis]]
+    return Unitary(roots / np.sqrt(dim))
 
 
 def lock_operator() -> Unitary:
@@ -119,10 +130,8 @@ def cnot() -> Unitary:
 
 
 def identity(n_qubits: int = 1) -> Unitary:
-    """The identity on ``n_qubits`` qubits."""
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    return Unitary(np.eye(1 << n_qubits))
+    """The identity on ``n_qubits`` qubits (1 to ``MAX_GATE_QUBITS``)."""
+    return Unitary(np.eye(_gate_dim(n_qubits)))
 
 
 def adjoint(u: Unitary) -> Unitary:
@@ -137,7 +146,8 @@ _SIZED_GATES = {"qft", "identity"}
 def named_gate(name: str, n_qubits: int | None = None) -> Unitary:
     """Look up a gate by its command-line name.
 
-    ``qft`` and ``identity`` take a qubit count; every other name is fixed:
+    ``qft`` and ``identity`` take a qubit count, at most ``MAX_GATE_QUBITS``;
+    every other name is fixed:
     ``u00 u01 u10 u11 hadamard cnot ulock``.
     """
     fixed = {

@@ -1,10 +1,10 @@
-"""Smoke test of the benchmark's pinned teleportation verdicts.
+"""Smoke test of the benchmark's pinned ops.
 
-Builds the ``perfbench`` workloads at one seed and runs, once each, the ops
-that exercise the stacked teleportation lock classifier and the batched
-branch enumerator, through each op's own check.  A wrong verdict, branch
-count, probability or fidelity on these fast paths then fails here, in the
-ordinary test run, and not only in a benchmark run.
+Builds the ``perfbench`` workloads at one seed and runs, through each op's
+own check, the ops that exercise the stacked teleportation lock classifier,
+the batched branch enumerator and the CLI's JSON writer.  A wrong verdict,
+branch count, probability, fidelity, exit code or output on these fast paths
+then fails here, in the ordinary test run, and not only in a benchmark run.
 """
 
 from __future__ import annotations
@@ -48,3 +48,15 @@ def _ops(workload: str, prefix: str, workdir: Path):
 def test_pinned_ops_pass_their_checks(workload, prefix, tmp_path):
     for op in _ops(workload, prefix, tmp_path):
         op.check(op.call())
+
+
+@pytest.mark.parametrize(
+    "start, end", [("dump-gate qft ", ""), ("run --teleport qft --n 3 ", " --snapshots")]
+)
+def test_cli_ops_repeat_their_fingerprint(start, end, tmp_path):
+    # the large-matrix writer path (qft --n 8) and a zero-heavy snapshot
+    # transcript, each written twice in one process with the parser reused
+    ops = [op for op in _ops("cli_mix", start, tmp_path) if op.label.endswith(end)]
+    assert len(ops) == 1
+    op = ops[0]
+    assert op.check(op.call()) == op.check(op.call())

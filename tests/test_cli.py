@@ -4,10 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from simulq import gates
+from simulq import cli, gates
 from simulq.cli import main
+from simulq.qlinalg import to_wire
 
 
 def run_cli(capsys, *argv):
@@ -266,3 +269,124 @@ def test_dump_full_channel_state(capsys):
     code, out, _ = run_cli(capsys, "dump-state", "ghz")
     assert code == 0
     assert json.loads(out)["labels"] == ["A1", "B1", "B2", "A2", "C1", "C2"]
+
+
+@pytest.mark.parametrize("name", ["qft", "identity"])
+def test_dump_gate_rejects_more_than_ten_qubits(capsys, name):
+    code, out, err = run_cli(capsys, "dump-gate", name, "--n", "11")
+    assert code == 2
+    assert out == ""
+    assert err == "error: 11 qubits requested; qft and identity are capped at 10 qubits\n"
+
+
+def test_dump_gate_help_states_the_cap(capsys):
+    with pytest.raises(SystemExit):
+        main(["dump-gate", "--help"])
+    assert "qft/identity (1..10)" in capsys.readouterr().out
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_json_output_is_what_json_dumps_writes(capsys, tmp_path):
+    lock = tmp_path / "qft2.json"
+    lock.write_text(_dumps(to_wire(gates.qft(2))))
+    for argv in (
+        ("dump-gate", "qft", "--n", "5"),
+        ("dump-state", "ghz"),
+        ("run", "--teleport", "qft", "--n", "3", "--snapshots"),
+        ("verify", "lock", "--matrix", str(lock), "--task", "teleportation"),
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert out == _dumps(json.loads(out)) + "\n", argv
+
+
+_SPECIAL_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, float("nan"), float("inf"), float("-inf")
+]
+_SPECIAL_KEYS = ["", '"', "\\", "\n\t\r", "\x00\x1f\x7f", "é", "日本", "😀", "\ud800", "\u2028"]
+_floats = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+_keys = st.text() | st.sampled_from(_SPECIAL_KEYS)
+
+
+@st.composite
+def _float_matrices(draw):
+    """Lists of equal-length float lists, on both sides of the writer's size threshold."""
+    shape = (draw(st.integers(1, 32)), draw(st.integers(1, 32)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pool = np.array(draw(st.lists(_floats, min_size=1, max_size=6)))
+        values = rng.choice(pool, shape)
+    else:
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    rows = values.tolist()
+    if draw(st.booleans()):
+        # one entry of another type takes the matrix off the fast path
+        row, col = draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))
+        rows[row][col] = draw(st.sampled_from([None, 1, True, np.float64(0.5), "x", []]))
+    return rows
+
+
+_json_like = st.recursive(
+    st.none() | st.booleans() | st.integers() | _floats | _keys | _float_matrices(),
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(_keys, children, max_size=5),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_json_like)
+@example([[-0.0, 0.0], [0.0, -0.0]])
+@example({"re": [[0.0] * 300, [-0.0] * 300], "im": [[5e-324] * 300, [float("nan")] * 300]})
+@example(to_wire(gates.qft(8)))
+@example([[], []])
+@example({"b": ({"z": 1, "a": (1.5, [])},), "a": {}})
+@example({1: "one", 0: [[0.5]]})
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == _dumps(obj)
+
+
+def test_json_writer_rejects_what_json_rejects():
+    for obj in ({"k": np.int64(1)}, {"k": [object()]}, {1: "a", "b": 2}):
+        with pytest.raises(TypeError) as want:
+            _dumps(obj)
+        with pytest.raises(TypeError) as got:
+            cli._json_text(obj)
+        assert str(got.value) == str(want.value)
+
+
+# Earlier calls run the parser's error, help and non-default paths, so the
+# last call shows that nothing of theirs outlives them (`--lock` stays qft).
+_PARSER_REUSE_CALLS = (
+    ("run", "--protocol", "qubitfoam", "--bits", "0000"),
+    ("--help",),
+    ("run", "--protocol", "ghz", "--lock", "ulock", "--bits", "0110", "--format", "table"),
+    ("run", "--teleport", "qft", "--n", "3"),
+    ("run", "--protocol", "bell", "--bits", "1001"),
+)
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = f"SystemExit({exc.code})"
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_matches_a_fresh_one(capsys):
+    fresh = []
+    for argv in _PARSER_REUSE_CALLS:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    cli._parser.cache_clear()
+    reused = [_outcome(capsys, argv) for argv in _PARSER_REUSE_CALLS]
+    assert cli._parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == ["SystemExit(2)", "SystemExit(0)", 0, 0, 0]
+    data = json.loads(reused[-1][1])
+    assert data["protocol"] == "dense_coding:bell:qft"
+    assert data["outcomes"]["bob"] == [1, 0]

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from simulq import gates
+from tests.qft_oracle import qft_per_entry
 
 QFT2_LITERAL = 0.5 * np.array(
     [
@@ -61,6 +62,22 @@ def test_qft_unitarity(n):
 def test_qft_rejects_zero_qubits():
     with pytest.raises(ValueError):
         gates.qft(0)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_qft_matches_per_entry_oracle_bitwise(n):
+    # float64 views, so a -0.0 where the oracle has 0.0 fails too
+    got = gates.qft(n).entries.view(np.float64)
+    want = qft_per_entry(n).entries.view(np.float64)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("gate", [gates.qft, gates.identity])
+def test_sized_gates_are_capped(gate):
+    assert gates.MAX_GATE_QUBITS == 10
+    with pytest.raises(ValueError, match="11 qubits requested; .* capped at 10 qubits"):
+        gate(11)
 
 
 def test_lock_operator_literal():
