@@ -26,6 +26,7 @@ from . import gates, states
 from .analysis import classify_locking_unitary, verify_counterexample, verify_theorem
 from .measurement import ProtocolViolation
 from .protocols import (
+    MAX_RECEIVERS,
     DenseCodingInput,
     TeleportInput,
     run_dense_coding,
@@ -325,7 +326,10 @@ def _parser() -> argparse.ArgumentParser:
         "--lock", choices=("qft", "ulock"), default="qft", help="dense coding lock (default qft)"
     )
     run.add_argument(
-        "--n", type=int, default=2, help="receiver count for --teleport (qft: 1..6, ulock: 2)"
+        "--n",
+        type=int,
+        default=2,
+        help=f"receiver count for --teleport (qft: 1..{MAX_RECEIVERS}, ulock: 2)",
     )
     run.add_argument(
         "--states",

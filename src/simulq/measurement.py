@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qlinalg import ATOL, DensityMatrix, StateVector, contract
+from .qlinalg import ATOL, DensityMatrix, StateVector, _ungrouped, contract
 from .states import BasisFamily
 
 #: eigenvalues above this count towards the support of a density matrix
@@ -66,18 +66,16 @@ def _branches(state: StateVector, family: BasisFamily, targets) -> list:
 
 
 def _collapse(
-    state: StateVector, member: StateVector, residual: np.ndarray, targets
+    state: StateVector, member: StateVector, residual: np.ndarray, targets, rest_labels
 ) -> StateVector:
-    """Reassemble member (x) residual/|residual| in the original register order."""
-    axes = [state.axis_of(t) for t in targets]
-    rest = [i for i in range(state.n_qubits) if i not in axes]
+    """Reassemble member (x) residual/|residual| in the original register order.
+
+    The outer product has the layout of ``contract``'s grouped register: rows
+    over ``targets``, columns over ``rest_labels``.
+    """
+    order = [state.axis_of(q) for q in (*targets, *rest_labels)]
     full = np.outer(member.amplitudes, residual / np.linalg.norm(residual))
-    amp = (
-        full.reshape([2] * state.n_qubits)
-        .transpose(np.argsort(axes + rest))
-        .reshape(-1)
-    )
-    return StateVector(amp, state.labels)
+    return StateVector(_ungrouped(full, order), state.labels)
 
 
 def measure_in_family(
@@ -88,8 +86,9 @@ def measure_in_family(
     rows = _branches(state, family, tuple(targets))
     probs = np.array([max(r[1], 0.0) for r in rows])
     pick = rng.choice(len(rows), p=probs / probs.sum())
-    label, p, member, residual, _ = rows[pick]
-    return MeasurementOutcome(label, max(p, 0.0), _collapse(state, member, residual, tuple(targets)))
+    label, p, member, residual, rest_labels = rows[pick]
+    post = _collapse(state, member, residual, tuple(targets), rest_labels)
+    return MeasurementOutcome(label, max(p, 0.0), post)
 
 
 def enumerate_branches(
@@ -102,11 +101,10 @@ def enumerate_branches(
     """
     targets = tuple(targets)
     out = []
-    for label, p, member, residual, _ in _branches(state, family, targets):
+    for label, p, member, residual, rest_labels in _branches(state, family, targets):
         if p > ATOL:
-            out.append(
-                MeasurementOutcome(label, p, _collapse(state, member, residual, targets))
-            )
+            post = _collapse(state, member, residual, targets, rest_labels)
+            out.append(MeasurementOutcome(label, p, post))
     return out
 
 

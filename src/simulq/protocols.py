@@ -40,6 +40,7 @@ from .qlinalg import (
     DensityMatrix,
     StateVector,
     Unitary,
+    _grouped,
     _state_rows,
     apply,
     fidelity,
@@ -50,6 +51,10 @@ from .qlinalg import (
 from .states import DENSE_CHANNELS
 
 _LOCKS = {"qft": lambda: gates.qft(2), "ulock": gates.lock_operator}
+
+# Most receivers a teleportation run or enumeration takes: the enumerator
+# holds a 3N-qubit register, 4 MB at N = 6, and each receiver more is 8x that.
+MAX_RECEIVERS = 6
 
 DENSE_STEPS = (
     "step0_init",
@@ -94,8 +99,8 @@ class TeleportInput:
     """Configuration of one simultaneous teleportation run.
 
     ``scheme`` is ``ulock2`` (two receivers, Hadamard--CNOT lock) or ``qftN``
-    (1..6 receivers, Fourier lock).  ``payloads`` are the single-qubit states
-    to teleport, one per receiver.
+    (1 to ``MAX_RECEIVERS`` receivers, Fourier lock).  ``payloads`` are the
+    single-qubit states to teleport, one per receiver.
     """
 
     scheme: str
@@ -108,9 +113,9 @@ class TeleportInput:
             if self.n_receivers != 2:
                 raise ValueError("the ulock2 scheme has exactly 2 receivers")
         elif self.scheme == "qftN":
-            if not 1 <= self.n_receivers <= 6:
+            if not 1 <= self.n_receivers <= MAX_RECEIVERS:
                 raise ValueError(
-                    f"qftN supports 1..6 receivers, got {self.n_receivers}"
+                    f"qftN supports 1..{MAX_RECEIVERS} receivers, got {self.n_receivers}"
                 )
         else:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected ulock2 or qftN")
@@ -176,13 +181,6 @@ def _jsonable(value):
     if isinstance(value, (np.integer, int)):
         return int(value)
     return value
-
-
-def intercept_reduced(
-    transcript: ProtocolTranscript, stage: str, subsystem
-) -> DensityMatrix:
-    """Reduced density matrix of a recorded snapshot on ``subsystem``."""
-    return partial_trace(transcript.step_state(stage), tuple(subsystem))
 
 
 # --- dense coding -----------------------------------------------------------
@@ -325,7 +323,7 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     t_labels, a_labels, r_labels = _teleport_labels(n, r_labels)
     rng = resolve_rng(seed)
     seed_val = seed if isinstance(seed, int) else None
-    bell = states.bell_family()
+    bell = states.family("bell")
 
     t = ProtocolTranscript(protocol=f"teleportation:{inp.scheme}:n={n}", seed=seed_val)
     state = _teleport_initial(inp.payloads, t_labels, a_labels, r_labels)
@@ -409,15 +407,20 @@ def enumerate_teleportation_with_lock(
     (0,1), (1,0), (1,1)``.  Row norms squared are the branch probabilities
     (each exactly ``4^-N``, since the sender halves are maximally mixed), the
     unlock is one matrix product on the normalised rows, and the per-receiver
-    corrections and fidelities act on all rows at once.
+    corrections and fidelities act on all rows at once.  At most
+    ``MAX_RECEIVERS`` receivers are accepted.
     """
     payloads = tuple(payloads)
     n = len(payloads)
+    if n > MAX_RECEIVERS:
+        raise ValueError(
+            f"{n} receivers requested; the enumerator is capped at {MAX_RECEIVERS} receivers"
+        )
     if lock.dim != 1 << n:
         raise ValueError(f"{n} receivers need a {1 << n}-dimensional lock")
     t_labels, a_labels, r_labels = _teleport_labels(n, receiver_labels)
 
-    bell = states.bell_family()
+    bell = states.family("bell")
     outcomes = [gates.EncodedBits(*xy) for xy in bell.members]
     # row k is <member k|: maps the Bell member (x, y) of a pair to |x y>
     rotation = Unitary(np.array([m.amplitudes.conj() for m in bell.members.values()]))
@@ -427,11 +430,10 @@ def enumerate_teleportation_with_lock(
     for a, tl in zip(a_labels, t_labels):
         state = apply(state, rotation, (a, tl))
 
-    order = [q for pair in zip(a_labels, t_labels) for q in pair] + list(r_labels)
-    perm = [state.axis_of(q) for q in order]
-    table = (
-        state.amplitudes.reshape([2] * (3 * n)).transpose(perm).copy().reshape(4**n, 2**n)
-    )
+    # the receivers are the rest of the register, already in the order R1..RN;
+    # copied because the table is divided in place below
+    pairs = [state.axis_of(q) for pair in zip(a_labels, t_labels) for q in pair]
+    table = _grouped(state.amplitudes, pairs)[0].copy()
     del state  # the table holds every amplitude; free the 3N-qubit register
     norms = np.linalg.norm(table, axis=1)
     table /= norms[:, None]

@@ -6,9 +6,11 @@ label of a register owns the most significant bit of the amplitude index,
 so for a two-qubit register ``|01>`` sits at index 1 and a printed 4x4
 matrix acts on amplitudes ordered ``00, 01, 10, 11``.
 
-Registers are never reordered implicitly.  Every operation addresses
-qubits by label, and :func:`reorder` is the one (explicit) way to permute
-a register.
+Registers are never reordered.  Every operation addresses qubits by label
+and returns its result on the input's register order.  Inside, an
+operation on k target qubits views the register as a ``2^k x 2^(n-k)``
+matrix, targets first and the rest in register order: :func:`_grouped`
+builds that view and :func:`_ungrouped` undoes it.
 """
 
 from __future__ import annotations
@@ -178,8 +180,11 @@ class Unitary:
         dim = mat.shape[0]
         if dim < 2 or dim & (dim - 1):
             raise ValueError(f"unitary dimension must be a power of two, got {dim}")
-        if np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) > ATOL:
-            raise ValueError("matrix is not unitary")
+        dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
+        if dev > ATOL:
+            raise ValueError(
+                f"matrix is not unitary: max|U^H U - I| = {dev:.3g} exceeds ATOL = {ATOL:g}"
+            )
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 
@@ -211,6 +216,24 @@ def tensor(a, b):
     )
 
 
+def _grouped(amplitudes: np.ndarray, axes: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+    """The register as a ``2^k x 2^(n-k)`` matrix whose rows run over ``axes``.
+
+    Rows index the k qubits at ``axes`` in the given order, columns the other
+    qubits in register order.  Also returns that axis order, which
+    :func:`_ungrouped` takes to put the amplitudes back.
+    """
+    n = amplitudes.size.bit_length() - 1
+    order = list(axes) + [i for i in range(n) if i not in axes]
+    matrix = amplitudes.reshape([2] * n).transpose(order).reshape(1 << len(axes), -1)
+    return matrix, order
+
+
+def _ungrouped(matrix: np.ndarray, order: Sequence[int]) -> np.ndarray:
+    """Flat register-order amplitudes of a matrix laid out as :func:`_grouped` lays it."""
+    return matrix.reshape([2] * len(order)).transpose(np.argsort(order)).reshape(-1)
+
+
 def _target_axes(state: StateVector, targets: Sequence[str]) -> list[int]:
     targets = tuple(targets)
     if not targets:
@@ -232,13 +255,8 @@ def apply(state: StateVector, gate: Unitary, targets: Sequence[str]) -> StateVec
         raise ValueError(
             f"gate dimension {gate.dim} does not fit {k} target qubit(s)"
         )
-    n = state.n_qubits
-    rest = [i for i in range(n) if i not in axes]
-    perm = axes + rest
-    psi = state.amplitudes.reshape([2] * n).transpose(perm).reshape(1 << k, -1)
-    out = gate.entries @ psi
-    out = out.reshape([2] * n).transpose(np.argsort(perm)).reshape(-1)
-    return StateVector(out, state.labels)
+    psi, order = _grouped(state.amplitudes, axes)
+    return StateVector(_ungrouped(gate.entries @ psi, order), state.labels)
 
 
 def partial_trace(obj: StateVector | DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
@@ -259,14 +277,13 @@ def partial_trace(obj: StateVector | DensityMatrix, keep: Iterable[str]) -> Dens
         raise ValueError(
             f"refusing to build a reduced matrix on {len(keep_axes)} qubits"
         )
-    rest = [i for i in range(n) if i not in keep_axes]
-    dk = 1 << len(keep_axes)
     out_labels = tuple(obj.labels[i] for i in keep_axes)
     if isinstance(obj, StateVector):
-        psi = obj.amplitudes.reshape([2] * n).transpose(keep_axes + rest).reshape(dk, -1)
+        psi, _ = _grouped(obj.amplitudes, keep_axes)
         return DensityMatrix(psi @ psi.conj().T, out_labels)
     if isinstance(obj, DensityMatrix):
-        dr = 1 << len(rest)
+        rest = [i for i in range(n) if i not in keep_axes]
+        dk, dr = 1 << len(keep_axes), 1 << len(rest)
         perm = keep_axes + rest + [n + i for i in keep_axes] + [n + i for i in rest]
         arr = obj.entries.reshape([2] * (2 * n)).transpose(perm).reshape(dk, dr, dk, dr)
         return DensityMatrix(np.einsum("arbr->ab", arr), out_labels)
@@ -286,21 +303,8 @@ def contract(
     bra = _as_complex_array(bra, "bra").reshape(-1)
     if bra.size != 1 << len(axes):
         raise ValueError(f"bra has {bra.size} amplitudes for {len(axes)} qubit(s)")
-    n = state.n_qubits
-    rest = [i for i in range(n) if i not in axes]
-    psi = state.amplitudes.reshape([2] * n).transpose(axes + rest).reshape(bra.size, -1)
-    residual = bra.conj() @ psi
-    return residual, tuple(state.labels[i] for i in rest)
-
-
-def reorder(state: StateVector, new_order: Sequence[str]) -> StateVector:
-    """Return the same state on an explicitly permuted register."""
-    new_order = tuple(new_order)
-    if sorted(new_order) != sorted(state.labels):
-        raise ValueError(f"{new_order} is not a permutation of {state.labels}")
-    perm = [state.axis_of(lbl) for lbl in new_order]
-    amp = state.amplitudes.reshape([2] * state.n_qubits).transpose(perm).reshape(-1)
-    return StateVector(amp, new_order)
+    psi, order = _grouped(state.amplitudes, axes)
+    return bra.conj() @ psi, tuple(state.labels[i] for i in order[len(axes):])
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -308,11 +312,6 @@ def inner(a: StateVector, b: StateVector) -> complex:
     if a.labels != b.labels:
         raise ValueError(f"label mismatch: {a.labels} vs {b.labels}")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def to_density(state: StateVector) -> DensityMatrix:
-    """The rank-one density matrix ``|state><state|``."""
-    return DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()), state.labels)
 
 
 def fidelity(state: StateVector, rho: DensityMatrix) -> float:
@@ -334,20 +333,6 @@ def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = ATOL) 
     ip = np.vdot(b.amplitudes, a.amplitudes)
     phase = ip / abs(ip) if abs(ip) > 0 else 1.0
     return bool(np.linalg.norm(a.amplitudes - phase * b.amplitudes) <= tol)
-
-
-def _entries_of(obj) -> np.ndarray:
-    if isinstance(obj, (DensityMatrix, Unitary)):
-        return obj.entries
-    return _as_complex_array(obj, "matrix")
-
-
-def matrix_close(a, b, tol: float = ATOL) -> bool:
-    """Entrywise max-abs comparison of two matrices of identical shape."""
-    ma, mb = _entries_of(a), _entries_of(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    return bool(np.max(np.abs(ma - mb)) <= tol)
 
 
 # --- JSON wire format ------------------------------------------------------
@@ -378,30 +363,14 @@ def to_wire(obj: StateVector | DensityMatrix | Unitary) -> dict:
     }
 
 
-def _matrix_from_wire(data: dict) -> tuple[np.ndarray, list[str]]:
+def unitary_from_wire(data: dict) -> Unitary:
+    """Parse a unitary from the JSON dump format; its (empty) labels are not kept."""
     try:
-        labels = list(data["labels"])
+        list(data["labels"])  # a well-formed payload carries them
         rows, cols = (int(v) for v in data["shape"])
         mat = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix payload: {exc}") from exc
     if mat.shape != (rows, cols):
         raise ValueError(f"payload shape {mat.shape} does not match declared {(rows, cols)}")
-    return mat, labels
-
-
-def state_from_wire(data: dict) -> StateVector:
-    mat, labels = _matrix_from_wire(data)
-    if mat.shape[1] != 1:
-        raise ValueError(f"a state vector must have one column, got {mat.shape[1]}")
-    return StateVector(mat.reshape(-1), tuple(labels))
-
-
-def density_from_wire(data: dict) -> DensityMatrix:
-    mat, labels = _matrix_from_wire(data)
-    return DensityMatrix(mat, tuple(labels))
-
-
-def unitary_from_wire(data: dict) -> Unitary:
-    mat, _ = _matrix_from_wire(data)
     return Unitary(mat)

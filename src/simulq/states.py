@@ -64,50 +64,41 @@ class BasisFamily:
     """An orthonormal four-member measurement family.
 
     ``members`` maps ``(x, y)`` to the member state, in the fixed order
-    ``(0,0), (0,1), (1,0), (1,1)``.  ``subspace_dim`` is always 4;
-    ``ambient_dim`` is the dimension of the space the members live in.
+    ``(0,0), (0,1), (1,0), (1,1)``.
     """
 
     name: str
     members: dict
-    ambient_dim: int
-    subspace_dim: int = 4
 
     def __post_init__(self) -> None:
         if tuple(self.members) != _BIT_PAIRS:
             raise ValueError(f"family members must be keyed by {_BIT_PAIRS}")
-        vecs = [m.amplitudes for m in self.members.values()]
-        gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-        if np.max(np.abs(gram - np.eye(4))) > ATOL_STRICT:
+        vecs = np.array([m.amplitudes for m in self.members.values()])
+        if np.max(np.abs(vecs.conj() @ vecs.T - np.eye(4))) > ATOL_STRICT:
             raise ValueError(f"family {self.name!r} is not orthonormal")
+
+    @property
+    def ambient_dim(self) -> int:
+        """The dimension of the space the members live in."""
+        return self.members[_BIT_PAIRS[0]].dim
 
     def member(self, bits) -> StateVector:
         return self.members[tuple(bits)]
 
 
-def bell_family() -> BasisFamily:
-    return BasisFamily("bell", {xy: phi(*xy) for xy in _BIT_PAIRS}, ambient_dim=4)
-
-
-def ghz_family() -> BasisFamily:
-    return BasisFamily("ghz", {xy: ghz(*xy) for xy in _BIT_PAIRS}, ambient_dim=8)
-
-
-def w_family() -> BasisFamily:
-    return BasisFamily("w", {xy: w(*xy) for xy in _BIT_PAIRS}, ambient_dim=8)
-
-
-_FAMILIES = {"bell": bell_family, "ghz": ghz_family, "w": w_family}
+# The member constructor of each channel's family: the one channel -> family map.
+_CHANNEL_MEMBERS = {"bell": phi, "ghz": ghz, "w": w}
 
 
 def family(name: str) -> BasisFamily:
-    """Look up a measurement family by channel name (``bell``, ``ghz``, ``w``)."""
+    """The measurement family of a channel (``bell``, ``ghz``, ``w``)."""
     try:
-        return _FAMILIES[name]()
+        member = _CHANNEL_MEMBERS[name]
     except KeyError:
         raise ValueError(
-            f"unknown family {name!r}; known families: {sorted(_FAMILIES)}"
+            f"unknown family {name!r}; known families: {sorted(_CHANNEL_MEMBERS)}"
         ) from None
+    return BasisFamily(name, {xy: member(*xy) for xy in _BIT_PAIRS})
 
 
 # Per channel, each receiver's subsystem once the locked qubits arrive: the
@@ -118,8 +109,6 @@ DENSE_CHANNELS = {
     "ghz": {"bob": ("A1", "B1", "B2"), "charlie": ("A2", "C1", "C2")},
     "w": {"bob": ("A1", "B1", "B2"), "charlie": ("A2", "C1", "C2")},
 }
-
-_CHANNEL_MEMBERS = {"bell": phi, "ghz": ghz, "w": w}
 
 
 def initial_state(channel: str) -> StateVector:

@@ -46,7 +46,7 @@ def walk_teleportation_with_lock(
     r_labels = tuple(receiver_labels)
     if len(r_labels) != n:
         raise ValueError(f"{n} receivers need {n} receiver labels, got {r_labels}")
-    bell = states.bell_family()
+    bell = states.family("bell")
 
     state = _teleport_initial(payloads, t_labels, a_labels, r_labels)
     state = apply(state, lock, a_labels)

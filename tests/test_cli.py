@@ -240,6 +240,22 @@ def test_verify_lock_non_unitary_is_usage_error(capsys, tmp_path):
     assert "error" in err
 
 
+def test_verify_lock_names_the_unitarity_deviation(capsys, tmp_path):
+    # the Hadamard-CNOT lock rounded to 8 decimals is off by 3.4e-9, over ATOL
+    wire = to_wire(gates.lock_operator())
+    wire["re"] = np.round(np.array(wire["re"]), 8).tolist()
+    f = tmp_path / "ulock8.json"
+    f.write_text(json.dumps(wire))
+    code, out, err = run_cli(
+        capsys, "verify", "lock", "--matrix", str(f), "--task", "dense_coding"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: matrix is not unitary: max|U^H U - I| = 3.36e-09 exceeds ATOL = 1e-10\n"
+    )
+
+
 def test_dump_gate_literals(capsys):
     code, out, _ = run_cli(capsys, "dump-gate", "qft", "--n", "2")
     assert code == 0

@@ -18,7 +18,7 @@ from tests.conftest import random_state
 
 
 def test_measuring_a_family_member_is_deterministic():
-    fam = states.bell_family()
+    fam = states.family("bell")
     for bits, member in fam.members.items():
         out = measure_in_family(member, fam, member.labels, seed=0)
         assert out.label == bits
@@ -27,7 +27,7 @@ def test_measuring_a_family_member_is_deterministic():
 
 
 def test_single_branch_enumeration():
-    fam = states.bell_family()
+    fam = states.family("bell")
     branches = enumerate_branches(fam.member((1, 0)), fam, ("q0", "q1"))
     assert len(branches) == 1
     assert branches[0].label == (1, 0)
@@ -35,7 +35,7 @@ def test_single_branch_enumeration():
 
 
 def test_born_probabilities_against_direct_projection(rng):
-    fam = states.bell_family()
+    fam = states.family("bell")
     psi = random_state(rng, 3, ("a", "b", "c"))
     branches = {o.label: o for o in enumerate_branches(psi, fam, ("a", "c"))}
     # direct calculation: p = || <member|psi> ||^2 on the (a, c) slots
@@ -49,12 +49,12 @@ def test_born_probabilities_against_direct_projection(rng):
 
 
 def test_enumeration_probabilities_sum_to_one(rng):
-    fam = states.ghz_family()
+    fam = states.family("ghz")
     # a random state in the GHZ family's span
     coeff = rng.normal(size=4) + 1j * rng.normal(size=4)
     coeff /= np.linalg.norm(coeff)
     vec = sum(
-        c * m.amplitudes for c, m in zip(coeff, states.ghz_family().members.values())
+        c * m.amplitudes for c, m in zip(coeff, fam.members.values())
     )
     psi = StateVector(vec, ("a", "b", "c"))
     total = sum(o.probability for o in enumerate_branches(psi, fam, ("a", "b", "c")))
@@ -65,7 +65,7 @@ def test_out_of_span_weight_raises():
     # |111> has no overlap with the W family's 4-dim subspace complement rule:
     # its projection onto the family members leaves weight behind
     psi = StateVector(np.eye(8)[7], ("a", "b", "c"))
-    fam = states.w_family()
+    fam = states.family("w")
     with pytest.raises(ProtocolViolation):
         enumerate_branches(psi, fam, ("a", "b", "c"))
     with pytest.raises(ProtocolViolation):
@@ -73,7 +73,7 @@ def test_out_of_span_weight_raises():
 
 
 def test_collapse_leaves_rest_register_consistent(rng):
-    fam = states.bell_family()
+    fam = states.family("bell")
     psi = tensor(random_state(rng, 1, ("x",)), states.phi(0, 1))
     out = measure_in_family(psi, fam, ("q0", "q1"), seed=3)
     assert out.label == (0, 1)
@@ -91,10 +91,11 @@ def test_sampled_frequencies_follow_born_rule():
     # fresh pairs lands on each of the four family members with p = 1/4
     psi = states.initial_state("bell")
     rng = np.random.default_rng(99)
-    counts = {bits: 0 for bits in states.bell_family().members}
+    fam = states.family("bell")
+    counts = {bits: 0 for bits in fam.members}
     n = 20_000
     for _ in range(n):
-        out = measure_in_family(psi, states.bell_family(), ("A1", "A2"), seed=rng)
+        out = measure_in_family(psi, fam, ("A1", "A2"), seed=rng)
         counts[out.label] += 1
     sigma = np.sqrt(n * 0.25 * 0.75)
     for bits, c in counts.items():
@@ -103,7 +104,7 @@ def test_sampled_frequencies_follow_born_rule():
 
 def test_same_seed_same_outcome():
     psi = states.initial_state("bell")
-    fam = states.bell_family()
+    fam = states.family("bell")
     a = measure_in_family(psi, fam, ("A1", "B"), seed=123)
     b = measure_in_family(psi, fam, ("A1", "B"), seed=123)
     assert a.label == b.label

@@ -14,12 +14,12 @@ from numpy.testing import assert_allclose
 from simulq import gates
 from simulq.protocols import (
     DENSE_STEPS,
+    MAX_RECEIVERS,
     TELEPORT_STEPS,
     DenseCodingInput,
     TeleportInput,
     enumerate_teleportation,
     enumerate_teleportation_with_lock,
-    intercept_reduced,
     run_dense_coding,
     run_dense_coding_with_lock,
     run_teleportation,
@@ -29,6 +29,7 @@ from simulq.qlinalg import (
     Unitary,
     apply,
     equal_up_to_global_phase,
+    partial_trace,
     tensor,
 )
 from tests.conftest import random_state, random_unitary
@@ -76,7 +77,7 @@ class TestDenseCoding:
 
     def test_intercept_reduced_matches_recorded(self):
         t = run_dense_coding(DenseCodingInput("w", (1, 1), (0, 1)), seed=0)
-        recomputed = intercept_reduced(t, "step2_lock_send", ("A2", "C1", "C2"))
+        recomputed = partial_trace(t.step_state("step2_lock_send"), ("A2", "C1", "C2"))
         assert_allclose(
             recomputed.entries,
             t.intercepts[("step2_lock_send", ("A2", "C1", "C2"))].entries,
@@ -98,14 +99,13 @@ class TestDenseCoding:
 
     def test_full_register_intercept_is_pure(self):
         t = run_dense_coding(DenseCodingInput("ghz", (0, 1), (1, 0)), seed=0)
-        rho = intercept_reduced(t, "step3_unlock", t.step_state("step0_init").labels)
+        rho = partial_trace(t.step_state("step3_unlock"), t.step_state("step0_init").labels)
         purity = float(np.real(np.trace(rho.entries @ rho.entries)))
         assert purity == pytest.approx(1.0, abs=1e-10)
 
     def test_unlock_restores_family_member(self):
         # after step 3 the (A1, B) pair is exactly phi(b1, b2) again
         t = run_dense_coding(DenseCodingInput("bell", (1, 0), (1, 1)), seed=0)
-        from simulq.qlinalg import partial_trace
         from simulq.states import phi
 
         rho = partial_trace(t.step_state("step3_unlock"), ("A1", "B"))
@@ -281,6 +281,16 @@ class TestTeleportQft:
         two_qubit = random_state(np.random.default_rng(0), 2, ("x", "y"))
         with pytest.raises(ValueError):
             TeleportInput("qftN", (two_qubit,), 1)
+
+    def test_receiver_count_is_capped(self, rng):
+        assert MAX_RECEIVERS == 6
+        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(7))
+        with pytest.raises(ValueError, match=r"^qftN supports 1\.\.6 receivers, got 7$"):
+            TeleportInput("qftN", payloads, 7)
+        with pytest.raises(
+            ValueError, match="^7 receivers requested; the enumerator is capped at 6 receivers$"
+        ):
+            enumerate_teleportation_with_lock(payloads, gates.qft(7))
 
     def test_receiver_label_override(self, rng):
         payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(2))
