@@ -22,9 +22,10 @@ matrices, and the measured / decoded outcomes.
 
 A sampled run measures one pair at a time.  The exhaustive enumerator
 instead uses that a Bell measurement is a basis rotation followed by a
-computational readout: it rotates every ``(Ai, Ti)`` pair into the Bell
-basis once, and then every joint branch is one row of the rotated register,
-read as a ``4^N x 2^N`` table.
+computational readout, and that the payloads are a product state: it locks
+only the shared pairs ``A1 R1 .. AN RN``, folds each payload into its pair's
+Bell readout, and reads every joint branch as one row of a ``4^N x 2^N``
+table.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ from .states import DENSE_CHANNELS
 _LOCKS = {"qft": lambda: gates.qft(2), "ulock": gates.lock_operator}
 
 # Most receivers a teleportation run or enumeration takes: the enumerator
-# holds a 3N-qubit register, 4 MB at N = 6, and each receiver more is 8x that.
+# holds two 4^N x 2^N branch tables, 4 MiB each at N = 6, and each receiver
+# more is 8x that (the sampled run's 3N-qubit register is 4 MiB at N = 6 too).
 MAX_RECEIVERS = 6
 
 DENSE_STEPS = (
@@ -366,25 +368,29 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     return t
 
 
-def _correct_in_place(table: np.ndarray, encoders) -> None:
-    """Apply every receiver's Pauli correction to the rows of ``table``.
+def _corrected(unlocked: np.ndarray, encoders) -> np.ndarray:
+    """Every receiver's Pauli correction applied to the rows of ``unlocked``.
 
     Row ``b`` of the ``4^n x 2^n`` table is branch ``b``; receiver ``i``
     re-applies ``encoders[d]``, where ``d`` is base-4 digit ``i`` of ``b``
     (most significant first).  Each encoder is a signed permutation of the
-    receiver's two amplitudes, so it is applied as a gather plus signs on the
-    rows that share the digit.
+    receiver's two amplitudes, so all ``n`` corrections together are one
+    signed gather: entry ``(b, c)`` becomes ``sign[b, c] * unlocked[b, col[b, c]]``.
     """
-    n = table.shape[1].bit_length() - 1
+    n = unlocked.shape[1].bit_length() - 1
+    src = np.array([np.argmax(np.abs(enc), axis=1) for enc in encoders])
+    # real (+-1) for the Pauli encoders, which halves the sign table
+    sign = np.real_if_close([enc[np.arange(2), s] for enc, s in zip(encoders, src)])
+    cols = np.zeros((1, 1), dtype=np.intp)
+    signs = np.ones((1, 1), dtype=sign.dtype)
     for i in range(n):
-        # axes: (earlier digits, digit i, later digits | earlier receivers,
-        # receiver i, later receivers); a reshape of a contiguous array is a view
-        view = table.reshape(4**i, 4, 4 ** (n - 1 - i), 2**i, 2, 2 ** (n - 1 - i))
-        for digit, enc in enumerate(encoders):
-            src = np.argmax(np.abs(enc), axis=1)
-            sign = enc[np.arange(2), src]
-            block = view[:, digit]
-            np.multiply(block[:, :, :, src], sign[:, None], out=block)
+        # append receiver i as the least significant digit and column bit
+        shape = (4 ** (i + 1), 2 ** (i + 1))
+        cols = (2 * cols[:, None, :, None] + src[None, :, None, :]).reshape(shape)
+        signs = (signs[:, None, :, None] * sign[None, :, None, :]).reshape(shape)
+    corrected = np.take_along_axis(unlocked, cols, axis=1)
+    corrected *= signs
+    return corrected
 
 
 def enumerate_teleportation_with_lock(
@@ -398,17 +404,20 @@ def enumerate_teleportation_with_lock(
     otherwise, unless ``receiver_labels`` names them.  Used both by the named
     schemes and to probe candidate locking operators.
 
-    All ``4^N`` branches come from one register.  A Bell measurement of
-    ``(Ai, Ti)`` is a rotation into the Bell basis followed by a
-    computational readout, so after rotating every pair the amplitudes,
-    ordered ``(A1, T1, ..., AN, TN | R1 .. RN)``, form a ``4^N x 2^N`` table
-    whose row ``b`` is the unnormalised receiver register of branch ``b``:
-    pair 1 is the most significant base-4 digit and members run ``(0,0),
-    (0,1), (1,0), (1,1)``.  Row norms squared are the branch probabilities
-    (each exactly ``4^-N``, since the sender halves are maximally mixed), the
-    unlock is one matrix product on the normalised rows, and the per-receiver
-    corrections and fidelities act on all rows at once.  At most
-    ``MAX_RECEIVERS`` receivers are accepted.
+    All ``4^N`` branches come from one ``4^N x 2^N`` table whose row ``b`` is
+    the unnormalised receiver register of branch ``b``: pair 1 is the most
+    significant base-4 digit and members run ``(0,0), (0,1), (1,0), (1,1)``.
+    A Bell measurement of ``(Ai, Ti)`` is a rotation into the Bell basis
+    followed by a computational readout, and the payloads are a product
+    state, so the table is built from the locked shared pairs alone: read as
+    a ``2^N x 2^N`` matrix (sender rows, receiver columns), each sender row
+    axis is mapped to its four outcomes by the 4x2 readout of pair ``i``
+    folded with payload ``i``.  Row norms squared are the branch
+    probabilities (each exactly ``4^-N``, since the sender halves are
+    maximally mixed), the unlock is one matrix product on the normalised
+    rows, the per-receiver corrections are one signed gather, and the
+    fidelities act on all rows at once.  At most ``MAX_RECEIVERS`` receivers
+    are accepted.
     """
     payloads = tuple(payloads)
     n = len(payloads)
@@ -418,28 +427,32 @@ def enumerate_teleportation_with_lock(
         )
     if lock.dim != 1 << n:
         raise ValueError(f"{n} receivers need a {1 << n}-dimensional lock")
-    t_labels, a_labels, r_labels = _teleport_labels(n, receiver_labels)
+    _, a_labels, r_labels = _teleport_labels(n, receiver_labels)
 
     bell = states.family("bell")
     outcomes = [gates.EncodedBits(*xy) for xy in bell.members]
     # row k is <member k|: maps the Bell member (x, y) of a pair to |x y>
     rotation = Unitary(np.array([m.amplitudes.conj() for m in bell.members.values()]))
 
-    state = _teleport_initial(payloads, t_labels, a_labels, r_labels)
-    state = apply(state, lock, a_labels)
-    for a, tl in zip(a_labels, t_labels):
-        state = apply(state, rotation, (a, tl))
+    shared = states.phi(0, 0, (a_labels[0], r_labels[0]))
+    for a, r in zip(a_labels[1:], r_labels[1:]):
+        shared = tensor(shared, states.phi(0, 0, (a, r)))
+    shared = apply(shared, lock, a_labels)
+    table = _grouped(shared.amplitudes, [shared.axis_of(a) for a in a_labels])[0]
 
-    # the receivers are the rest of the register, already in the order R1..RN;
-    # copied because the table is divided in place below
-    pairs = [state.axis_of(q) for pair in zip(a_labels, t_labels) for q in pair]
-    table = _grouped(state.amplitudes, pairs)[0].copy()
-    del state  # the table holds every amplitude; free the 3N-qubit register
+    # readout of pair i on (Ai, Ti), with Ti contracted against payload i:
+    # a 4x2 map from the sender bit Ai to the pair's four outcomes
+    readout = rotation.entries.reshape(4, 2, 2)
+    for i, payload in enumerate(payloads):
+        folded = readout @ payload.amplitudes
+        table = np.matmul(folded, table.reshape(4**i, 2, -1)).reshape(-1, 1 << n)
     norms = np.linalg.norm(table, axis=1)
     table /= norms[:, None]
 
-    corrected = table @ _unlock(lock).entries.T
-    _correct_in_place(corrected, [gates.pauli_encoder(bits).entries for bits in outcomes])
+    corrected = _corrected(
+        table @ _unlock(lock).entries.T,
+        [gates.pauli_encoder(bits).entries for bits in outcomes],
+    )
     fids = np.empty((4**n, n))
     for i, payload in enumerate(payloads):
         split = corrected.reshape(4**n, 2**i, 2, 2 ** (n - 1 - i))

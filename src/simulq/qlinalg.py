@@ -282,11 +282,10 @@ def partial_trace(obj: StateVector | DensityMatrix, keep: Iterable[str]) -> Dens
         psi, _ = _grouped(obj.amplitudes, keep_axes)
         return DensityMatrix(psi @ psi.conj().T, out_labels)
     if isinstance(obj, DensityMatrix):
-        rest = [i for i in range(n) if i not in keep_axes]
-        dk, dr = 1 << len(keep_axes), 1 << len(rest)
-        perm = keep_axes + rest + [n + i for i in keep_axes] + [n + i for i in rest]
-        arr = obj.entries.reshape([2] * (2 * n)).transpose(perm).reshape(dk, dr, dk, dr)
-        return DensityMatrix(np.einsum("arbr->ab", arr), out_labels)
+        # row and column qubits are axes i and n + i of the flattened entries
+        rho, _ = _grouped(obj.entries.reshape(-1), keep_axes + [n + i for i in keep_axes])
+        dk, dr = 1 << len(keep_axes), 1 << (n - len(keep_axes))
+        return DensityMatrix(np.einsum("abrr->ab", rho.reshape(dk, dk, dr, dr)), out_labels)
     raise TypeError(f"cannot take a partial trace of {type(obj).__name__}")
 
 

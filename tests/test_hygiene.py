@@ -1,14 +1,17 @@
-"""Import hygiene: no module imports a name at top level that it never uses."""
+"""Code hygiene: no module imports a name at top level that it never uses, and
+no private top-level name in ``src/simulq`` is left without a reader."""
 
 from __future__ import annotations
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "simulq").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SRC_MODULES = sorted((ROOT / "src" / "simulq").glob("*.py"))
+MODULES = sorted([*SRC_MODULES, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,3 +54,75 @@ def test_the_suite_checks_both_trees():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Top-level ``_name`` functions, classes and constants (not dunders), by name."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for target in node.targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                defined[name] = node
+    return defined
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """Identifiers ``node`` reads: loaded names, attributes and imported names."""
+    read = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            read.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            read.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            read |= {alias.name for alias in sub.names}
+    return read
+
+
+def dead_private_names(module: str, trees: dict[str, ast.Module]) -> list[str]:
+    """Private top-level names of ``trees[module]`` that nothing else reads.
+
+    A read inside the name's own definition (a recursive call, say) does
+    not count; a read anywhere else in any of ``trees`` does.
+    """
+    defined = _private_definitions(trees[module])
+    read = set()
+    for key, tree in trees.items():
+        for node in tree.body:
+            own = {name for name, d in defined.items() if d is node} if key == module else set()
+            read |= _names_read(node) - own
+    return sorted(set(defined) - read)
+
+
+def test_checker_finds_dead_private_names():
+    module = (
+        "import numpy as np\n"
+        "_USED = 1\n_DEAD = 2\n__version__ = '0'\n"
+        "def _helper():\n    return _USED\n"
+        "def _recursive(k):\n    return _recursive(k - 1) if k else 0\n"
+        "def _attr_only():\n    pass\n"
+        "def _imported():\n    pass\n"
+        "class _Unused:\n    pass\n"
+        "def public():\n    return _helper()\n"
+    )
+    other = "from m import _imported\nimport m\nm._attr_only()\n"
+    trees = {"m": ast.parse(module), "t": ast.parse(other)}
+    assert dead_private_names("m", trees) == ["_DEAD", "_Unused", "_recursive"]
+
+
+@functools.cache
+def _parsed_modules() -> dict[str, ast.Module]:
+    return {str(p): ast.parse(p.read_text()) for p in MODULES}
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_dead_private_name(path):
+    assert dead_private_names(str(path), _parsed_modules()) == []

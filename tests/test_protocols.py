@@ -25,6 +25,7 @@ from simulq.protocols import (
     run_teleportation,
 )
 from simulq.qlinalg import (
+    ATOL,
     StateVector,
     Unitary,
     apply,
@@ -319,18 +320,10 @@ _LOCK_CASES = st.one_of(
 class TestBranchEngineAgainstWalk:
     """The batched enumerator against the branch-by-branch reference walk."""
 
-    @settings(max_examples=20, deadline=None)
-    @given(case=_LOCK_CASES, custom_labels=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_matches_reference_walk(self, case, custom_labels, seed):
-        lock_name, n = case
-        rng = np.random.default_rng(seed)
-        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n))
-        lock = _lock(lock_name, n, rng)
-        unlock = Unitary(lock.entries.conj())
-        labels = tuple(f"R{i + 1}" for i in range(n)) if custom_labels else None
-
+    @staticmethod
+    def assert_same_branches(payloads, lock, labels):
         got = enumerate_teleportation_with_lock(payloads, lock, labels)
-        want = walk_teleportation_with_lock(payloads, lock, unlock, labels)
+        want = walk_teleportation_with_lock(payloads, lock, Unitary(lock.entries.conj()), labels)
 
         assert [br.results for br in got] == [br.results for br in want]
         for g, w in zip(got, want):
@@ -340,6 +333,22 @@ class TestBranchEngineAgainstWalk:
                 assert gs.labels == ws.labels
                 assert_allclose(gs.amplitudes, ws.amplitudes, rtol=0, atol=1e-12)
             assert_allclose(g.fidelities, w.fidelities, rtol=0, atol=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=_LOCK_CASES, custom_labels=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_walk(self, case, custom_labels, seed):
+        lock_name, n = case
+        rng = np.random.default_rng(seed)
+        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n))
+        lock = _lock(lock_name, n, rng)
+        labels = tuple(f"R{i + 1}" for i in range(n)) if custom_labels else None
+        self.assert_same_branches(payloads, lock, labels)
+
+    def test_matches_reference_walk_for_five_receivers(self):
+        rng = np.random.default_rng(2009)
+        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(5))
+        labels = ("Bob", "Charlie", "Dave", "Erin", "Frank")
+        self.assert_same_branches(payloads, random_unitary(rng, 5), labels)
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
@@ -353,6 +362,48 @@ class TestBranchEngineAgainstWalk:
         assert len(branches) == 4**n
         for br in branches:
             assert br.probability == pytest.approx(4.0**-n, abs=1e-12)
+
+
+_SQRT_HALF = 1 / np.sqrt(2)
+# the payloads 0, 1, + and +i
+_PROBE_PAYLOADS = tuple(
+    StateVector(amps, ("p",))
+    for amps in ((1, 0), (0, 1), (_SQRT_HALF, _SQRT_HALF), (_SQRT_HALF, 1j * _SQRT_HALF))
+)
+
+
+def _own_digit_views(branches, n: int) -> np.ndarray:
+    """Each receiver's pre-unlock view given only their own two result bits.
+
+    Returns ``(n, 4, 2, 2)``: receiver ``i``'s reduced state for each value of
+    their base-4 digit, averaged (probability-weighted) over the other digits.
+    """
+    pre = np.array([br.pre_unlock_state.amplitudes for br in branches])
+    prob = np.array([br.probability for br in branches])
+    weighted = (pre * np.sqrt(prob)[:, None]).reshape((4,) * n + (2,) * n)
+    views = []
+    for i in range(n):
+        psi = np.moveaxis(weighted, (i, n + i), (0, 1)).reshape(4, 2, -1)
+        rho = psi @ psi.conj().swapaxes(1, 2)
+        views.append(rho / np.trace(rho, axis1=1, axis2=2)[:, None, None])
+    return np.array(views)
+
+
+class TestFourierLockParity:
+    """The Fourier lock hides the payloads only for an even number of receivers."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_receiver_views_leak_only_for_odd_n(self, n):
+        lock = gates.qft(n)
+        views = np.array([
+            _own_digit_views(enumerate_teleportation_with_lock(payloads, lock), n)
+            for payloads in itertools.product(_PROBE_PAYLOADS, repeat=n)
+        ])
+        leak = np.abs(views - views[0]).max()
+        if n % 2 == 0:
+            assert leak < ATOL
+        else:
+            assert leak > 0.1
 
 
 class TestTranscriptSerialization:
