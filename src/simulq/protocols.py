@@ -6,7 +6,7 @@ Charlie, laid out per channel by ``states.DENSE_CHANNELS``) runs four steps::
     step1_encode     Alice applies a Pauli encoder per receiver message
     step2_lock_send  Alice locks (A1, A2) with a joint unitary and transmits
     step3_unlock     Bob and Charlie jointly apply the inverse lock
-    step4_measure    each receiver measures his subsystem in the channel family
+    step4_measure    each receiver measures their subsystem in the channel family
 
 Teleportation (payloads on ``T1..TN``, receivers on ``B, C`` for the
 two-receiver scheme and ``B1..BN`` for the Fourier scheme) runs five::
@@ -15,17 +15,22 @@ two-receiver scheme and ``B1..BN`` for the Fourier scheme) runs five::
     step2_bsm             Alice Bell-measures each (Ai, Ti) pair
     step3_classical_send  the two result bits per pair go to their receiver
     step4_unlock          the receivers jointly apply the lock's elementwise conjugate
-    step5_correct         each receiver applies his own Pauli encoder
+    step5_correct         each receiver applies their own Pauli encoder
 
 Transcripts record a snapshot per step, the standard intercepted reduced
 matrices, and the measured / decoded outcomes.
 
-A sampled run measures one pair at a time.  The exhaustive enumerator
-instead uses that a Bell measurement is a basis rotation followed by a
-computational readout, and that the payloads are a product state: it locks
-only the shared pairs ``A1 R1 .. AN RN``, folds each payload into its pair's
-Bell readout, and reads every joint branch as one row of a ``4^N x 2^N``
-table.
+Both teleportation engines use that a Bell measurement is a basis rotation
+followed by a computational readout, and that the payloads are a product
+state: they lock only the shared pairs ``A1 R1 .. AN RN``, read them as a
+``2^N x 2^N`` matrix (sender rows, receiver columns) and fold each payload
+into its pair's 4x2 Bell readout (:func:`_shared_pairs`).  The sampled run
+maps one sender axis at a time to four candidate rows, draws one and keeps
+it, so it measures nothing larger than the shared pairs and applies the
+unlock and corrections to the ``2^N`` receiver register; its ``3N``-qubit
+snapshots are assembled from the drawn Bell members and that register.  The
+exhaustive enumerator keeps all four rows at every pair, and so reads every
+joint branch as one row of a ``4^N x 2^N`` table.
 """
 
 from __future__ import annotations
@@ -36,13 +41,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates, states
-from .measurement import measure_in_family, resolve_rng
+from .measurement import ProtocolViolation, measure_in_family, resolve_rng
 from .qlinalg import (
+    ATOL,
     DensityMatrix,
     StateVector,
     Unitary,
     _grouped,
     _state_rows,
+    _ungrouped,
     apply,
     fidelity,
     partial_trace,
@@ -55,7 +62,7 @@ _LOCKS = {"qft": lambda: gates.qft(2), "ulock": gates.lock_operator}
 
 # Most receivers a teleportation run or enumeration takes: the enumerator
 # holds two 4^N x 2^N branch tables, 4 MiB each at N = 6, and each receiver
-# more is 8x that (the sampled run's 3N-qubit register is 4 MiB at N = 6 too).
+# more is 8x that (the sampled run's 3N-qubit snapshots are 4 MiB at N = 6 too).
 MAX_RECEIVERS = 6
 
 DENSE_STEPS = (
@@ -301,13 +308,26 @@ def _unlock(lock: Unitary) -> Unitary:
     return Unitary(lock.entries.conj())
 
 
-def _teleport_initial(payloads, t_labels, a_labels, r_labels) -> StateVector:
-    state = StateVector(payloads[0].amplitudes, (t_labels[0],))
-    for i in range(1, len(payloads)):
-        state = tensor(state, StateVector(payloads[i].amplitudes, (t_labels[i],)))
-    for a, r in zip(a_labels, r_labels):
-        state = tensor(state, states.phi(0, 0, (a, r)))
-    return state
+def _shared_pairs(bell, payloads, lock: Unitary, a_labels, r_labels):
+    """The shared pairs and Bell readouts both teleportation engines start from.
+
+    Returns the shared pairs ``A1 R1 .. AN RN`` (each ``Phi(0,0)``) before
+    and after ``lock`` acts on ``A1..AN``; the locked pairs as a ``2^N x 2^N``
+    matrix, sender qubits on the rows and receivers on the columns; and one
+    4x2 readout per payload.  A Bell measurement of ``(Ai, Ti)`` is the
+    rotation whose rows are the conjugated ``bell`` members followed by a
+    computational readout, so contracted with payload ``i`` on ``Ti`` it maps
+    the sender bit ``Ai`` to amplitudes of the pair's four outcomes, in member
+    order.
+    """
+    rotation = Unitary(np.array([m.amplitudes.conj() for m in bell.members.values()]))
+    shared = states.phi(0, 0, (a_labels[0], r_labels[0]))
+    for a, r in zip(a_labels[1:], r_labels[1:]):
+        shared = tensor(shared, states.phi(0, 0, (a, r)))
+    locked = apply(shared, lock, a_labels)
+    matrix = _grouped(locked.amplitudes, [locked.axis_of(a) for a in a_labels])[0]
+    readout = rotation.entries.reshape(4, 2, 2)
+    return shared, locked, matrix, [readout @ p.amplitudes for p in payloads]
 
 
 def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
@@ -315,10 +335,19 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
 
     The recorded ``step2_bsm`` intercepts are the physical per-branch reduced
     states, conditioned on *all* measurement results of this run.  What a
-    receiver can actually infer before the unlock -- knowing only his own
+    receiver can actually infer before the unlock -- knowing only their own
     classical bits -- is the average over the other receivers' results; that
     epistemic view is what the lock classifier in :mod:`simulq.analysis`
     evaluates.
+
+    Pair ``i``'s measurement maps the first unmeasured sender axis of the
+    locked shared pairs through its folded readout to four candidate rows.
+    Their squared norms are the Born probabilities; one row is drawn, with
+    the draw :func:`~simulq.measurement.measure_in_family` makes, and kept,
+    normalised.  The unlock, corrections and reduced states then act on the
+    ``2^N`` receiver register alone.  Each snapshot is the full ``3N``-qubit
+    register ``T1..TN A1 R1 .. AN RN``: the drawn Bell members on the
+    ``(Ai, Ti)`` pairs times the receiver register.
     """
     n = inp.n_receivers
     r_labels, lock = _teleport_layout(inp.scheme, n)
@@ -326,38 +355,64 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     rng = resolve_rng(seed)
     seed_val = seed if isinstance(seed, int) else None
     bell = states.family("bell")
+    members = list(bell.members.items())
+    shared, locked, rows, readouts = _shared_pairs(bell, inp.payloads, lock, a_labels, r_labels)
 
     t = ProtocolTranscript(protocol=f"teleportation:{inp.scheme}:n={n}", seed=seed_val)
-    state = _teleport_initial(inp.payloads, t_labels, a_labels, r_labels)
-    t.steps.append(("step0_init", state))
+    payload = StateVector(inp.payloads[0].amplitudes, (t_labels[0],))
+    for p, tl in zip(inp.payloads[1:], t_labels[1:]):
+        payload = tensor(payload, StateVector(p.amplitudes, (tl,)))
+    init = tensor(payload, shared)
+    t.steps.append(("step0_init", init))
 
     # step 1: Alice locks her halves of the shared pairs
-    state = apply(state, lock, a_labels)
-    t.steps.append(("step1_lock", state))
+    t.steps.append(("step1_lock", tensor(payload, locked)))
 
-    # step 2: Bell measurement on each (Ai, Ti) pair
-    results = []
-    for a, tl in zip(a_labels, t_labels):
-        out = measure_in_family(state, bell, (a, tl), rng)
-        results.append(gates.as_bits(out.label))
-        state = out.post_state
-    t.steps.append(("step2_bsm", state))
+    # step 2: Bell measurement on each (Ai, Ti) pair; ``rows`` runs over the
+    # unmeasured sender qubits and ``pairs`` holds the drawn members so far
+    results, pairs = [], np.ones(1)
+    for a, tl, readout in zip(a_labels, t_labels, readouts):
+        candidates = readout @ rows.reshape(2, -1)
+        probs = (np.abs(candidates) ** 2).sum(axis=1)
+        shortfall = 1.0 - probs.sum()
+        if shortfall > ATOL:
+            raise ProtocolViolation(
+                f"state has weight {shortfall:.3e} outside the span of the"
+                f" {bell.name!r} family on {(a, tl)}"
+            )
+        pick = rng.choice(len(members), p=probs / probs.sum())
+        rows = candidates[pick] / np.linalg.norm(candidates[pick])
+        label, member = members[pick]
+        results.append(gates.as_bits(label))
+        pairs = np.kron(pairs, member.amplitudes)
+    received = StateVector(rows, r_labels)
+
+    # snapshot rows run over (A1, T1, .., AN, TN) and columns over the receivers
+    order = [init.axis_of(q) for at in zip(a_labels, t_labels) for q in at]
+    order += [init.axis_of(r) for r in r_labels]
+
+    def snapshot(receivers: StateVector) -> StateVector:
+        # the outer product is freed before the constructor copies the result
+        return StateVector(_ungrouped(np.outer(pairs, receivers.amplitudes), order), init.labels)
+
+    measured = snapshot(received)
+    t.steps.append(("step2_bsm", measured))
     for r in r_labels:
-        t.intercepts[("step2_bsm", (r,))] = partial_trace(state, (r,))
+        t.intercepts[("step2_bsm", (r,))] = partial_trace(received, (r,))
 
     # step 3: the classical result bits travel to their receivers
-    t.steps.append(("step3_classical_send", state))
+    t.steps.append(("step3_classical_send", measured))
 
     # step 4: joint unlock on the receiver register
-    state = apply(state, _unlock(lock), r_labels)
-    t.steps.append(("step4_unlock", state))
+    received = apply(received, _unlock(lock), r_labels)
+    t.steps.append(("step4_unlock", snapshot(received)))
 
-    # step 5: each receiver re-applies his own encoder
+    # step 5: each receiver re-applies their own encoder
     for bits, r in zip(results, r_labels):
-        state = apply(state, gates.pauli_encoder(bits), (r,))
-    t.steps.append(("step5_correct", state))
+        received = apply(received, gates.pauli_encoder(bits), (r,))
+    t.steps.append(("step5_correct", snapshot(received)))
 
-    recovered = {r: partial_trace(state, (r,)) for r in r_labels}
+    recovered = {r: partial_trace(received, (r,)) for r in r_labels}
     t.outcomes = {
         "results": {r: results[i] for i, r in enumerate(r_labels)},
         "fidelities": {
@@ -431,21 +486,10 @@ def enumerate_teleportation_with_lock(
 
     bell = states.family("bell")
     outcomes = [gates.EncodedBits(*xy) for xy in bell.members]
-    # row k is <member k|: maps the Bell member (x, y) of a pair to |x y>
-    rotation = Unitary(np.array([m.amplitudes.conj() for m in bell.members.values()]))
-
-    shared = states.phi(0, 0, (a_labels[0], r_labels[0]))
-    for a, r in zip(a_labels[1:], r_labels[1:]):
-        shared = tensor(shared, states.phi(0, 0, (a, r)))
-    shared = apply(shared, lock, a_labels)
-    table = _grouped(shared.amplitudes, [shared.axis_of(a) for a in a_labels])[0]
-
-    # readout of pair i on (Ai, Ti), with Ti contracted against payload i:
-    # a 4x2 map from the sender bit Ai to the pair's four outcomes
-    readout = rotation.entries.reshape(4, 2, 2)
-    for i, payload in enumerate(payloads):
-        folded = readout @ payload.amplitudes
-        table = np.matmul(folded, table.reshape(4**i, 2, -1)).reshape(-1, 1 << n)
+    _, _, table, readouts = _shared_pairs(bell, payloads, lock, a_labels, r_labels)
+    # pair i maps each row's first sender axis to its four outcomes
+    for i, readout in enumerate(readouts):
+        table = np.matmul(readout, table.reshape(4**i, 2, -1)).reshape(-1, 1 << n)
     norms = np.linalg.norm(table, axis=1)
     table /= norms[:, None]
 
@@ -456,7 +500,8 @@ def enumerate_teleportation_with_lock(
     fids = np.empty((4**n, n))
     for i, payload in enumerate(payloads):
         split = corrected.reshape(4**n, 2**i, 2, 2 ** (n - 1 - i))
-        overlap = np.tensordot(split, payload.amplitudes.conj(), axes=([2], [0]))
+        p0, p1 = payload.amplitudes.conj()
+        overlap = p0 * split[:, :, 0] + p1 * split[:, :, 1]
         fids[:, i] = np.sum(np.abs(overlap) ** 2, axis=(1, 2))
 
     return [

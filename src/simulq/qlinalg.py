@@ -59,7 +59,10 @@ def _checked_states(table: np.ndarray, labels: Iterable[str]) -> tuple[str, ...]
         raise ValueError(
             f"{len(labels)} labels require {1 << len(labels)} amplitudes, got {width}"
         )
-    nrm2 = (np.abs(table) ** 2).sum(axis=1)
+    # each row's squared norm as one dot product of its real and imaginary
+    # parts, read through a float64 view; no |amp|^2 temporary is built
+    flat = np.ascontiguousarray(table, dtype=np.complex128).view(np.float64)
+    nrm2 = np.einsum("ij,ij->i", flat, flat)
     dev = np.abs(nrm2 - 1.0)
     worst = dev.argmax()
     if dev[worst] > ATOL:

@@ -1,4 +1,4 @@
-"""Test-only reference for the teleportation branch enumerator.
+"""Test-only references for the two teleportation engines.
 
 ``walk_teleportation_with_lock`` is the branch-tree walk that
 ``simulq.protocols.enumerate_teleportation_with_lock`` used before the
@@ -6,6 +6,13 @@ batched engine: it Bell-measures one ``(Ai, Ti)`` pair at a time, one branch
 at a time, through the public ``contract``/``apply``/``partial_trace``
 primitives.  It is slow (seconds at six receivers) but follows the protocol
 step by step, so the differential tests compare the engine against it.
+
+``sample_teleportation`` is the sampled run that
+``simulq.protocols.run_teleportation`` used before it moved onto the shared
+pairs: it builds the full ``3N``-qubit register and samples each Bell
+measurement on it with ``measure_in_family``, drawing from the same random
+stream, so it must give the same results and, to rounding, the same
+transcript.
 """
 
 from __future__ import annotations
@@ -13,7 +20,15 @@ from __future__ import annotations
 import numpy as np
 
 from simulq import gates, states
-from simulq.protocols import TeleportBranch, _teleport_initial
+from simulq.measurement import measure_in_family, resolve_rng
+from simulq.protocols import (
+    ProtocolTranscript,
+    TeleportBranch,
+    TeleportInput,
+    _teleport_labels,
+    _teleport_layout,
+    _unlock,
+)
 from simulq.qlinalg import (
     ATOL,
     StateVector,
@@ -22,7 +37,75 @@ from simulq.qlinalg import (
     contract,
     fidelity,
     partial_trace,
+    tensor,
 )
+
+
+def _teleport_initial(payloads, t_labels, a_labels, r_labels) -> StateVector:
+    state = StateVector(payloads[0].amplitudes, (t_labels[0],))
+    for i in range(1, len(payloads)):
+        state = tensor(state, StateVector(payloads[i].amplitudes, (t_labels[i],)))
+    for a, r in zip(a_labels, r_labels):
+        state = tensor(state, states.phi(0, 0, (a, r)))
+    return state
+
+
+def sample_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
+    """Run one teleportation protocol, sampling each Bell measurement.
+
+    The recorded ``step2_bsm`` intercepts are the physical per-branch reduced
+    states, conditioned on *all* measurement results of this run.  What a
+    receiver can actually infer before the unlock -- knowing only their own
+    classical bits -- is the average over the other receivers' results; that
+    epistemic view is what the lock classifier in :mod:`simulq.analysis`
+    evaluates.
+    """
+    n = inp.n_receivers
+    r_labels, lock = _teleport_layout(inp.scheme, n)
+    t_labels, a_labels, r_labels = _teleport_labels(n, r_labels)
+    rng = resolve_rng(seed)
+    seed_val = seed if isinstance(seed, int) else None
+    bell = states.family("bell")
+
+    t = ProtocolTranscript(protocol=f"teleportation:{inp.scheme}:n={n}", seed=seed_val)
+    state = _teleport_initial(inp.payloads, t_labels, a_labels, r_labels)
+    t.steps.append(("step0_init", state))
+
+    # step 1: Alice locks her halves of the shared pairs
+    state = apply(state, lock, a_labels)
+    t.steps.append(("step1_lock", state))
+
+    # step 2: Bell measurement on each (Ai, Ti) pair
+    results = []
+    for a, tl in zip(a_labels, t_labels):
+        out = measure_in_family(state, bell, (a, tl), rng)
+        results.append(gates.as_bits(out.label))
+        state = out.post_state
+    t.steps.append(("step2_bsm", state))
+    for r in r_labels:
+        t.intercepts[("step2_bsm", (r,))] = partial_trace(state, (r,))
+
+    # step 3: the classical result bits travel to their receivers
+    t.steps.append(("step3_classical_send", state))
+
+    # step 4: joint unlock on the receiver register
+    state = apply(state, _unlock(lock), r_labels)
+    t.steps.append(("step4_unlock", state))
+
+    # step 5: each receiver re-applies their own encoder
+    for bits, r in zip(results, r_labels):
+        state = apply(state, gates.pauli_encoder(bits), (r,))
+    t.steps.append(("step5_correct", state))
+
+    recovered = {r: partial_trace(state, (r,)) for r in r_labels}
+    t.outcomes = {
+        "results": {r: results[i] for i, r in enumerate(r_labels)},
+        "fidelities": {
+            r: fidelity(inp.payloads[i], recovered[r]) for i, r in enumerate(r_labels)
+        },
+        "recovered": recovered,
+    }
+    return t
 
 
 def walk_teleportation_with_lock(

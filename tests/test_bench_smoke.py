@@ -2,9 +2,10 @@
 
 Builds the ``perfbench`` workloads at one seed and runs, through each op's
 own check, the ops that exercise the stacked teleportation lock classifier,
-the batched branch enumerator and the CLI's JSON writer.  A wrong verdict,
-branch count, probability, fidelity, exit code or output on these fast paths
-then fails here, in the ordinary test run, and not only in a benchmark run.
+the batched branch enumerator, the sampled teleportation run and the CLI's
+JSON writer.  A wrong verdict, branch count, probability, fidelity, exit code
+or output on these fast paths then fails here, in the ordinary test run, and
+not only in a benchmark run.
 """
 
 from __future__ import annotations
@@ -51,11 +52,17 @@ def test_pinned_ops_pass_their_checks(workload, prefix, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "start, end", [("dump-gate qft ", ""), ("run --teleport qft --n 3 ", " --snapshots")]
+    "start, end",
+    [
+        ("dump-gate qft ", ""),
+        ("run --teleport qft --n 3 ", " --snapshots"),
+        ("run --teleport qft --n 6 --states ", ""),
+    ],
 )
 def test_cli_ops_repeat_their_fingerprint(start, end, tmp_path):
-    # the large-matrix writer path (qft --n 8) and a zero-heavy snapshot
-    # transcript, each written twice in one process with the parser reused
+    # the large-matrix writer path (qft --n 8), a zero-heavy snapshot
+    # transcript and the largest sampled teleportation, each run twice in one
+    # process with the parser reused
     ops = [op for op in _ops("cli_mix", start, tmp_path) if op.label.endswith(end)]
     assert len(ops) == 1
     op = ops[0]

@@ -34,7 +34,7 @@ from simulq.qlinalg import (
     tensor,
 )
 from tests.conftest import random_state, random_unitary
-from tests.teleport_oracle import walk_teleportation_with_lock
+from tests.teleport_oracle import sample_teleportation, walk_teleportation_with_lock
 
 ALL_ENCODINGS = list(itertools.product((0, 1), repeat=4))
 
@@ -362,6 +362,57 @@ class TestBranchEngineAgainstWalk:
         assert len(branches) == 4**n
         for br in branches:
             assert br.probability == pytest.approx(4.0**-n, abs=1e-12)
+
+
+# (scheme, receivers) of the sampled-run cases; n = 6 has its own seeded test
+_SCHEME_CASES = st.one_of(
+    st.tuples(st.just("qftN"), st.integers(1, 5)),
+    st.tuples(st.just("ulock2"), st.just(2)),
+)
+
+
+class TestSampledRunAgainstOracle:
+    """The sampled run on the shared pairs against the full-register sampler."""
+
+    @staticmethod
+    def assert_same_run(inp, seed):
+        got = run_teleportation(inp, seed=seed)
+        want = sample_teleportation(inp, seed=seed)
+
+        assert (got.protocol, got.seed) == (want.protocol, want.seed)
+        assert got.outcomes["results"] == want.outcomes["results"]
+        assert [name for name, _ in got.steps] == [name for name, _ in want.steps]
+        for (_, g), (_, w) in zip(got.steps, want.steps):
+            assert g.labels == w.labels
+            assert_allclose(g.amplitudes, w.amplitudes, rtol=0, atol=1e-12)
+        for g_map, w_map in (
+            (got.intercepts, want.intercepts),
+            (got.outcomes["recovered"], want.outcomes["recovered"]),
+        ):
+            assert list(g_map) == list(w_map)
+            for key, rho in g_map.items():
+                assert rho.labels == w_map[key].labels
+                assert_allclose(rho.entries, w_map[key].entries, rtol=0, atol=1e-12)
+        g_fids, w_fids = got.outcomes["fidelities"], want.outcomes["fidelities"]
+        assert list(g_fids) == list(w_fids)
+        assert_allclose(list(g_fids.values()), list(w_fids.values()), rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=_SCHEME_CASES,
+        label=st.sampled_from(("p", "q0", "A1", "B1")),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_register_sampler(self, case, label, seed):
+        scheme, n = case
+        rng = np.random.default_rng(seed)
+        payloads = tuple(random_state(rng, 1, (label,)) for _ in range(n))
+        self.assert_same_run(TeleportInput(scheme, payloads, n), seed)
+
+    def test_matches_full_register_sampler_for_six_receivers(self):
+        rng = np.random.default_rng(2009)
+        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(6))
+        self.assert_same_run(TeleportInput("qftN", payloads, 6), 2009)
 
 
 _SQRT_HALF = 1 / np.sqrt(2)
