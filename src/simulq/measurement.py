@@ -44,38 +44,59 @@ def resolve_rng(seed) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
 
-def _branches(state: StateVector, family: BasisFamily, targets) -> list:
-    targets = tuple(targets)
-    if family.ambient_dim != 1 << len(targets):
-        raise ValueError(
-            f"family {family.name!r} lives on {family.ambient_dim} dimensions,"
-            f" got {len(targets)} target qubit(s)"
-        )
-    rows = []
-    for label, member in family.members.items():
-        residual, rest_labels = contract(state, member.amplitudes, targets)
-        p = float(np.sum(np.abs(residual) ** 2))
-        rows.append((label, p, member, residual, rest_labels))
-    shortfall = 1.0 - sum(r[1] for r in rows)
+def _born_weights(rows: np.ndarray, family: BasisFamily, targets: tuple) -> np.ndarray:
+    """Born weights of a ``(4, m)`` table of unnormalised outcome rows, in member order.
+
+    Raises :class:`ProtocolViolation` when they fall short of 1 by more than
+    ``ATOL``: the state then has weight outside the family's span on ``targets``.
+    """
+    probs = (np.abs(rows) ** 2).sum(axis=1)
+    shortfall = 1.0 - probs.sum()
     if shortfall > ATOL:
         raise ProtocolViolation(
             f"state has weight {shortfall:.3e} outside the span of the"
             f" {family.name!r} family on {targets}"
         )
-    return rows
+    return probs
+
+
+def _born_draw(rows: np.ndarray, family: BasisFamily, targets: tuple, rng):
+    """Draw one outcome row of a ``(4, m)`` table by the Born rule.
+
+    Returns the drawn index, its probability and the row normalised.  Both
+    samplers draw here: :func:`measure_in_family` and the sampled
+    teleportation run, so a seed gives one sequence of outcomes.
+    """
+    probs = _born_weights(rows, family, targets)
+    pick = rng.choice(4, p=probs / probs.sum())
+    return pick, float(probs[pick]), rows[pick] / np.linalg.norm(rows[pick])
+
+
+def _branches(state: StateVector, family: BasisFamily, targets: tuple):
+    """The four unnormalised residuals of ``family``'s members on ``targets``, stacked.
+
+    Also returns the residuals' labels, in register order.
+    """
+    if family.ambient_dim != 1 << len(targets):
+        raise ValueError(
+            f"family {family.name!r} lives on {family.ambient_dim} dimensions,"
+            f" got {len(targets)} target qubit(s)"
+        )
+    rows = [contract(state, m.amplitudes, targets) for m in family.members.values()]
+    return np.array([residual for residual, _ in rows]), rows[0][1]
 
 
 def _collapse(
-    state: StateVector, member: StateVector, residual: np.ndarray, targets, rest_labels
+    state: StateVector, member: StateVector, row: np.ndarray, targets, rest_labels
 ) -> StateVector:
-    """Reassemble member (x) residual/|residual| in the original register order.
+    """Reassemble member (x) row in the original register order.
 
-    The outer product has the layout of ``contract``'s grouped register: rows
-    over ``targets``, columns over ``rest_labels``.
+    ``row`` is the normalised residual.  The outer product has the layout of
+    ``contract``'s grouped register: rows over ``targets``, columns over
+    ``rest_labels``.
     """
     order = [state.axis_of(q) for q in (*targets, *rest_labels)]
-    full = np.outer(member.amplitudes, residual / np.linalg.norm(residual))
-    return StateVector(_ungrouped(full, order), state.labels)
+    return StateVector(_ungrouped(np.outer(member.amplitudes, row), order), state.labels)
 
 
 def measure_in_family(
@@ -83,12 +104,11 @@ def measure_in_family(
 ) -> MeasurementOutcome:
     """Sample one Born-rule outcome of measuring ``targets`` in ``family``."""
     rng = resolve_rng(seed)
-    rows = _branches(state, family, tuple(targets))
-    probs = np.array([max(r[1], 0.0) for r in rows])
-    pick = rng.choice(len(rows), p=probs / probs.sum())
-    label, p, member, residual, rest_labels = rows[pick]
-    post = _collapse(state, member, residual, tuple(targets), rest_labels)
-    return MeasurementOutcome(label, max(p, 0.0), post)
+    targets = tuple(targets)
+    rows, rest_labels = _branches(state, family, targets)
+    pick, p, row = _born_draw(rows, family, targets, rng)
+    label, member = list(family.members.items())[pick]
+    return MeasurementOutcome(label, p, _collapse(state, member, row, targets, rest_labels))
 
 
 def enumerate_branches(
@@ -100,12 +120,15 @@ def enumerate_branches(
     (1,1)``; probabilities sum to the in-span weight of the state.
     """
     targets = tuple(targets)
-    out = []
-    for label, p, member, residual, rest_labels in _branches(state, family, targets):
-        if p > ATOL:
-            post = _collapse(state, member, residual, targets, rest_labels)
-            out.append(MeasurementOutcome(label, p, post))
-    return out
+    rows, rest_labels = _branches(state, family, targets)
+    probs = _born_weights(rows, family, targets)
+    return [
+        MeasurementOutcome(
+            label, p, _collapse(state, member, row / np.linalg.norm(row), targets, rest_labels)
+        )
+        for (label, member), p, row in zip(family.members.items(), probs.tolist(), rows)
+        if p > ATOL
+    ]
 
 
 def support_projector(

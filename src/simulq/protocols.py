@@ -25,12 +25,13 @@ followed by a computational readout, and that the payloads are a product
 state: they lock only the shared pairs ``A1 R1 .. AN RN``, read them as a
 ``2^N x 2^N`` matrix (sender rows, receiver columns) and fold each payload
 into its pair's 4x2 Bell readout (:func:`_shared_pairs`).  The sampled run
-maps one sender axis at a time to four candidate rows, draws one and keeps
-it, so it measures nothing larger than the shared pairs and applies the
-unlock and corrections to the ``2^N`` receiver register; its ``3N``-qubit
-snapshots are assembled from the drawn Bell members and that register.  The
-exhaustive enumerator keeps all four rows at every pair, and so reads every
-joint branch as one row of a ``4^N x 2^N`` table.
+maps one sender axis at a time to four candidate rows, draws one with
+``measurement``'s Born-rule draw and keeps it, so it measures nothing larger
+than the shared pairs and applies the unlock and corrections to the ``2^N``
+receiver register; its ``3N``-qubit snapshots are assembled from the drawn
+Bell members and that register.  The exhaustive enumerator keeps all four
+rows at every pair, and so reads every joint branch as one row of a
+``4^N x 2^N`` table.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates, states
-from .measurement import ProtocolViolation, measure_in_family, resolve_rng
+from .measurement import _born_draw, measure_in_family, resolve_rng
 from .qlinalg import (
-    ATOL,
     DensityMatrix,
     StateVector,
     Unitary,
     _grouped,
+    _jsonable,
     _state_rows,
     _ungrouped,
     apply,
@@ -178,20 +179,6 @@ class ProtocolTranscript:
         }
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (DensityMatrix, StateVector, Unitary)):
-        return to_wire(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
-
-
 # --- dense coding -----------------------------------------------------------
 
 
@@ -318,15 +305,15 @@ def _shared_pairs(bell, payloads, lock: Unitary, a_labels, r_labels):
     rotation whose rows are the conjugated ``bell`` members followed by a
     computational readout, so contracted with payload ``i`` on ``Ti`` it maps
     the sender bit ``Ai`` to amplitudes of the pair's four outcomes, in member
-    order.
+    order.  The rotation is unitary because :class:`~simulq.states.BasisFamily`
+    has checked that its four members are orthonormal.
     """
-    rotation = Unitary(np.array([m.amplitudes.conj() for m in bell.members.values()]))
     shared = states.phi(0, 0, (a_labels[0], r_labels[0]))
     for a, r in zip(a_labels[1:], r_labels[1:]):
         shared = tensor(shared, states.phi(0, 0, (a, r)))
     locked = apply(shared, lock, a_labels)
     matrix = _grouped(locked.amplitudes, [locked.axis_of(a) for a in a_labels])[0]
-    readout = rotation.entries.reshape(4, 2, 2)
+    readout = np.array([m.amplitudes.conj() for m in bell.members.values()]).reshape(4, 2, 2)
     return shared, locked, matrix, [readout @ p.amplitudes for p in payloads]
 
 
@@ -342,10 +329,10 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
 
     Pair ``i``'s measurement maps the first unmeasured sender axis of the
     locked shared pairs through its folded readout to four candidate rows.
-    Their squared norms are the Born probabilities; one row is drawn, with
-    the draw :func:`~simulq.measurement.measure_in_family` makes, and kept,
-    normalised.  The unlock, corrections and reduced states then act on the
-    ``2^N`` receiver register alone.  Each snapshot is the full ``3N``-qubit
+    One row is drawn and kept, normalised, by :mod:`simulq.measurement`'s
+    Born-rule draw, which also raises ``ProtocolViolation`` when the rows'
+    weights fall short of 1.  The unlock, corrections and reduced states
+    then act on the ``2^N`` receiver register alone.  Each snapshot is the full ``3N``-qubit
     register ``T1..TN A1 R1 .. AN RN``: the drawn Bell members on the
     ``(Ai, Ti)`` pairs times the receiver register.
     """
@@ -372,16 +359,7 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     # unmeasured sender qubits and ``pairs`` holds the drawn members so far
     results, pairs = [], np.ones(1)
     for a, tl, readout in zip(a_labels, t_labels, readouts):
-        candidates = readout @ rows.reshape(2, -1)
-        probs = (np.abs(candidates) ** 2).sum(axis=1)
-        shortfall = 1.0 - probs.sum()
-        if shortfall > ATOL:
-            raise ProtocolViolation(
-                f"state has weight {shortfall:.3e} outside the span of the"
-                f" {bell.name!r} family on {(a, tl)}"
-            )
-        pick = rng.choice(len(members), p=probs / probs.sum())
-        rows = candidates[pick] / np.linalg.norm(candidates[pick])
+        pick, _, rows = _born_draw(readout @ rows.reshape(2, -1), bell, (a, tl), rng)
         label, member = members[pick]
         results.append(gates.as_bits(label))
         pairs = np.kron(pairs, member.amplitudes)

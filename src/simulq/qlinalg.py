@@ -200,23 +200,15 @@ class Unitary:
         return self.dim.bit_length() - 1
 
 
-def tensor(a, b):
-    """Kronecker product of two states / density matrices / unitaries.
+def tensor(a: StateVector, b: StateVector) -> StateVector:
+    """Kronecker product of two states on the register ``a.labels + b.labels``.
 
-    For labeled operands the result register is ``a.labels + b.labels``;
-    label collisions are rejected.
+    Label collisions are rejected.
     """
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        labels = _check_labels(a.labels + b.labels)
-        return StateVector(np.kron(a.amplitudes, b.amplitudes), labels)
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        labels = _check_labels(a.labels + b.labels)
-        return DensityMatrix(np.kron(a.entries, b.entries), labels)
-    if isinstance(a, Unitary) and isinstance(b, Unitary):
-        return Unitary(np.kron(a.entries, b.entries))
-    raise TypeError(
-        f"cannot tensor {type(a).__name__} with {type(b).__name__}"
-    )
+    if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
+        raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
+    labels = _check_labels(a.labels + b.labels)
+    return StateVector(np.kron(a.amplitudes, b.amplitudes), labels)
 
 
 def _grouped(amplitudes: np.ndarray, axes: Sequence[int]) -> tuple[np.ndarray, list[int]]:
@@ -262,34 +254,27 @@ def apply(state: StateVector, gate: Unitary, targets: Sequence[str]) -> StateVec
     return StateVector(_ungrouped(gate.entries @ psi, order), state.labels)
 
 
-def partial_trace(obj: StateVector | DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
-    """Trace out every qubit not in ``keep``.
+def partial_trace(obj: StateVector, keep: Iterable[str]) -> DensityMatrix:
+    """Trace out every qubit of a state not in ``keep``.
 
     ``keep`` is a set of labels; the result register keeps the original
     relative label order.
     """
+    if not isinstance(obj, StateVector):
+        raise TypeError(f"cannot take a partial trace of {type(obj).__name__}")
     keep_set = set(keep)
     if not keep_set:
         raise ValueError("keep must name at least one qubit")
     unknown = keep_set - set(obj.labels)
     if unknown:
         raise ValueError(f"unknown qubit label(s) {sorted(unknown)}; register is {obj.labels}")
-    n = len(obj.labels)
-    keep_axes = [i for i in range(n) if obj.labels[i] in keep_set]
+    keep_axes = [i for i, label in enumerate(obj.labels) if label in keep_set]
     if len(keep_axes) > _MAX_KEEP_QUBITS:
         raise ValueError(
             f"refusing to build a reduced matrix on {len(keep_axes)} qubits"
         )
-    out_labels = tuple(obj.labels[i] for i in keep_axes)
-    if isinstance(obj, StateVector):
-        psi, _ = _grouped(obj.amplitudes, keep_axes)
-        return DensityMatrix(psi @ psi.conj().T, out_labels)
-    if isinstance(obj, DensityMatrix):
-        # row and column qubits are axes i and n + i of the flattened entries
-        rho, _ = _grouped(obj.entries.reshape(-1), keep_axes + [n + i for i in keep_axes])
-        dk, dr = 1 << len(keep_axes), 1 << (n - len(keep_axes))
-        return DensityMatrix(np.einsum("abrr->ab", rho.reshape(dk, dk, dr, dr)), out_labels)
-    raise TypeError(f"cannot take a partial trace of {type(obj).__name__}")
+    psi, _ = _grouped(obj.amplitudes, keep_axes)
+    return DensityMatrix(psi @ psi.conj().T, tuple(obj.labels[i] for i in keep_axes))
 
 
 def contract(
@@ -363,6 +348,24 @@ def to_wire(obj: StateVector | DensityMatrix | Unitary) -> dict:
         "re": mat.real.tolist(),
         "im": mat.imag.tolist(),
     }
+
+
+def _jsonable(value):
+    """A result value as plain JSON data: containers as dicts and lists, keys
+    as strings, numpy scalars as Python ones and matrices in the wire format."""
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (DensityMatrix, StateVector, Unitary)):
+        return to_wire(value)
+    if isinstance(value, (np.floating, float)):
+        return float(value)
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)
+    if isinstance(value, (np.integer, int)):
+        return int(value)
+    return value
 
 
 def unitary_from_wire(data: dict) -> Unitary:

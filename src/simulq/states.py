@@ -125,13 +125,15 @@ def initial_state(channel: str) -> StateVector:
     return tensor(member(0, 0, bob), member(0, 0, charlie))
 
 
-# Named states addressable from the command line: phi00 ... w11.
+# Named states addressable from the command line: phi00 ... w11.  Each
+# prefix is the name of a channel's member constructor.
 def named_state(name: str) -> StateVector:
-    makers = {"phi": phi, "ghz": ghz, "w": w}
-    for prefix, maker in makers.items():
+    makers = _CHANNEL_MEMBERS.values()
+    for maker in makers:
+        prefix = maker.__name__
         if name.startswith(prefix) and len(name) == len(prefix) + 2:
             bits = name[len(prefix):]
             if all(c in "01" for c in bits):
                 return maker(int(bits[0]), int(bits[1]))
-    known = [f"{p}{x}{y}" for p in makers for (x, y) in _BIT_PAIRS]
+    known = [f"{m.__name__}{x}{y}" for m in makers for (x, y) in _BIT_PAIRS]
     raise ValueError(f"unknown state {name!r}; known states: {', '.join(known)}")

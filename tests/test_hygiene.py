@@ -126,3 +126,31 @@ def _parsed_modules() -> dict[str, ast.Module]:
 @pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_dead_private_name(path):
     assert dead_private_names(str(path), _parsed_modules()) == []
+
+
+def constructors_of(name: str, trees: dict[str, ast.Module]) -> list[str]:
+    """The keys of ``trees`` whose module calls ``name(...)`` (or ``x.name(...)``)."""
+    return sorted(
+        key
+        for key, tree in trees.items()
+        if any(
+            isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
+            for node in ast.walk(tree)
+        )
+    )
+
+
+def test_checker_finds_constructors():
+    trees = {
+        "a": ast.parse("raise Boom('x')\n"),
+        "b": ast.parse("import m\nraise m.Boom('x')\n"),
+        "c": ast.parse("try:\n    f()\nexcept Boom:\n    pass\n"),
+    }
+    assert constructors_of("Boom", trees) == ["a", "b"]
+
+
+def test_protocol_violation_is_raised_by_the_measurement_module_only():
+    # one Born-rule check: a second copy of it elsewhere would construct its own
+    trees = {p.name: _parsed_modules()[str(p)] for p in SRC_MODULES}
+    assert constructors_of("ProtocolViolation", trees) == ["measurement.py"]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -62,14 +64,22 @@ def test_enumeration_probabilities_sum_to_one(rng):
 
 
 def test_out_of_span_weight_raises():
-    # |111> has no overlap with the W family's 4-dim subspace complement rule:
-    # its projection onto the family members leaves weight behind
-    psi = StateVector(np.eye(8)[7], ("a", "b", "c"))
     fam = states.family("w")
-    with pytest.raises(ProtocolViolation):
-        enumerate_branches(psi, fam, ("a", "b", "c"))
-    with pytest.raises(ProtocolViolation):
-        measure_in_family(psi, fam, ("a", "b", "c"), seed=1)
+    cases = (
+        # |111> lies wholly outside the W family's span
+        (np.eye(8)[7], "1.000e+00"),
+        # (|000> + |111>)/sqrt(2): |000> is in the span, |111> is not
+        ((np.eye(8)[0] + np.eye(8)[7]) / np.sqrt(2.0), "5.000e-01"),
+    )
+    for amps, weight in cases:
+        psi = StateVector(amps, ("a", "b", "c"))
+        message = re.escape(
+            f"state has weight {weight} outside the span of the 'w' family on ('a', 'b', 'c')"
+        )
+        with pytest.raises(ProtocolViolation, match=message):
+            enumerate_branches(psi, fam, ("a", "b", "c"))
+        with pytest.raises(ProtocolViolation, match=message):
+            measure_in_family(psi, fam, ("a", "b", "c"), seed=1)
 
 
 def test_collapse_leaves_rest_register_consistent(rng):

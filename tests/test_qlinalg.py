@@ -102,11 +102,9 @@ class TestTensor:
         with pytest.raises(ValueError):
             tensor(StateVector(KET0, ("a",)), StateVector(KET0, ("a",)))
 
-    def test_density_tensor(self, rng):
-        a = random_density(rng, 1, ("a",))
-        b = random_density(rng, 1, ("b",))
-        joint = tensor(a, b)
-        assert_allclose(joint.entries, np.kron(a.entries, b.entries))
+    def test_only_states(self, rng):
+        with pytest.raises(TypeError, match="cannot tensor DensityMatrix with DensityMatrix"):
+            tensor(random_density(rng, 1, ("a",)), random_density(rng, 1, ("b",)))
 
 
 class TestApply:
@@ -160,11 +158,9 @@ class TestPartialTrace:
         rho = partial_trace(psi, ("c", "a"))
         assert rho.labels == ("a", "c")
 
-    def test_density_input(self, rng):
-        psi = random_state(rng, 2, ("a", "b"))
-        via_state = partial_trace(psi, ("b",))
-        via_density = partial_trace(pure_density(psi), ("b",))
-        assert_allclose(via_state.entries, via_density.entries, atol=1e-12)
+    def test_only_states(self, rng):
+        with pytest.raises(TypeError, match="cannot take a partial trace of DensityMatrix"):
+            partial_trace(random_density(rng, 2, ("a", "b")), ("b",))
 
     def test_trace_preserved(self, rng):
         rho = partial_trace(random_state(rng, 4), ("q1", "q3"))
