@@ -144,6 +144,14 @@ def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 
+def _bit_classes(views: dict, idx: int) -> tuple[dict, dict]:
+    """Split a sweep's views by encoded bit ``idx``: the two classes and their averages."""
+    group = {0: [], 1: []}
+    for bits, mat in views.items():
+        group[bits[idx]].append(mat)
+    return group, {v: np.mean(group[v], axis=0) for v in (0, 1)}
+
+
 def _bit_scan(views: dict) -> dict:
     """Per-bit leak analysis of a sweep of intercepted views.
 
@@ -154,10 +162,7 @@ def _bit_scan(views: dict) -> dict:
     """
     evidence = {}
     for idx, bit in enumerate(BIT_NAMES):
-        group = {0: [], 1: []}
-        for bits, mat in views.items():
-            group[bits[idx]].append(mat)
-        avg = {v: np.mean(group[v], axis=0) for v in (0, 1)}
+        group, avg = _bit_classes(views, idx)
         overlap = float(np.real(np.trace(avg[0] @ avg[1])))
         evidence[bit] = {
             "certain": overlap <= ATOL,
@@ -175,12 +180,9 @@ def _subsystem_report(views: dict, closed_form: np.ndarray | None) -> SubsystemR
     max_diff = _max_pairwise_diff(mats)
     dim = mats[0].shape[0]
     evidence = _bit_scan(views)
-    recoverable = [b for b in BIT_NAMES if evidence[b]["certain"] and evidence[b]["avg_trace_distance"] > ATOL]
-    leaky = [
-        b
-        for b in BIT_NAMES
-        if not evidence[b]["certain"] and evidence[b]["avg_trace_distance"] > ATOL
-    ]
+    revealed = [b for b in BIT_NAMES if evidence[b]["avg_trace_distance"] > ATOL]
+    recoverable = [b for b in revealed if evidence[b]["certain"]]
+    leaky = [b for b in revealed if not evidence[b]["certain"]]
     matches = None
     if closed_form is not None:
         matches = all(float(np.max(np.abs(m - closed_form))) <= ATOL for m in mats)
@@ -211,13 +213,21 @@ def _dense_sweep(channel: str, lock: Unitary):
     return views, decode_ok
 
 
+def _judged(report: LockingReport) -> LockingReport:
+    """Set a filled-in report's verdict and return it: the lock is valid when every
+    message is recovered and no view depends on it; the report passes when every check does."""
+    report.valid_lock = bool(report.end_to_end_correct) and all(
+        s.independent_of_encoding for s in report.per_subsystem.values()
+    )
+    report.passed = all(report.checks.values())
+    return report
+
+
 def _dense_report(channel: str, lock: Unitary, lock_used: str, theorem: bool) -> LockingReport:
     """Sweep all 16 encodings under ``lock`` and judge it as a dense coding lock.
 
-    The lock is valid when every intercepted view is encoding-independent and
-    the receivers decode every message.  A ``theorem`` report also checks each
-    view against its closed form and for leaked bits.  The report passes when
-    every check does, which without ``theorem`` is when the lock is valid.
+    A ``theorem`` report also checks each view against its closed form and for
+    leaked bits; without ``theorem`` the report passes exactly when the lock is valid.
     """
     views, decode_ok = _dense_sweep(channel, lock)
     report = LockingReport(
@@ -235,15 +245,11 @@ def _dense_report(channel: str, lock: Unitary, lock_used: str, theorem: bool) ->
             report.checks[f"closed_form:{name}"] = bool(sub.matches_closed_form)
             report.checks[f"no_bit_recoverable:{name}"] = not leaked
     report.checks["decode_correct"] = decode_ok
-    report.valid_lock = decode_ok and all(
-        s.independent_of_encoding for s in report.per_subsystem.values()
-    )
     if theorem:
         report.notes["maximally_mixed"] = {
             name: sub.maximally_mixed for name, sub in report.per_subsystem.items()
         }
-    report.passed = all(report.checks.values())
-    return report
+    return _judged(report)
 
 
 def verify_theorem(channel: str) -> LockingReport:
@@ -275,7 +281,6 @@ def verify_counterexample(seed=1789, shots: int = 25) -> LockingReport:
         per_subsystem={name: _subsystem_report(v, None) for name, v in views.items()},
         end_to_end_correct=decode_ok,
     )
-    report.valid_lock = False
     discovered = {
         name: list(sub.recoverable_bits) for name, sub in report.per_subsystem.items()
     }
@@ -304,9 +309,8 @@ def verify_counterexample(seed=1789, shots: int = 25) -> LockingReport:
     for sub, bit_idx, bit in ((layout["bob"], 0, "b1"), (layout["charlie"], 3, "c2")):
         name = "".join(sub)
         sub_views = views[name]
-        avg0 = np.mean([m for bits, m in sub_views.items() if bits[bit_idx] == 0], axis=0)
-        avg1 = np.mean([m for bits, m in sub_views.items() if bits[bit_idx] == 1], axis=0)
-        analysis = support_distinguisher(avg0, avg1)
+        _, avg = _bit_classes(sub_views, bit_idx)
+        analysis = support_distinguisher(avg[0], avg[1])
         report.per_subsystem[name].bit_evidence[bit]["support_overlap_strict"] = (
             analysis.overlap <= ATOL_STRICT
         )
@@ -325,8 +329,7 @@ def verify_counterexample(seed=1789, shots: int = 25) -> LockingReport:
         )
         report.checks[f"{bit}_measurement_accuracy_1"] = accuracy[bit] == 1.0
     report.notes["measurement_accuracy"] = accuracy
-    report.passed = all(report.checks.values())
-    return report
+    return _judged(report)
 
 
 # The six single-qubit stabilizer states used as teleportation probes.
@@ -405,11 +408,7 @@ def _classify_teleportation(u: Unitary) -> LockingReport:
     report.notes["probe_set"] = "all ordered pairs of the 6 single-qubit stabilizer states"
     report.notes["min_fidelity"] = float(min_fidelity)
     report.notes["unlock"] = "elementwise conjugate of the lock"
-    report.valid_lock = report.end_to_end_correct and all(
-        s.independent_of_encoding for s in report.per_subsystem.values()
-    )
-    report.passed = report.valid_lock
-    return report
+    return _judged(report)
 
 
 def classify_locking_unitary(u: Unitary, task: str, channel: str = "bell") -> LockingReport:

@@ -32,7 +32,7 @@ from .protocols import (
     run_dense_coding,
     run_teleportation,
 )
-from .qlinalg import StateVector, Unitary, to_wire, unitary_from_wire
+from .qlinalg import StateVector, to_wire, unitary_from_wire
 
 _ULOCK_WARNING = (
     "warning: the hadamard-cnot lock leaks bob's first bit and charlie's second"
@@ -50,13 +50,18 @@ def _parse_bits(text: str) -> tuple[int, int, int, int]:
 
 
 def _amplitude(value) -> complex:
+    """An amplitude of JSON numbers: ``x``, ``[re]``, ``[re, im]`` or ``{"re": x, "im": y}``."""
     if isinstance(value, dict):
-        return complex(value.get("re", 0.0), value.get("im", 0.0))
-    if isinstance(value, (list, tuple)):
+        parts = (value.get("re", 0.0), value.get("im", 0.0))
+    elif isinstance(value, list):
         if not 1 <= len(value) <= 2:
             raise ValueError(f"amplitude must be [re] or [re, im], got {value!r}")
-        return complex(value[0], value[1] if len(value) == 2 else 0.0)
-    return complex(value)
+        parts = (*value, 0.0)[:2]
+    else:
+        parts = (value, 0.0)
+    if not all(type(part) in (int, float) for part in parts):
+        raise ValueError(f"amplitude parts must be JSON numbers, got {value!r}")
+    return complex(*parts)
 
 
 def _load_payloads(path: str, n: int) -> tuple[StateVector, ...]:
@@ -84,18 +89,6 @@ def _load_payloads(path: str, n: int) -> tuple[StateVector, ...]:
 def _default_payloads(n: int) -> tuple[StateVector, ...]:
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     return tuple(StateVector(plus, (f"T{i + 1}",)) for i in range(n))
-
-
-def _load_unitary(path: str) -> Unitary:
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "re" not in data:
-        raise ValueError("--matrix file must be a JSON object with re/im entries")
-    if "shape" in data:
-        return unitary_from_wire(data)
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
-    return Unitary(re + 1j * im)
 
 
 def _emit_json(payload: dict) -> None:
@@ -253,21 +246,27 @@ def _render_report_table(payload: dict) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.protocol is not None:
+    dense = args.protocol is not None
+    flags = {"--bits": args.bits, "--lock": args.lock, "--n": args.n, "--states": args.states}
+    for flag in ("--n", "--states") if dense else ("--bits", "--lock"):
+        if flags[flag] is not None:
+            mode = "--teleport, not dense coding" if dense else "dense coding, not --teleport"
+            raise ValueError(f"{flag} applies to {mode}")
+    if dense:
         bits = _parse_bits(args.bits)
-        inp = DenseCodingInput(args.protocol, bits[:2], bits[2:], lock=args.lock)
-        if args.lock == "ulock":
+        lock = args.lock or "qft"
+        inp = DenseCodingInput(args.protocol, bits[:2], bits[2:], lock=lock)
+        if lock == "ulock":
             print(_ULOCK_WARNING, file=sys.stderr)
         transcript = run_dense_coding(inp, seed=args.seed)
     else:
-        if args.bits is not None:
-            raise ValueError("--bits applies to dense coding, not --teleport")
+        n = 2 if args.n is None else args.n
         scheme = "ulock2" if args.teleport == "ulock" else "qftN"
         if args.states:
-            payloads = _load_payloads(args.states, args.n)
+            payloads = _load_payloads(args.states, n)
         else:
-            payloads = _default_payloads(args.n)
-        inp = TeleportInput(scheme, payloads, args.n)
+            payloads = _default_payloads(n)
+        inp = TeleportInput(scheme, payloads, n)
         transcript = run_teleportation(inp, seed=args.seed)
     payload = transcript.to_dict(include_snapshots=args.snapshots)
     if args.format == "json":
@@ -283,7 +282,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif args.what == "counterexample":
         report = verify_counterexample(seed=args.seed)
     else:
-        unitary = _load_unitary(args.matrix)
+        with open(args.matrix) as fh:
+            unitary = unitary_from_wire(json.load(fh))
         report = classify_locking_unitary(unitary, args.task, channel=args.channel)
     payload = report.to_dict()
     if args.format == "json":
@@ -322,13 +322,10 @@ def _parser() -> argparse.ArgumentParser:
     which.add_argument("--protocol", choices=channels, help="dense coding channel")
     which.add_argument("--teleport", choices=("qft", "ulock"), help="teleportation scheme")
     run.add_argument("--bits", help="four message bits b1 b2 c1 c2, e.g. 1001 (dense coding)")
-    run.add_argument(
-        "--lock", choices=("qft", "ulock"), default="qft", help="dense coding lock (default qft)"
-    )
+    run.add_argument("--lock", choices=("qft", "ulock"), help="dense coding lock (default qft)")
     run.add_argument(
         "--n",
         type=int,
-        default=2,
         help=f"receiver count for --teleport (qft: 1..{MAX_RECEIVERS}, ulock: 2)",
     )
     run.add_argument(
@@ -386,7 +383,7 @@ def main(argv=None) -> int:
     except ProtocolViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -131,16 +131,15 @@ def enumerate_branches(
     ]
 
 
-def support_projector(
-    rho: DensityMatrix | np.ndarray, cutoff: float = SUPPORT_EIGENVALUE_CUTOFF
-) -> np.ndarray:
+def support_projector(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the support of a density matrix.
 
-    The support is spanned by eigenvectors with eigenvalue above ``cutoff``.
+    The support is spanned by eigenvectors with eigenvalue above
+    ``SUPPORT_EIGENVALUE_CUTOFF``.
     """
     mat = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
     vals, vecs = np.linalg.eigh(mat)
-    cols = vecs[:, vals > cutoff]
+    cols = vecs[:, vals > SUPPORT_EIGENVALUE_CUTOFF]
     return cols @ cols.conj().T
 
 

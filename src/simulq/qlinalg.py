@@ -20,9 +20,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: tolerance for closed-form comparisons and state invariants
+#: tolerance for closed-form comparisons, state invariants, unitarity and support overlaps
 ATOL = 1e-10
-#: tolerance for algebraic identities (unitarity, Gram matrices, ...)
+#: strict tolerance: the basis families' Gram check and the counterexample's support overlap
 ATOL_STRICT = 1e-12
 
 # Reduced density matrices are dense; refuse to materialize anything
@@ -313,13 +313,13 @@ def fidelity(state: StateVector, rho: DensityMatrix) -> float:
     return float(np.real(amp.conj() @ rho.entries @ amp))
 
 
-def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = ATOL) -> bool:
-    """True when ``a = exp(i theta) b`` for some phase, within ``tol``."""
+def equal_up_to_global_phase(a: StateVector, b: StateVector) -> bool:
+    """True when ``a = exp(i theta) b`` for some phase, within ``ATOL``."""
     if a.labels != b.labels:
         raise ValueError(f"label mismatch: {a.labels} vs {b.labels}")
     ip = np.vdot(b.amplitudes, a.amplitudes)
     phase = ip / abs(ip) if abs(ip) > 0 else 1.0
-    return bool(np.linalg.norm(a.amplitudes - phase * b.amplitudes) <= tol)
+    return bool(np.linalg.norm(a.amplitudes - phase * b.amplitudes) <= ATOL)
 
 
 # --- JSON wire format ------------------------------------------------------
@@ -369,13 +369,17 @@ def _jsonable(value):
 
 
 def unitary_from_wire(data: dict) -> Unitary:
-    """Parse a unitary from the JSON dump format; its (empty) labels are not kept."""
+    """A unitary from the wire format or the bare ``{"re", "im"}`` form (``im`` defaults
+    to zero); ``labels`` and ``shape`` are checked when present, and not kept."""
+    if not isinstance(data, dict) or "re" not in data:
+        raise ValueError("malformed matrix payload: expected a JSON object with re/im entries")
     try:
-        list(data["labels"])  # a well-formed payload carries them
-        rows, cols = (int(v) for v in data["shape"])
-        mat = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        list(data.get("labels", ()))
+        re = np.array(data["re"], dtype=float)
+        mat = re + 1j * np.array(data.get("im", np.zeros_like(re)), dtype=float)
+        shape = tuple(int(v) for v in data.get("shape", mat.shape))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix payload: {exc}") from exc
-    if mat.shape != (rows, cols):
-        raise ValueError(f"payload shape {mat.shape} does not match declared {(rows, cols)}")
+    if mat.shape != shape:
+        raise ValueError(f"payload shape {mat.shape} does not match declared {shape}")
     return Unitary(mat)

@@ -119,6 +119,67 @@ def test_run_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("run", "--teleport", "qft", "--lock", "ulock"), "--lock"),
+        (("run", "--teleport", "ulock", "--lock", "qft"), "--lock"),
+        (("run", "--protocol", "bell", "--bits", "0000", "--n", "3"), "--n"),
+        (("run", "--protocol", "ghz", "--bits", "0000", "--states", "p.json"), "--states"),
+    ],
+)
+def test_run_rejects_flags_of_the_other_task(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} applies to ")
+
+
+@pytest.mark.parametrize(
+    "lock, task", [("qft", "dense_coding"), ("ulock", "dense_coding"), ("qft", "teleportation")]
+)
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_verify_lock_reads_wire_and_bare_forms_alike(capsys, tmp_path, lock, task, fmt):
+    wire = to_wire(gates.named_gate(lock, 2 if lock == "qft" else None))
+    outputs = []
+    for form in (wire, {"re": wire["re"], "im": wire["im"]}):
+        f = tmp_path / "lock.json"
+        f.write_text(json.dumps(form))
+        outputs.append(
+            run_cli(capsys, "verify", "lock", "--matrix", str(f), "--task", task, "--format", fmt)
+        )
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == (0 if lock == "qft" else 1)
+
+
+# Malformed input: each case must exit 2 with a message and print nothing on stdout.
+_BAD_AMPLITUDES = [{"re": "1"}, None, [1, None], True, "1+1j", 10**400]
+_BAD_MATRICES = [
+    {"re": {"a": 1}},
+    {"re": [[1, 0], [0, 1]], "im": {"x": 1}},
+    {"labels": 5, "shape": [2, 2], "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+    [[1, 0], [0, 1]],
+    {"re": [[10**400, 0], [0, 1]]},
+]
+
+
+@pytest.mark.parametrize(
+    "kind, data",
+    [("states", [[amp, 0], [1, 0]]) for amp in _BAD_AMPLITUDES]
+    + [("matrix", m) for m in _BAD_MATRICES],
+    ids=[f"states-{a!r:.20}" for a in _BAD_AMPLITUDES] + [f"matrix-{m!r:.40}" for m in _BAD_MATRICES],
+)
+def test_malformed_input_exits_2_with_a_message(capsys, tmp_path, kind, data):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(data))
+    if kind == "states":
+        argv = ("run", "--teleport", "ulock", "--states", str(f))
+    else:
+        argv = ("verify", "lock", "--matrix", str(f), "--task", "dense_coding")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_argparse_usage_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--protocol", "qubitfoam", "--bits", "0000"])

@@ -154,3 +154,43 @@ def test_protocol_violation_is_raised_by_the_measurement_module_only():
     # one Born-rule check: a second copy of it elsewhere would construct its own
     trees = {p.name: _parsed_modules()[str(p)] for p in SRC_MODULES}
     assert constructors_of("ProtocolViolation", trees) == ["measurement.py"]
+
+
+def functions_setting(attrs: set[str], trees: dict[str, ast.Module]) -> list[str]:
+    """``key:function`` for each function of ``trees`` that sets one of ``attrs``.
+
+    Setting means assigning ``x.attr`` or passing ``attr=`` to a call.  A
+    nested function's sites count for the functions around it too.
+    """
+    found = set()
+    for key, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                stored = isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                if (stored and node.attr in attrs) or (
+                    isinstance(node, ast.keyword) and node.arg in attrs
+                ):
+                    found.add(f"{key}:{fn.name}")
+    return sorted(found)
+
+
+def test_checker_finds_functions_setting_attributes():
+    source = (
+        "class R:\n    passed: bool = False\n"
+        "def verdict(r):\n    r.passed = all(r.checks)\n"
+        "def unpack(r, s):\n    r.ok, s.passed = 1, 2\n"
+        "def build():\n    return R(passed=True)\n"
+        "def reads(r):\n    return r.passed and r.other\n"
+        "def other(r):\n    r.other = 1\n"
+    )
+    trees = {"m": ast.parse(source)}
+    assert functions_setting({"passed"}, trees) == ["m:build", "m:unpack", "m:verdict"]
+
+
+def test_lock_verdict_is_set_in_one_function():
+    # one verdict rule: a second copy of it would set valid_lock or passed itself
+    trees = {p.name: _parsed_modules()[str(p)] for p in SRC_MODULES}
+    setters = functions_setting({"valid_lock", "passed"}, trees)
+    assert len(setters) == 1, setters

@@ -95,7 +95,7 @@ class TestDenseCoding:
                 DenseCodingInput(channel, bits[:2], bits[2:], lock=lock), seed=0
             )
             assert equal_up_to_global_phase(
-                t.step_state("step3_unlock"), t.step_state("step1_encode"), tol=1e-10
+                t.step_state("step3_unlock"), t.step_state("step1_encode")
             )
 
     def test_full_register_intercept_is_pure(self):
@@ -300,6 +300,24 @@ class TestTeleportQft:
         assert branches[0].pre_unlock_state.labels == ("R1", "R2")
         with pytest.raises(ValueError):
             enumerate_teleportation_with_lock(payloads, lock, ("only-one",))
+
+
+def test_receiver_labels_of_each_entry_point(rng):
+    # two receivers are B, C for the bare enumerator and the ulock2 scheme,
+    # but B1, B2 for qftN, which numbers its receivers at every N
+    two = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(2))
+    three = two + (random_state(rng, 1, ("p2",)),)
+
+    def labels(branches):
+        return {br.pre_unlock_state.labels for br in branches}
+
+    assert labels(enumerate_teleportation_with_lock(two, gates.qft(2))) == {("B", "C")}
+    assert labels(enumerate_teleportation_with_lock(three, gates.qft(3))) == {("B1", "B2", "B3")}
+    assert labels(enumerate_teleportation(TeleportInput("ulock2", two, 2))) == {("B", "C")}
+    assert labels(enumerate_teleportation(TeleportInput("qftN", two, 2))) == {("B1", "B2")}
+    for scheme, expected in (("ulock2", {"B", "C"}), ("qftN", {"B1", "B2"})):
+        t = run_teleportation(TeleportInput(scheme, two, 2), seed=0)
+        assert set(t.outcomes["fidelities"]) == expected
 
 
 def _lock(name: str, n: int, rng) -> Unitary:
