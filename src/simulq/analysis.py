@@ -27,7 +27,6 @@ from .protocols import enumerate_teleportation_with_lock, run_dense_coding_with_
 from .qlinalg import (
     ATOL,
     ATOL_STRICT,
-    DensityMatrix,
     StateVector,
     Unitary,
     _checked_densities,
@@ -147,8 +146,8 @@ def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 def _bit_classes(views: dict, idx: int) -> tuple[dict, dict]:
     """Split a sweep's views by encoded bit ``idx``: the two classes and their averages."""
     group = {0: [], 1: []}
-    for bits, mat in views.items():
-        group[bits[idx]].append(mat)
+    for bits, rho in views.items():
+        group[bits[idx]].append(rho.entries)
     return group, {v: np.mean(group[v], axis=0) for v in (0, 1)}
 
 
@@ -176,7 +175,7 @@ def _bit_scan(views: dict) -> dict:
 
 
 def _subsystem_report(views: dict, closed_form: np.ndarray | None) -> SubsystemReport:
-    mats = list(views.values())
+    mats = [rho.entries for rho in views.values()]
     max_diff = _max_pairwise_diff(mats)
     dim = mats[0].shape[0]
     evidence = _bit_scan(views)
@@ -200,7 +199,8 @@ def _subsystem_report(views: dict, closed_form: np.ndarray | None) -> SubsystemR
 
 
 def _dense_sweep(channel: str, lock: Unitary):
-    """Run all 16 encodings; collect intercepted views and decode results."""
+    """Run all 16 encodings; collect the intercepted views (each transcript's
+    validated ``DensityMatrix``) and decode results."""
     subs = tuple(states.DENSE_CHANNELS[channel].values())
     views = {"".join(sub): {} for sub in subs}
     decode_ok = True
@@ -208,7 +208,7 @@ def _dense_sweep(channel: str, lock: Unitary):
         bob, charlie = bits[:2], bits[2:]
         t = run_dense_coding_with_lock(channel, bob, charlie, lock, seed=0)
         for sub in subs:
-            views["".join(sub)][bits] = t.intercepts[("step2_lock_send", sub)].entries
+            views["".join(sub)][bits] = t.intercepts[("step2_lock_send", sub)]
         decode_ok = decode_ok and t.outcomes["bob"] == bob and t.outcomes["charlie"] == charlie
     return views, decode_ok
 
@@ -297,8 +297,8 @@ def verify_counterexample(seed=1789, shots: int = 25) -> LockingReport:
     # Bob's side: conditional views match their closed forms and are
     # invariant within each class (no dependence on b2, c1, c2).
     report.checks["bob_conditional_closed_forms"] = all(
-        float(np.max(np.abs(m - LOCKED_VIEW_BOB[bits[0]]))) <= ATOL
-        for bits, m in views[bob].items()
+        float(np.max(np.abs(rho.entries - LOCKED_VIEW_BOB[bits[0]]))) <= ATOL
+        for bits, rho in views[bob].items()
     )
     b1 = report.per_subsystem[bob].bit_evidence["b1"]
     report.checks["bob_view_invariant_in_other_bits"] = b1["within_class_max_diff"] < ATOL
@@ -315,8 +315,7 @@ def verify_counterexample(seed=1789, shots: int = 25) -> LockingReport:
             analysis.overlap <= ATOL_STRICT
         )
         correct = total = 0
-        for bits, mat in sub_views.items():
-            rho = DensityMatrix(mat, sub)
+        for bits, rho in sub_views.items():
             for _ in range(shots):
                 inside = sample_projective(rho, analysis.projector, rng)
                 predicted = 0 if inside else 1
@@ -332,20 +331,20 @@ def verify_counterexample(seed=1789, shots: int = 25) -> LockingReport:
     return _judged(report)
 
 
-# The six single-qubit stabilizer states used as teleportation probes.
+# The six single-qubit stabilizer states used as teleportation probes, built
+# once on each payload qubit: _PROBES[i] holds them all on qubit p{i + 1}.
 _SQ2 = np.sqrt(2.0)
-_PROBES = {
-    "0": np.array([1.0, 0.0], dtype=complex),
-    "1": np.array([0.0, 1.0], dtype=complex),
-    "+": np.array([1.0, 1.0], dtype=complex) / _SQ2,
-    "-": np.array([1.0, -1.0], dtype=complex) / _SQ2,
-    "+i": np.array([1.0, 1.0j], dtype=complex) / _SQ2,
-    "-i": np.array([1.0, -1.0j], dtype=complex) / _SQ2,
-}
-
-
-def _probe_state(name: str, label: str) -> StateVector:
-    return StateVector(_PROBES[name], (label,))
+_PROBE_AMPLITUDES = (
+    np.array([1.0, 0.0], dtype=complex),  # |0>
+    np.array([0.0, 1.0], dtype=complex),  # |1>
+    np.array([1.0, 1.0], dtype=complex) / _SQ2,  # |+>
+    np.array([1.0, -1.0], dtype=complex) / _SQ2,  # |->
+    np.array([1.0, 1.0j], dtype=complex) / _SQ2,  # |+i>
+    np.array([1.0, -1.0j], dtype=complex) / _SQ2,  # |-i>
+)
+_PROBES = tuple(
+    tuple(StateVector(amps, (label,)) for amps in _PROBE_AMPLITUDES) for label in ("p1", "p2")
+)
 
 
 def _classify_teleportation(u: Unitary) -> LockingReport:
@@ -365,8 +364,7 @@ def _classify_teleportation(u: Unitary) -> LockingReport:
     receiver's own digit is a probability-weighted sum over the other digits.
     """
     amps, probs, fids = [], [], []
-    for name1, name2 in itertools.product(_PROBES, repeat=2):
-        payloads = (_probe_state(name1, "p1"), _probe_state(name2, "p2"))
+    for payloads in itertools.product(*_PROBES):
         branches = enumerate_teleportation_with_lock(payloads, u)
         amps.append([b.pre_unlock_state.amplitudes for b in branches])
         probs.append([b.probability for b in branches])

@@ -32,7 +32,7 @@ from .protocols import (
     run_dense_coding,
     run_teleportation,
 )
-from .qlinalg import StateVector, to_wire, unitary_from_wire
+from .qlinalg import StateVector, _is_number, to_wire, unitary_from_wire
 
 _ULOCK_WARNING = (
     "warning: the hadamard-cnot lock leaks bob's first bit and charlie's second"
@@ -59,7 +59,7 @@ def _amplitude(value) -> complex:
         parts = (*value, 0.0)[:2]
     else:
         parts = (value, 0.0)
-    if not all(type(part) in (int, float) for part in parts):
+    if not all(map(_is_number, parts)):
         raise ValueError(f"amplitude parts must be JSON numbers, got {value!r}")
     return complex(*parts)
 
@@ -262,7 +262,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         n = 2 if args.n is None else args.n
         scheme = "ulock2" if args.teleport == "ulock" else "qftN"
-        if args.states:
+        if args.states is not None:
             payloads = _load_payloads(args.states, n)
         else:
             payloads = _default_payloads(n)

@@ -35,12 +35,14 @@ def as_bits(bits) -> EncodedBits:
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
-# message (x, y) -> single-qubit encoder:  I, sigma_z, sigma_x, sigma_z.sigma_x
+# message (x, y) -> single-qubit encoder:  I, sigma_z, sigma_x, sigma_z.sigma_x,
+# each built and validated once; a Unitary's entries are read-only, so every
+# caller can share it
 _ENCODERS = {
-    EncodedBits(0, 0): np.eye(2),
-    EncodedBits(0, 1): _SIGMA_Z,
-    EncodedBits(1, 0): _SIGMA_X,
-    EncodedBits(1, 1): _SIGMA_Z @ _SIGMA_X,  # [[0, 1], [-1, 0]]
+    EncodedBits(0, 0): Unitary(np.eye(2)),
+    EncodedBits(0, 1): Unitary(_SIGMA_Z),
+    EncodedBits(1, 0): Unitary(_SIGMA_X),
+    EncodedBits(1, 1): Unitary(_SIGMA_Z @ _SIGMA_X),  # [[0, 1], [-1, 0]]
 }
 
 
@@ -48,9 +50,10 @@ def pauli_encoder(bits) -> Unitary:
     """The single-qubit encoder carrying the message ``(x, y)``.
 
     ``(0,0) -> I``, ``(0,1) -> sigma_z``, ``(1,0) -> sigma_x``,
-    ``(1,1) -> sigma_z sigma_x``.
+    ``(1,1) -> sigma_z sigma_x``.  Every call for one message returns the
+    same read-only object.
     """
-    return Unitary(_ENCODERS[as_bits(bits)])
+    return _ENCODERS[as_bits(bits)]
 
 
 # Largest qubit count ``qft`` and ``identity`` build: a 2**10 x 2**10 complex

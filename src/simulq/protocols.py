@@ -401,6 +401,31 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     return t
 
 
+# The per-digit tables of ``_corrected``, keyed by the encoders' entries.  The
+# enumerator passes the four Pauli encoders alone, so there is one entry.
+_DIGIT_TABLES: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _digit_table(encoders) -> tuple[np.ndarray, np.ndarray]:
+    """Each encoder as a source row and a sign row, derived once per set of encoders.
+
+    Encoder ``d`` sends entry ``c`` of a receiver's two amplitudes to
+    ``sign[d, c] * amplitude[src[d, c]]``.  Each encoder must be a signed
+    permutation with +-1 entries, so the rows fit ``uint8`` and ``int8``.
+    """
+    key = b"".join(enc.tobytes() for enc in encoders)
+    if key not in _DIGIT_TABLES:
+        src = np.array([np.argmax(np.abs(enc), axis=1) for enc in encoders], dtype=np.uint8)
+        picked = np.array([enc[np.arange(2), s] for enc, s in zip(encoders, src)])
+        sign = picked.real.astype(np.int8)
+        if not np.array_equal(picked, sign):
+            raise ValueError("corrections must be signed permutations with +-1 entries")
+        src.setflags(write=False)
+        sign.setflags(write=False)
+        _DIGIT_TABLES[key] = src, sign
+    return _DIGIT_TABLES[key]
+
+
 def _corrected(unlocked: np.ndarray, encoders) -> np.ndarray:
     """Every receiver's Pauli correction applied to the rows of ``unlocked``.
 
@@ -409,19 +434,21 @@ def _corrected(unlocked: np.ndarray, encoders) -> np.ndarray:
     (most significant first).  Each encoder is a signed permutation of the
     receiver's two amplitudes, so all ``n`` corrections together are one
     signed gather: entry ``(b, c)`` becomes ``sign[b, c] * unlocked[b, col[b, c]]``.
+    The column and sign tables are expanded from the per-digit table on each
+    call, as ``uint8`` and ``int8`` (256 KiB each at n = 6).
     """
     n = unlocked.shape[1].bit_length() - 1
-    src = np.array([np.argmax(np.abs(enc), axis=1) for enc in encoders])
-    # real (+-1) for the Pauli encoders, which halves the sign table
-    sign = np.real_if_close([enc[np.arange(2), s] for enc, s in zip(encoders, src)])
-    cols = np.zeros((1, 1), dtype=np.intp)
-    signs = np.ones((1, 1), dtype=sign.dtype)
+    src, sign = _digit_table(encoders)
+    cols = np.zeros((1, 1), dtype=np.uint8)
+    signs = np.ones((1, 1), dtype=np.int8)
     for i in range(n):
-        # append receiver i as the least significant digit and column bit
+        # prepend a receiver as the most significant digit and column bit, so
+        # the long axes of the broadcast stay innermost
         shape = (4 ** (i + 1), 2 ** (i + 1))
-        cols = (2 * cols[:, None, :, None] + src[None, :, None, :]).reshape(shape)
-        signs = (signs[:, None, :, None] * sign[None, :, None, :]).reshape(shape)
-    corrected = np.take_along_axis(unlocked, cols, axis=1)
+        cols = ((src << i)[:, None, :, None] + cols[None, :, None, :]).reshape(shape)
+        signs = (sign[:, None, :, None] * signs[None, :, None, :]).reshape(shape)
+    # row b starts at flat offset b * 2^n
+    corrected = unlocked.reshape(-1).take(cols + (np.arange(4**n)[:, None] << n))
     corrected *= signs
     return corrected
 

@@ -368,6 +368,25 @@ def _jsonable(value):
     return value
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a number as ``json`` reads one: an ``int`` or a ``float``.
+
+    Strings, booleans and null are not numbers, though numpy would convert
+    them.  Both input readers, for ``--states`` amplitudes and for matrices,
+    accept their entries by this rule.
+    """
+    return type(value) in (int, float)
+
+
+def _number_array(values) -> np.ndarray:
+    """A float array of a number or of nested lists of numbers (see :func:`_is_number`)."""
+    arr = np.array(values, dtype=float)
+    for value in np.array(values, dtype=object).reshape(-1):
+        if not _is_number(value):
+            raise ValueError(f"entries must be JSON numbers, got {value!r}")
+    return arr
+
+
 def unitary_from_wire(data: dict) -> Unitary:
     """A unitary from the wire format or the bare ``{"re", "im"}`` form (``im`` defaults
     to zero); ``labels`` and ``shape`` are checked when present, and not kept."""
@@ -375,8 +394,8 @@ def unitary_from_wire(data: dict) -> Unitary:
         raise ValueError("malformed matrix payload: expected a JSON object with re/im entries")
     try:
         list(data.get("labels", ()))
-        re = np.array(data["re"], dtype=float)
-        mat = re + 1j * np.array(data.get("im", np.zeros_like(re)), dtype=float)
+        re = _number_array(data["re"])
+        mat = re + 1j * (_number_array(data["im"]) if "im" in data else np.zeros_like(re))
         shape = tuple(int(v) for v in data.get("shape", mat.shape))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix payload: {exc}") from exc

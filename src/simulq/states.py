@@ -14,7 +14,9 @@ ambient space.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -64,18 +66,21 @@ class BasisFamily:
     """An orthonormal four-member measurement family.
 
     ``members`` maps ``(x, y)`` to the member state, in the fixed order
-    ``(0,0), (0,1), (1,0), (1,1)``.
+    ``(0,0), (0,1), (1,0), (1,1)``.  The family keeps a read-only copy of the
+    mapping it is given, so it cannot change after its check.
     """
 
     name: str
-    members: dict
+    members: Mapping
 
     def __post_init__(self) -> None:
-        if tuple(self.members) != _BIT_PAIRS:
+        members = MappingProxyType(dict(self.members))
+        if tuple(members) != _BIT_PAIRS:
             raise ValueError(f"family members must be keyed by {_BIT_PAIRS}")
-        vecs = np.array([m.amplitudes for m in self.members.values()])
+        vecs = np.array([m.amplitudes for m in members.values()])
         if np.max(np.abs(vecs.conj() @ vecs.T - np.eye(4))) > ATOL_STRICT:
             raise ValueError(f"family {self.name!r} is not orthonormal")
+        object.__setattr__(self, "members", members)
 
     @property
     def ambient_dim(self) -> int:
@@ -89,16 +94,25 @@ class BasisFamily:
 # The member constructor of each channel's family: the one channel -> family map.
 _CHANNEL_MEMBERS = {"bell": phi, "ghz": ghz, "w": w}
 
+# Each channel's family, built and checked once: its members are read-only
+# states in a read-only mapping, so every caller can share it.
+_FAMILIES = {
+    name: BasisFamily(name, {xy: member(*xy) for xy in _BIT_PAIRS})
+    for name, member in _CHANNEL_MEMBERS.items()
+}
+
 
 def family(name: str) -> BasisFamily:
-    """The measurement family of a channel (``bell``, ``ghz``, ``w``)."""
+    """The measurement family of a channel (``bell``, ``ghz``, ``w``).
+
+    Every call for one channel returns the same object.
+    """
     try:
-        member = _CHANNEL_MEMBERS[name]
+        return _FAMILIES[name]
     except KeyError:
         raise ValueError(
             f"unknown family {name!r}; known families: {sorted(_CHANNEL_MEMBERS)}"
         ) from None
-    return BasisFamily(name, {xy: member(*xy) for xy in _BIT_PAIRS})
 
 
 # Per channel, each receiver's subsystem once the locked qubits arrive: the
@@ -111,18 +125,27 @@ DENSE_CHANNELS = {
 }
 
 
+# Each channel's shared entanglement, built once (a StateVector is read-only).
+_INITIAL_STATES = {
+    channel: tensor(
+        _CHANNEL_MEMBERS[channel](0, 0, layout["bob"]),
+        _CHANNEL_MEMBERS[channel](0, 0, layout["charlie"]),
+    )
+    for channel, layout in DENSE_CHANNELS.items()
+}
+
+
 def initial_state(channel: str) -> StateVector:
     """The shared entanglement before any encoding.
 
     Two copies of the channel's ``(0, 0)`` member: the first is shared by
     the sender qubit ``A1`` and receiver Bob, the second by ``A2`` and
-    receiver Charlie.
+    receiver Charlie.  Every call for one channel returns the same object.
     """
-    if channel not in DENSE_CHANNELS:
-        raise ValueError(f"unknown channel {channel!r}; expected bell, ghz or w")
-    member = _CHANNEL_MEMBERS[channel]
-    bob, charlie = DENSE_CHANNELS[channel].values()
-    return tensor(member(0, 0, bob), member(0, 0, charlie))
+    try:
+        return _INITIAL_STATES[channel]
+    except KeyError:
+        raise ValueError(f"unknown channel {channel!r}; expected bell, ghz or w") from None
 
 
 # Named states addressable from the command line: phi00 ... w11.  Each

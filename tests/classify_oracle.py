@@ -15,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from simulq.analysis import _PROBES, LockingReport, SubsystemReport, _probe_state
+from simulq.analysis import _PROBES, LockingReport, SubsystemReport
 from simulq.protocols import enumerate_teleportation_with_lock
 from simulq.qlinalg import ATOL, Unitary, partial_trace
 
@@ -42,8 +42,7 @@ def classify_teleportation_per_branch(u: Unitary) -> LockingReport:
     # views[receiver][own result bits] -> list over payload pairs
     views = {}
     min_fidelity = 1.0
-    for name1, name2 in itertools.product(_PROBES, repeat=2):
-        payloads = (_probe_state(name1, "p1"), _probe_state(name2, "p2"))
+    for payloads in itertools.product(*_PROBES):
         branches = enumerate_teleportation_with_lock(payloads, u)
         min_fidelity = min(min_fidelity, min(min(b.fidelities) for b in branches))
         for i, r in enumerate(branches[0].pre_unlock_state.labels):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,10 @@ def test_run_usage_errors(capsys):
     # ulock teleport with the wrong receiver count
     code, _, _ = run_cli(capsys, "run", "--teleport", "ulock", "--n", "3")
     assert code == 2
+    # an empty --states value names a file, as in dense mode; it is not "no file"
+    code, out, err = run_cli(capsys, "run", "--teleport", "qft", "--n", "2", "--states", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize(
@@ -159,6 +167,11 @@ _BAD_MATRICES = [
     {"labels": 5, "shape": [2, 2], "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
     [[1, 0], [0, 1]],
     {"re": [[10**400, 0], [0, 1]]},
+    # the 4x4 identity with strings, booleans or null for numbers
+    {"re": [[str(int(i == j)) for j in range(4)] for i in range(4)]},
+    {"im": [["0"] * 4] * 4, "re": np.eye(4, dtype=int).tolist()},
+    {"re": [[i == j for j in range(4)] for i in range(4)]},
+    {"re": [[1, None, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
 ]
 
 
@@ -467,3 +480,39 @@ def test_reused_parser_matches_a_fresh_one(capsys):
     data = json.loads(reused[-1][1])
     assert data["protocol"] == "dense_coding:bell:qft"
     assert data["outcomes"]["bob"] == [1, 0]
+
+
+_COLD_AND_WARM = """
+import contextlib, io, json, sys
+from simulq import cli, gates
+from simulq.qlinalg import to_wire
+
+with open(sys.argv[1], "w") as fh:
+    json.dump(to_wire(gates.qft(2)), fh)
+calls = (
+    ["verify", "lock", "--matrix", sys.argv[1], "--task", "teleportation"],
+    ["verify", "theorem", "--protocol", "ghz"],
+)
+outputs = []
+for argv in calls * 2:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    outputs.append([code, out.getvalue()])
+json.dump(outputs, sys.stdout)
+"""
+
+
+def test_first_verdicts_of_a_process_match_warm_ones(tmp_path):
+    # a fresh interpreter builds every cached constant during its first
+    # verdicts; the repeats run on the cached objects and must print the same
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_AND_WARM, str(tmp_path / "qft2.json")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    cold_lock, cold_theorem, warm_lock, warm_theorem = json.loads(proc.stdout)
+    assert [cold_lock[0], cold_theorem[0]] == [0, 0]
+    assert cold_lock == warm_lock
+    assert cold_theorem == warm_theorem
+    assert json.loads(cold_lock[1])["protocol"] == "teleportation:2 receivers"

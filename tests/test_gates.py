@@ -26,6 +26,15 @@ LOCK_LITERAL = np.array(
 ) / np.sqrt(2.0)
 
 
+@pytest.mark.parametrize("bits", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_encoder_is_built_once_and_read_only(bits):
+    enc = gates.pauli_encoder(bits)
+    assert gates.pauli_encoder(gates.EncodedBits(*bits)) is enc
+    assert gates.named_gate(f"u{bits[0]}{bits[1]}") is enc
+    with pytest.raises(ValueError):
+        enc.entries[0, 0] = 0.0
+
+
 def test_encoder_literals():
     assert_allclose(gates.pauli_encoder((0, 0)).entries, np.eye(2))
     assert_allclose(gates.pauli_encoder((0, 1)).entries, [[1, 0], [0, -1]])

@@ -194,3 +194,38 @@ def test_lock_verdict_is_set_in_one_function():
     trees = {p.name: _parsed_modules()[str(p)] for p in SRC_MODULES}
     setters = functions_setting({"valid_lock", "passed"}, trees)
     assert len(setters) == 1, setters
+
+
+def decorated_public_functions(trees: dict[str, ast.Module]) -> list[str]:
+    """``key:function`` for each public top-level function of ``trees`` with a decorator.
+
+    The benchmark's tracer wraps plain functions only: a cache decorator
+    such as ``functools.cache`` would hide the function from it.  Caches
+    live in private module-level state instead.
+    """
+    return sorted(
+        f"{key}:{node.name}"
+        for key, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.decorator_list
+    )
+
+
+def test_checker_finds_decorated_public_functions():
+    source = (
+        "import functools\n"
+        "@functools.cache\ndef cached(n):\n    return n\n"
+        "@functools.lru_cache(maxsize=4)\nasync def limited(n):\n    return n\n"
+        "@functools.cache\ndef _private(n):\n    return n\n"
+        "def plain(n):\n    return n\n"
+        "class C:\n    @staticmethod\n    def method():\n        pass\n"
+    )
+    trees = {"m": ast.parse(source)}
+    assert decorated_public_functions(trees) == ["m:cached", "m:limited"]
+
+
+def test_public_functions_are_plain():
+    trees = {p.name: _parsed_modules()[str(p)] for p in SRC_MODULES}
+    assert decorated_public_functions(trees) == []

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from simulq import gates
+from simulq import gates, protocols
 from simulq.protocols import (
     DENSE_STEPS,
     MAX_RECEIVERS,
@@ -380,6 +380,17 @@ class TestBranchEngineAgainstWalk:
         assert len(branches) == 4**n
         for br in branches:
             assert br.probability == pytest.approx(4.0**-n, abs=1e-12)
+
+
+def test_correction_digit_table_is_derived_once(rng):
+    for n in (1, 2, 3):
+        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n))
+        enumerate_teleportation_with_lock(payloads, random_unitary(rng, n))
+    assert len(protocols._DIGIT_TABLES) == 1
+    src, sign = next(iter(protocols._DIGIT_TABLES.values()))
+    assert src.tolist() == [[0, 1], [0, 1], [1, 0], [1, 0]]
+    assert sign.tolist() == [[1, 1], [1, -1], [1, 1], [1, -1]]
+    assert not (src.flags.writeable or sign.flags.writeable)
 
 
 # (scheme, receivers) of the sampled-run cases; n = 6 has its own seeded test

@@ -117,3 +117,30 @@ def test_named_state():
         states.named_state("phi2")
     with pytest.raises(ValueError):
         states.named_state("xyz00")
+
+
+@pytest.mark.parametrize("name", ["bell", "ghz", "w"])
+def test_family_is_built_once_and_read_only(name):
+    fam = states.family(name)
+    assert states.family(name) is fam
+    with pytest.raises(TypeError):
+        fam.members[(0, 0)] = states.phi(1, 1)
+    with pytest.raises(ValueError):
+        fam.members[(0, 0)].amplitudes[0] = 0.0
+
+
+def test_family_keeps_a_read_only_copy_of_its_members():
+    given = {xy: states.phi(*xy) for xy in ALL_BITS}
+    fam = states.BasisFamily("bell", given)
+    given[(0, 0)] = states.phi(1, 1)
+    assert fam.members[(0, 0)] is not given[(0, 0)]
+    with pytest.raises(TypeError):
+        del fam.members[(0, 0)]
+
+
+@pytest.mark.parametrize("channel", ["bell", "ghz", "w"])
+def test_initial_state_is_built_once_and_read_only(channel):
+    state = states.initial_state(channel)
+    assert states.initial_state(channel) is state
+    with pytest.raises(ValueError):
+        state.amplitudes[0] = 0.0
