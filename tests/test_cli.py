@@ -504,8 +504,9 @@ json.dump(outputs, sys.stdout)
 
 
 def test_first_verdicts_of_a_process_match_warm_ones(tmp_path):
-    # a fresh interpreter builds every cached constant during its first
-    # verdicts; the repeats run on the cached objects and must print the same
+    # the first verdicts of a fresh interpreter run on constants built at
+    # import and fill the enumerator's correction cache; the repeats reuse
+    # every cached object and must print the same
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_AND_WARM, str(tmp_path / "qft2.json")],
