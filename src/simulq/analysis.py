@@ -110,9 +110,6 @@ class SubsystemReport:
     leaky_bits: list[str] = field(default_factory=list)
     bit_evidence: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return _jsonable(asdict(self))
-
 
 @dataclass
 class LockingReport:

@@ -26,18 +26,21 @@ from . import gates, states
 from .analysis import classify_locking_unitary, verify_counterexample, verify_theorem
 from .measurement import ProtocolViolation
 from .protocols import (
+    _LOCKS,
     MAX_RECEIVERS,
-    DenseCodingInput,
     TeleportInput,
-    run_dense_coding,
+    run_dense_coding_with_lock,
     run_teleportation,
 )
 from .qlinalg import StateVector, _is_number, to_wire, unitary_from_wire
 
-_ULOCK_WARNING = (
-    "warning: the hadamard-cnot lock leaks bob's first bit and charlie's second"
-    " bit to anyone holding their qubits; use it to study the failure, not to hide data"
-)
+# What the hadamard-cnot lock gives away in each task; a run that uses it says so.
+_ULOCK_WARNING = {
+    "dense coding": "warning: the hadamard-cnot lock leaks bob's first bit and charlie's second"
+    " bit to anyone holding their qubits; use it to study the failure, not to hide data",
+    "teleportation": "warning: the hadamard-cnot lock lets each receiver's view before the"
+    " unlock depend on the payloads; use it to study the failure, not to hide data",
+}
 
 
 def _parse_bits(text: str) -> tuple[int, int, int, int]:
@@ -74,9 +77,12 @@ def _load_payloads(path: str, n: int) -> tuple[StateVector, ...]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError(f"payload {i + 1} needs exactly 2 amplitudes")
         vec = np.array([_amplitude(a) for a in entry], dtype=complex)
-        norm = float(np.linalg.norm(vec))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             raise ValueError(f"payload {i + 1} is the zero vector")
+        if not math.isfinite(norm):
+            raise ValueError(f"payload {i + 1} is too large to normalize: sum|amp|^2 overflows")
         if abs(norm - 1.0) > 1e-6:
             print(
                 f"warning: payload {i + 1} renormalized (norm was {norm:.6g})",
@@ -84,6 +90,16 @@ def _load_payloads(path: str, n: int) -> tuple[StateVector, ...]:
             )
         payloads.append(StateVector(vec / norm, (f"T{i + 1}",)))
     return tuple(payloads)
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take non-negative integers only."""
+    try:
+        if (seed := int(text)) >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
 def _default_payloads(n: int) -> tuple[StateVector, ...]:
@@ -238,7 +254,11 @@ def _render_report_table(payload: dict) -> str:
         lines.append(f"  {'ok  ' if ok else 'FAIL'} {name}")
     for name, sub in payload["per_subsystem"].items():
         found = sub["recoverable_bits"] + sub["leaky_bits"]
-        state = "reveals " + ",".join(found) if found else "reveals nothing"
+        if found:
+            state = "reveals " + ",".join(found)
+        else:
+            # a view can depend on the input without any one bit of it
+            state = "reveals nothing" if sub["independent_of_encoding"] else "depends on the input"
         lines.append(f"  view {name}: {state} (max diff {sub['max_pairwise_diff']:.3e})")
     lines.append(f"valid lock {payload['valid_lock']}")
     lines.append("result     " + ("PASS" if payload["passed"] else "FAIL"))
@@ -255,10 +275,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if dense:
         bits = _parse_bits(args.bits)
         lock = args.lock or "qft"
-        inp = DenseCodingInput(args.protocol, bits[:2], bits[2:], lock=lock)
         if lock == "ulock":
-            print(_ULOCK_WARNING, file=sys.stderr)
-        transcript = run_dense_coding(inp, seed=args.seed)
+            print(_ULOCK_WARNING["dense coding"], file=sys.stderr)
+        transcript = run_dense_coding_with_lock(
+            args.protocol, bits[:2], bits[2:], _LOCKS[lock](), lock_name=lock, seed=args.seed
+        )
     else:
         n = 2 if args.n is None else args.n
         scheme = "ulock2" if args.teleport == "ulock" else "qftN"
@@ -267,6 +288,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             payloads = _default_payloads(n)
         inp = TeleportInput(scheme, payloads, n)
+        if scheme == "ulock2":
+            print(_ULOCK_WARNING["teleportation"], file=sys.stderr)
         transcript = run_teleportation(inp, seed=args.seed)
     payload = transcript.to_dict(include_snapshots=args.snapshots)
     if args.format == "json":
@@ -322,7 +345,7 @@ def _parser() -> argparse.ArgumentParser:
     which.add_argument("--protocol", choices=channels, help="dense coding channel")
     which.add_argument("--teleport", choices=("qft", "ulock"), help="teleportation scheme")
     run.add_argument("--bits", help="four message bits b1 b2 c1 c2, e.g. 1001 (dense coding)")
-    run.add_argument("--lock", choices=("qft", "ulock"), help="dense coding lock (default qft)")
+    run.add_argument("--lock", choices=tuple(_LOCKS), help="dense coding lock (default qft)")
     run.add_argument(
         "--n",
         type=int,
@@ -333,7 +356,7 @@ def _parser() -> argparse.ArgumentParser:
         help="JSON file with one [re+im, re+im] amplitude pair per payload"
         " (default: every payload is (|0>+|1>)/sqrt(2))",
     )
-    run.add_argument("--seed", type=int, default=0, help="measurement seed (default 0)")
+    run.add_argument("--seed", type=_seed, default=0, help="measurement seed (default 0)")
     run.add_argument("--format", choices=("json", "table"), default="json")
     run.add_argument(
         "--snapshots", action="store_true", help="include full register snapshots per step"
@@ -349,7 +372,7 @@ def _parser() -> argparse.ArgumentParser:
     v_counter = vsub.add_parser(
         "counterexample", help="the hadamard-cnot lock leaks one bit per receiver"
     )
-    v_counter.add_argument("--seed", type=int, default=1789, help="support-measurement seed")
+    v_counter.add_argument("--seed", type=_seed, default=1789, help="support-measurement seed")
     v_lock = vsub.add_parser("lock", help="classify an arbitrary 4x4 unitary as a channel lock")
     v_lock.add_argument("--matrix", required=True, help="JSON file holding the matrix")
     v_lock.add_argument("--task", choices=("dense_coding", "teleportation"), required=True)

@@ -59,6 +59,7 @@ from .qlinalg import (
 )
 from .states import DENSE_CHANNELS
 
+# The named dense coding locks, by their command-line ``--lock`` names.
 _LOCKS = {"qft": lambda: gates.qft(2), "ulock": gates.lock_operator}
 
 # Most receivers a teleportation run or enumeration takes: the enumerator
@@ -82,26 +83,6 @@ TELEPORT_STEPS = (
     "step4_unlock",
     "step5_correct",
 )
-
-
-@dataclass(frozen=True)
-class DenseCodingInput:
-    """Configuration of one dense coding run."""
-
-    channel: str
-    bob_bits: gates.EncodedBits
-    charlie_bits: gates.EncodedBits
-    lock: str = "qft"
-
-    def __post_init__(self) -> None:
-        if self.channel not in DENSE_CHANNELS:
-            raise ValueError(
-                f"unknown channel {self.channel!r}; expected one of {sorted(DENSE_CHANNELS)}"
-            )
-        if self.lock not in _LOCKS:
-            raise ValueError(f"unknown lock {self.lock!r}; expected one of {sorted(_LOCKS)}")
-        object.__setattr__(self, "bob_bits", gates.as_bits(self.bob_bits))
-        object.__setattr__(self, "charlie_bits", gates.as_bits(self.charlie_bits))
 
 
 @dataclass(frozen=True)
@@ -190,9 +171,16 @@ def run_dense_coding_with_lock(
     lock_name: str = "custom",
     seed=0,
 ) -> ProtocolTranscript:
-    """Dense coding with an arbitrary two-qubit locking unitary."""
+    """Run dense coding: Alice sends ``bob_bits`` and ``charlie_bits`` over ``channel``.
+
+    ``lock`` is any 4x4 unitary on ``(A1, A2)`` (the receivers unlock with its
+    adjoint) and ``lock_name`` names it in the protocol id.  An unknown
+    channel, bits that are not a pair of 0/1 values or a lock of another size
+    raise ``ValueError``.
+    """
     if lock.dim != 4:
         raise ValueError(f"the lock acts on (A1, A2) and must be 4x4, got {lock.dim}")
+    state = states.initial_state(channel)
     cfg = DENSE_CHANNELS[channel]
     fam = states.family(channel)
     rng = resolve_rng(seed)
@@ -201,7 +189,6 @@ def run_dense_coding_with_lock(
     t = ProtocolTranscript(
         protocol=f"dense_coding:{channel}:{lock_name}", seed=seed_val
     )
-    state = states.initial_state(channel)
     t.steps.append(("step0_init", state))
 
     # step 1: Alice encodes one message per receiver on her qubits
@@ -226,18 +213,6 @@ def run_dense_coding_with_lock(
     t.steps.append(("step4_measure", charlie_out.post_state))
     t.outcomes = {"bob": bob_out.label, "charlie": charlie_out.label}
     return t
-
-
-def run_dense_coding(inp: DenseCodingInput, seed=0) -> ProtocolTranscript:
-    """Run one dense coding protocol with a named lock (``qft`` or ``ulock``)."""
-    return run_dense_coding_with_lock(
-        inp.channel,
-        inp.bob_bits,
-        inp.charlie_bits,
-        _LOCKS[inp.lock](),
-        lock_name=inp.lock,
-        seed=seed,
-    )
 
 
 # --- teleportation ----------------------------------------------------------
@@ -361,7 +336,7 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     for a, tl, readout in zip(a_labels, t_labels, readouts):
         pick, _, rows = _born_draw(readout @ rows.reshape(2, -1), bell, (a, tl), rng)
         label, member = members[pick]
-        results.append(gates.as_bits(label))
+        results.append(gates.EncodedBits(*label))
         pairs = np.kron(pairs, member.amplitudes)
     received = StateVector(rows, r_labels)
 

@@ -207,8 +207,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     """
     if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
         raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-    labels = _check_labels(a.labels + b.labels)
-    return StateVector(np.kron(a.amplitudes, b.amplitudes), labels)
+    return StateVector(np.kron(a.amplitudes, b.amplitudes), a.labels + b.labels)
 
 
 def _grouped(amplitudes: np.ndarray, axes: Sequence[int]) -> tuple[np.ndarray, list[int]]:

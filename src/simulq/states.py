@@ -87,9 +87,6 @@ class BasisFamily:
         """The dimension of the space the members live in."""
         return self.members[_BIT_PAIRS[0]].dim
 
-    def member(self, bits) -> StateVector:
-        return self.members[tuple(bits)]
-
 
 # The member constructor of each channel's family: the one channel -> family map.
 _CHANNEL_MEMBERS = {"bell": phi, "ghz": ghz, "w": w}

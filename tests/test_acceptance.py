@@ -19,10 +19,9 @@ from simulq import gates, states
 from simulq.analysis import verify_counterexample
 from simulq.measurement import enumerate_branches
 from simulq.protocols import (
-    DenseCodingInput,
     TeleportInput,
     enumerate_teleportation,
-    run_dense_coding,
+    run_dense_coding_with_lock,
     run_teleportation,
 )
 from simulq.qlinalg import StateVector, apply, equal_up_to_global_phase, tensor
@@ -48,10 +47,11 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def _intercepted_views(channel: str, lock_name: str):
+    lock = gates.qft(2) if lock_name == "qft" else gates.lock_operator()
     views = []
     for bits in ALL_ENCODINGS:
-        t = run_dense_coding(
-            DenseCodingInput(channel, bits[:2], bits[2:], lock=lock_name), seed=0
+        t = run_dense_coding_with_lock(
+            channel, bits[:2], bits[2:], lock, lock_name=lock_name, seed=0
         )
         views.append(
             (
@@ -117,7 +117,9 @@ def test_criterion_4_dense_coding_decodes_exactly():
         fam = states.family(channel)
         bob_sub, charlie_sub = RECEIVER_SUBSYSTEMS[channel]
         for bits in ALL_ENCODINGS:
-            t = run_dense_coding(DenseCodingInput(channel, bits[:2], bits[2:]), seed=0)
+            t = run_dense_coding_with_lock(
+                channel, bits[:2], bits[2:], gates.qft(2), lock_name="qft", seed=0
+            )
             unlocked = t.step_state("step3_unlock")
             bob_branches = enumerate_branches(unlocked, fam, bob_sub)
             one_branch = len(bob_branches) == 1
@@ -137,7 +139,9 @@ def test_criterion_4_dense_coding_decodes_exactly():
     for i in range(100):
         channel = ("bell", "ghz", "w")[i % 3]
         bits = ALL_ENCODINGS[i % 16]
-        t = run_dense_coding(DenseCodingInput(channel, bits[:2], bits[2:]), seed=i)
+        t = run_dense_coding_with_lock(
+            channel, bits[:2], bits[2:], gates.qft(2), lock_name="qft", seed=i
+        )
         sampled_ok += t.outcomes["bob"] == bits[:2] and t.outcomes["charlie"] == bits[2:]
     _report(
         4,
@@ -268,7 +272,7 @@ def test_criterion_8_algebraic_suite():
 
 def test_criterion_9_identical_seeds_are_byte_identical():
     def dense_blob() -> str:
-        t = run_dense_coding(DenseCodingInput("w", (1, 0), (1, 1)), seed=31)
+        t = run_dense_coding_with_lock("w", (1, 0), (1, 1), gates.qft(2), lock_name="qft", seed=31)
         return json.dumps(t.to_dict(include_snapshots=True), sort_keys=True)
 
     def teleport_blob() -> str:

@@ -1,4 +1,5 @@
-"""Every layer function the benchmark traces by name exists in simulq.
+"""Every layer function the benchmark traces by name exists in simulq, and the
+dense lock table still holds the function the benchmark's tracer patches.
 
 ``perfbench/run.py --trace 1`` reports ``<layer>.<name>.calls`` for each
 name listed in ``BENCHMARK.json`` and raises if the function behind one is
@@ -15,6 +16,8 @@ import json
 from pathlib import Path
 
 import pytest
+
+from simulq import gates, protocols
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
@@ -33,3 +36,8 @@ def test_traced_name_exists(traced):
     layer, name = traced.split(".")
     obj = getattr(importlib.import_module(f"simulq.{layer}"), name, None)
     assert inspect.isfunction(obj) or inspect.isclass(obj), f"simulq.{traced} is missing"
+
+
+def test_lock_table_holds_the_lock_operator_itself():
+    # perfbench's tracer test patches this entry and checks it is restored
+    assert protocols._LOCKS["ulock"] is gates.lock_operator

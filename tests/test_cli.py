@@ -57,6 +57,11 @@ def test_run_ulock_warns_on_stderr(capsys):
     assert code == 0
     assert "leaks" in err
     assert json.loads(out)["protocol"] == "dense_coding:bell:ulock"
+    # teleportation: the lock lets each receiver's view depend on the payloads
+    code, out, err = run_cli(capsys, "run", "--teleport", "ulock")
+    assert code == 0
+    assert err.startswith("warning: the hadamard-cnot lock") and "payloads" in err
+    assert json.loads(out)["protocol"] == "teleportation:ulock2:n=2"
 
 
 def test_run_teleport_qft(capsys):
@@ -143,7 +148,13 @@ def test_run_rejects_flags_of_the_other_task(capsys, argv, flag):
 
 
 @pytest.mark.parametrize(
-    "lock, task", [("qft", "dense_coding"), ("ulock", "dense_coding"), ("qft", "teleportation")]
+    "lock, task",
+    [
+        ("qft", "dense_coding"),
+        ("ulock", "dense_coding"),
+        ("qft", "teleportation"),
+        ("ulock", "teleportation"),
+    ],
 )
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_verify_lock_reads_wire_and_bare_forms_alike(capsys, tmp_path, lock, task, fmt):
@@ -157,6 +168,11 @@ def test_verify_lock_reads_wire_and_bare_forms_alike(capsys, tmp_path, lock, tas
         )
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == (0 if lock == "qft" else 1)
+    if fmt == "table":
+        # a view reveals nothing only when it does not depend on the input
+        views = [line for line in outputs[0][1].splitlines() if line.startswith("  view ")]
+        assert len(views) == 2
+        assert all(("reveals nothing" in line) == (lock == "qft") for line in views)
 
 
 # Malformed input: each case must exit 2 with a message and print nothing on stdout.
@@ -178,8 +194,12 @@ _BAD_MATRICES = [
 @pytest.mark.parametrize(
     "kind, data",
     [("states", [[amp, 0], [1, 0]]) for amp in _BAD_AMPLITUDES]
-    + [("matrix", m) for m in _BAD_MATRICES],
-    ids=[f"states-{a!r:.20}" for a in _BAD_AMPLITUDES] + [f"matrix-{m!r:.40}" for m in _BAD_MATRICES],
+    + [("matrix", m) for m in _BAD_MATRICES]
+    # finite amplitudes whose norm overflows a float
+    + [("states", [[1e308, 1e308], [1, 0]])],
+    ids=[f"states-{a!r:.20}" for a in _BAD_AMPLITUDES]
+    + [f"matrix-{m!r:.40}" for m in _BAD_MATRICES]
+    + ["states-norm-overflows"],
 )
 def test_malformed_input_exits_2_with_a_message(capsys, tmp_path, kind, data):
     f = tmp_path / "input.json"
@@ -193,10 +213,22 @@ def test_malformed_input_exits_2_with_a_message(capsys, tmp_path, kind, data):
     assert err.startswith("error: ")
 
 
-def test_argparse_usage_exits_2():
+def test_argparse_usage_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--protocol", "qubitfoam", "--bits", "0000"])
     assert exc.value.code == 2
+    # each message names the flag and the value
+    for argv, flag, value in (
+        (["run", "--protocol", "bell", "--bits", "0000", "--lock", "nope"], "--lock", "'nope'"),
+        (["run", "--protocol", "bell", "--bits", "0000", "--seed", "-3"], "--seed", "'-3'"),
+        (["run", "--teleport", "qft", "--seed", "-3"], "--seed", "'-3'"),
+        (["verify", "counterexample", "--seed", "-3"], "--seed", "'-3'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: " in err and value in err.splitlines()[-1]
 
 
 def test_verify_theorem(capsys):

@@ -30,7 +30,7 @@ def test_measuring_a_family_member_is_deterministic():
 
 def test_single_branch_enumeration():
     fam = states.family("bell")
-    branches = enumerate_branches(fam.member((1, 0)), fam, ("q0", "q1"))
+    branches = enumerate_branches(fam.members[(1, 0)], fam, ("q0", "q1"))
     assert len(branches) == 1
     assert branches[0].label == (1, 0)
     assert branches[0].probability == pytest.approx(1.0, abs=1e-12)

@@ -16,11 +16,9 @@ from simulq.protocols import (
     DENSE_STEPS,
     MAX_RECEIVERS,
     TELEPORT_STEPS,
-    DenseCodingInput,
     TeleportInput,
     enumerate_teleportation,
     enumerate_teleportation_with_lock,
-    run_dense_coding,
     run_dense_coding_with_lock,
     run_teleportation,
 )
@@ -40,6 +38,8 @@ ALL_ENCODINGS = list(itertools.product((0, 1), repeat=4))
 
 CHANNELS = ("bell", "ghz", "w")
 
+LOCKS = {"qft": gates.qft(2), "ulock": gates.lock_operator()}
+
 
 def encoded_payload(payload: StateVector, bits, label: str) -> StateVector:
     u = gates.pauli_encoder(bits).entries
@@ -50,8 +50,8 @@ class TestDenseCoding:
     @pytest.mark.parametrize("channel", CHANNELS)
     def test_decode_equals_encode_for_every_message(self, channel):
         for bits in ALL_ENCODINGS:
-            t = run_dense_coding(
-                DenseCodingInput(channel, bits[:2], bits[2:]), seed=11
+            t = run_dense_coding_with_lock(
+                channel, bits[:2], bits[2:], gates.qft(2), lock_name="qft", seed=11
             )
             assert t.outcomes["bob"] == bits[:2]
             assert t.outcomes["charlie"] == bits[2:]
@@ -60,24 +60,32 @@ class TestDenseCoding:
     def test_final_measurement_is_a_single_branch(self, channel):
         # two different seeds must give identical outcomes: nothing is random
         for bits in [(0, 1, 1, 0), (1, 1, 1, 1)]:
-            a = run_dense_coding(DenseCodingInput(channel, bits[:2], bits[2:]), seed=0)
-            b = run_dense_coding(DenseCodingInput(channel, bits[:2], bits[2:]), seed=997)
+            a = run_dense_coding_with_lock(
+                channel, bits[:2], bits[2:], gates.qft(2), lock_name="qft", seed=0
+            )
+            b = run_dense_coding_with_lock(
+                channel, bits[:2], bits[2:], gates.qft(2), lock_name="qft", seed=997
+            )
             assert a.outcomes == b.outcomes
 
     def test_step_names(self):
-        t = run_dense_coding(DenseCodingInput("bell", (0, 0), (0, 0)), seed=0)
+        t = run_dense_coding_with_lock(
+            "bell", (0, 0), (0, 0), gates.qft(2), lock_name="qft", seed=0
+        )
         assert tuple(name for name, _ in t.steps) == DENSE_STEPS
         assert t.protocol == "dense_coding:bell:qft"
 
     def test_intercepts_recorded_for_both_receivers(self):
-        t = run_dense_coding(DenseCodingInput("bell", (1, 0), (0, 1)), seed=0)
+        t = run_dense_coding_with_lock(
+            "bell", (1, 0), (0, 1), gates.qft(2), lock_name="qft", seed=0
+        )
         assert ("step2_lock_send", ("A1", "B")) in t.intercepts
         assert ("step2_lock_send", ("A2", "C")) in t.intercepts
         rho = t.intercepts[("step2_lock_send", ("A1", "B"))]
         assert_allclose(rho.entries, np.eye(4) / 4, atol=1e-10)
 
     def test_intercept_reduced_matches_recorded(self):
-        t = run_dense_coding(DenseCodingInput("w", (1, 1), (0, 1)), seed=0)
+        t = run_dense_coding_with_lock("w", (1, 1), (0, 1), gates.qft(2), lock_name="qft", seed=0)
         recomputed = partial_trace(t.step_state("step2_lock_send"), ("A2", "C1", "C2"))
         assert_allclose(
             recomputed.entries,
@@ -91,22 +99,26 @@ class TestDenseCoding:
         # the post-unlock register equals the post-encode register, for every
         # encoding and both named locks
         for bits in ALL_ENCODINGS:
-            t = run_dense_coding(
-                DenseCodingInput(channel, bits[:2], bits[2:], lock=lock), seed=0
+            t = run_dense_coding_with_lock(
+                channel, bits[:2], bits[2:], LOCKS[lock], lock_name=lock, seed=0
             )
             assert equal_up_to_global_phase(
                 t.step_state("step3_unlock"), t.step_state("step1_encode")
             )
 
     def test_full_register_intercept_is_pure(self):
-        t = run_dense_coding(DenseCodingInput("ghz", (0, 1), (1, 0)), seed=0)
+        t = run_dense_coding_with_lock(
+            "ghz", (0, 1), (1, 0), gates.qft(2), lock_name="qft", seed=0
+        )
         rho = partial_trace(t.step_state("step3_unlock"), t.step_state("step0_init").labels)
         purity = float(np.real(np.trace(rho.entries @ rho.entries)))
         assert purity == pytest.approx(1.0, abs=1e-10)
 
     def test_unlock_restores_family_member(self):
         # after step 3 the (A1, B) pair is exactly phi(b1, b2) again
-        t = run_dense_coding(DenseCodingInput("bell", (1, 0), (1, 1)), seed=0)
+        t = run_dense_coding_with_lock(
+            "bell", (1, 0), (1, 1), gates.qft(2), lock_name="qft", seed=0
+        )
         from simulq.states import phi
 
         rho = partial_trace(t.step_state("step3_unlock"), ("A1", "B"))
@@ -116,8 +128,8 @@ class TestDenseCoding:
 
     def test_ulock_lock_still_decodes(self):
         for bits in ALL_ENCODINGS:
-            t = run_dense_coding(
-                DenseCodingInput("bell", bits[:2], bits[2:], lock="ulock"), seed=5
+            t = run_dense_coding_with_lock(
+                "bell", bits[:2], bits[2:], gates.lock_operator(), lock_name="ulock", seed=5
             )
             assert t.outcomes["bob"] == bits[:2]
             assert t.outcomes["charlie"] == bits[2:]
@@ -133,12 +145,12 @@ class TestDenseCoding:
             run_dense_coding_with_lock("bell", (0, 0), (0, 0), gates.hadamard(), seed=0)
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            DenseCodingInput("bogus", (0, 0), (0, 0))
-        with pytest.raises(ValueError):
-            DenseCodingInput("bell", (0, 2), (0, 0))
-        with pytest.raises(ValueError):
-            DenseCodingInput("bell", (0, 0), (0, 0), lock="nope")
+        with pytest.raises(ValueError, match="unknown channel 'bogus'"):
+            run_dense_coding_with_lock("bogus", (0, 0), (0, 0), gates.qft(2), seed=0)
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            run_dense_coding_with_lock("bell", (0, 2), (0, 0), gates.qft(2), seed=0)
+        # an unknown lock name is a command-line error:
+        # tests/test_cli.py::test_argparse_usage_exits_2 runs ``run --lock nope``
 
 
 class TestUlockCounterexampleViews:
@@ -168,8 +180,8 @@ class TestUlockCounterexampleViews:
     )
 
     def bob_view(self, bits):
-        t = run_dense_coding(
-            DenseCodingInput("bell", bits[:2], bits[2:], lock="ulock"), seed=0
+        t = run_dense_coding_with_lock(
+            "bell", bits[:2], bits[2:], gates.lock_operator(), lock_name="ulock", seed=0
         )
         return t.intercepts[("step2_lock_send", ("A1", "B"))].entries
 
@@ -185,8 +197,8 @@ class TestUlockCounterexampleViews:
     def test_charlie_view_depends_only_on_c2(self):
         views = {}
         for bits in ALL_ENCODINGS:
-            t = run_dense_coding(
-                DenseCodingInput("bell", bits[:2], bits[2:], lock="ulock"), seed=0
+            t = run_dense_coding_with_lock(
+                "bell", bits[:2], bits[2:], gates.lock_operator(), lock_name="ulock", seed=0
             )
             views[bits] = t.intercepts[("step2_lock_send", ("A2", "C"))].entries
         for a, b in itertools.product(ALL_ENCODINGS, repeat=2):
@@ -489,7 +501,9 @@ class TestFourierLockParity:
 class TestTranscriptSerialization:
     def test_same_seed_is_byte_identical(self):
         def render(seed):
-            t = run_dense_coding(DenseCodingInput("ghz", (1, 0), (0, 1)), seed=seed)
+            t = run_dense_coding_with_lock(
+                "ghz", (1, 0), (0, 1), gates.qft(2), lock_name="qft", seed=seed
+            )
             return json.dumps(t.to_dict(include_snapshots=True), sort_keys=True)
 
         assert render(7) == render(7)
@@ -503,6 +517,8 @@ class TestTranscriptSerialization:
         assert [s["name"] for s in data["steps"]] == list(TELEPORT_STEPS)
 
     def test_step_state_unknown_name(self):
-        t = run_dense_coding(DenseCodingInput("bell", (0, 0), (0, 0)), seed=0)
+        t = run_dense_coding_with_lock(
+            "bell", (0, 0), (0, 0), gates.qft(2), lock_name="qft", seed=0
+        )
         with pytest.raises(KeyError):
             t.step_state("step9_profit")
