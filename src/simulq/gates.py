@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qlinalg import Unitary
+from .qlinalg import Unitary, _derived
 
 
 class EncodedBits(NamedTuple):
@@ -21,15 +21,18 @@ class EncodedBits(NamedTuple):
 
 
 def as_bits(bits) -> EncodedBits:
-    """Coerce a ``(x, y)`` pair of 0/1 values to :class:`EncodedBits`."""
+    """A ``(x, y)`` pair of 0/1 integers as :class:`EncodedBits`.
+
+    Each bit must be an integer (``int``, ``bool`` or a numpy integer) equal
+    to 0 or 1; a float or a string is rejected, not converted.
+    """
     try:
         x, y = bits
     except (TypeError, ValueError):
         raise ValueError(f"expected a pair of bits, got {bits!r}") from None
-    x, y = int(x), int(y)
-    if x not in (0, 1) or y not in (0, 1):
+    if not all(isinstance(b, (int, np.integer)) and b in (0, 1) for b in (x, y)):
         raise ValueError(f"bits must be 0 or 1, got {bits!r}")
-    return EncodedBits(x, y)
+    return EncodedBits(int(x), int(y))
 
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -138,8 +141,12 @@ def identity(n_qubits: int = 1) -> Unitary:
 
 
 def adjoint(u: Unitary) -> Unitary:
-    """The Hermitian adjoint (inverse) of a unitary."""
-    return Unitary(u.entries.conj().T)
+    """The Hermitian adjoint (inverse) of a unitary.
+
+    It is built once per ``u`` and kept on it, so the 16 dense runs of a lock
+    verdict share one inverse.
+    """
+    return _derived(u, "_adjoint", lambda v: Unitary(v.entries.conj().T))
 
 
 # Gates addressable by name from the command line.

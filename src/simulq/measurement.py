@@ -95,7 +95,7 @@ def _collapse(
     ``contract``'s grouped register: rows over ``targets``, columns over
     ``rest_labels``.
     """
-    order = [state.axis_of(q) for q in (*targets, *rest_labels)]
+    order = tuple(state.axis_of(q) for q in (*targets, *rest_labels))
     return StateVector(_ungrouped(np.outer(member.amplitudes, row), order), state.labels)
 
 
@@ -173,6 +173,6 @@ def sample_projective(rho: DensityMatrix, projector: np.ndarray, seed) -> bool:
     Returns True when the ``P`` outcome fires, with probability ``tr(P rho)``.
     """
     rng = resolve_rng(seed)
-    p = float(np.real(np.trace(projector @ rho.entries)))
+    p = float((projector @ rho.entries).trace().real)
     p = min(max(p, 0.0), 1.0)
     return bool(rng.random() < p)

@@ -36,6 +36,7 @@ rows at every pair, and so reads every joint branch as one row of a
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -47,6 +48,7 @@ from .qlinalg import (
     DensityMatrix,
     StateVector,
     Unitary,
+    _derived,
     _grouped,
     _jsonable,
     _state_rows,
@@ -265,30 +267,53 @@ def _unlock(lock: Unitary) -> Unitary:
     The joint state picked up by the receivers carries the transpose of the
     lock, so the inverse they must apply is its elementwise conjugate.  For
     the (real) Hadamard--CNOT lock that is the lock itself; for the
-    (symmetric) Fourier lock it is the ordinary adjoint.
+    (symmetric) Fourier lock it is the ordinary adjoint.  It is built once
+    per lock and kept on it, so the 36 enumerations of a lock verdict share one.
     """
-    return Unitary(lock.entries.conj())
+    return _derived(lock, "_unlock", lambda u: Unitary(u.entries.conj()))
 
 
-def _shared_pairs(bell, payloads, lock: Unitary, a_labels, r_labels):
+@functools.cache
+def _phi_pairs(n: int) -> np.ndarray:
+    """Read-only amplitudes of ``n`` shared pairs ``A1 R1 .. AN RN``, each ``Phi(0,0)``.
+
+    Built once per ``n`` by the ``phi``/``tensor`` chain; ``n`` is at most
+    ``MAX_RECEIVERS`` where the engines call it.
+    """
+    a_labels, r_labels = _numbered("A", n), _numbered("R", n)
+    shared = states.phi(0, 0, (a_labels[0], r_labels[0]))
+    for a, r in zip(a_labels[1:], r_labels[1:]):
+        shared = tensor(shared, states.phi(0, 0, (a, r)))
+    return shared.amplitudes
+
+
+@functools.cache
+def _bell_readout() -> np.ndarray:
+    """The conjugated Bell members as a read-only 4x2x2 array, in member order."""
+    bell = states.family("bell")
+    readout = np.array([m.amplitudes.conj() for m in bell.members.values()]).reshape(4, 2, 2)
+    readout.setflags(write=False)
+    return readout
+
+
+def _shared_pairs(payloads, lock: Unitary, a_labels, r_labels):
     """The shared pairs and Bell readouts both teleportation engines start from.
 
     Returns the shared pairs ``A1 R1 .. AN RN`` (each ``Phi(0,0)``) before
     and after ``lock`` acts on ``A1..AN``; the locked pairs as a ``2^N x 2^N``
     matrix, sender qubits on the rows and receivers on the columns; and one
     4x2 readout per payload.  A Bell measurement of ``(Ai, Ti)`` is the
-    rotation whose rows are the conjugated ``bell`` members followed by a
+    rotation whose rows are the conjugated Bell members followed by a
     computational readout, so contracted with payload ``i`` on ``Ti`` it maps
     the sender bit ``Ai`` to amplitudes of the pair's four outcomes, in member
     order.  The rotation is unitary because :class:`~simulq.states.BasisFamily`
     has checked that its four members are orthonormal.
     """
-    shared = states.phi(0, 0, (a_labels[0], r_labels[0]))
-    for a, r in zip(a_labels[1:], r_labels[1:]):
-        shared = tensor(shared, states.phi(0, 0, (a, r)))
+    labels = tuple(q for pair in zip(a_labels, r_labels) for q in pair)
+    shared = StateVector(_phi_pairs(len(a_labels)), labels)
     locked = apply(shared, lock, a_labels)
     matrix = _grouped(locked.amplitudes, [locked.axis_of(a) for a in a_labels])[0]
-    readout = np.array([m.amplitudes.conj() for m in bell.members.values()]).reshape(4, 2, 2)
+    readout = _bell_readout()
     return shared, locked, matrix, [readout @ p.amplitudes for p in payloads]
 
 
@@ -318,7 +343,7 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     seed_val = seed if isinstance(seed, int) else None
     bell = states.family("bell")
     members = list(bell.members.items())
-    shared, locked, rows, readouts = _shared_pairs(bell, inp.payloads, lock, a_labels, r_labels)
+    shared, locked, rows, readouts = _shared_pairs(inp.payloads, lock, a_labels, r_labels)
 
     t = ProtocolTranscript(protocol=f"teleportation:{inp.scheme}:n={n}", seed=seed_val)
     payload = StateVector(inp.payloads[0].amplitudes, (t_labels[0],))
@@ -466,7 +491,7 @@ def enumerate_teleportation_with_lock(
 
     bell = states.family("bell")
     outcomes = [gates.EncodedBits(*xy) for xy in bell.members]
-    _, _, table, readouts = _shared_pairs(bell, payloads, lock, a_labels, r_labels)
+    _, _, table, readouts = _shared_pairs(payloads, lock, a_labels, r_labels)
     # pair i maps each row's first sender axis to its four outcomes
     for i, readout in enumerate(readouts):
         table = np.matmul(readout, table.reshape(4**i, 2, -1)).reshape(-1, 1 << n)

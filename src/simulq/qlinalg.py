@@ -15,6 +15,8 @@ builds that view and :func:`_ungrouped` undoes it.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -30,10 +32,14 @@ ATOL_STRICT = 1e-12
 _MAX_KEEP_QUBITS = 10
 
 
+def _require_finite(arr: np.ndarray, name: str) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+
+
 def _as_complex_array(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+    _require_finite(arr, name)
     return arr
 
 
@@ -47,25 +53,31 @@ def _check_labels(labels: Iterable[str]) -> tuple[str, ...]:
 def _checked_states(table: np.ndarray, labels: Iterable[str]) -> tuple[str, ...]:
     """Validate a ``(k, 2^n)`` complex table of state amplitudes, one state per row.
 
-    Every row gets the checks of one ``StateVector``: distinct labels, finite
-    entries, ``2^n`` amplitudes and ``sum|amp|^2 = 1`` within ``ATOL``.  A
-    norm failure reports the row furthest from one.  Returns the labels.
+    Every row gets the checks of one ``StateVector``, in this order: distinct
+    labels, finite entries, ``2^n`` amplitudes and ``sum|amp|^2 = 1`` within
+    ``ATOL``.  A norm failure reports the row furthest from one.  Returns the
+    labels.
+
+    The squared norms come first, each row's as one dot product of a float64
+    view of its real and imaginary parts (no ``|amp|^2`` temporary).  Their
+    sum is finite only when every entry is, so the entrywise ``isfinite`` pass
+    runs only when it is not, to tell non-finite entries from squares that
+    overflow.  A single row is then judged with scalar arithmetic on its one
+    norm, which is the number a stack would report.
     """
     labels = _check_labels(labels)
-    if not np.isfinite(table).all():
-        raise ValueError("amplitudes contains non-finite entries")
+    flat = np.ascontiguousarray(table, dtype=np.complex128).view(np.float64)
+    nrm2 = np.einsum("ij,ij->i", flat, flat)
+    single = len(nrm2) == 1
+    if not math.isfinite(nrm2[0] if single else nrm2.sum()):
+        _require_finite(table, "amplitudes")
     width = table.shape[1]
     if width != 1 << len(labels):
         raise ValueError(
             f"{len(labels)} labels require {1 << len(labels)} amplitudes, got {width}"
         )
-    # each row's squared norm as one dot product of its real and imaginary
-    # parts, read through a float64 view; no |amp|^2 temporary is built
-    flat = np.ascontiguousarray(table, dtype=np.complex128).view(np.float64)
-    nrm2 = np.einsum("ij,ij->i", flat, flat)
-    dev = np.abs(nrm2 - 1.0)
-    worst = dev.argmax()
-    if dev[worst] > ATOL:
+    worst = 0 if single else np.abs(nrm2 - 1.0).argmax()
+    if abs(nrm2[worst] - 1.0) > ATOL:
         raise ValueError(f"state is not normalized: sum|amp|^2 = {float(nrm2[worst])!r}")
     return labels
 
@@ -122,14 +134,19 @@ def _state_rows(table: np.ndarray, labels: Iterable[str]) -> list[StateVector]:
 def _checked_densities(stack: np.ndarray, labels: Iterable[str]) -> tuple[str, ...]:
     """Validate a ``(k, d, d)`` complex stack of density matrices on one register.
 
-    Every matrix gets the checks of one ``DensityMatrix``: distinct labels,
-    finite entries, shape ``2^n x 2^n``, Hermitian and trace one within
-    ``ATOL``, and no eigenvalue below ``-ATOL``.  A trace failure reports the
-    matrix furthest from trace one.  Returns the labels.
+    Every matrix gets the checks of one ``DensityMatrix``, in this order:
+    distinct labels, finite entries, shape ``2^n x 2^n``, Hermitian and trace
+    one within ``ATOL``, and no eigenvalue below ``-ATOL``.  A trace failure
+    reports the matrix furthest from trace one.  Returns the labels.
+
+    As in :func:`_checked_states`, finiteness is read off the sum of squares
+    of all entries, and the entrywise pass runs only when that sum is not
+    finite.  A single matrix is judged with scalar arithmetic on its trace.
     """
     labels = _check_labels(labels)
-    if not np.isfinite(stack).all():
-        raise ValueError("entries contains non-finite entries")
+    flat = np.ascontiguousarray(stack, dtype=np.complex128).reshape(-1).view(np.float64)
+    if not math.isfinite(flat @ flat):
+        _require_finite(stack, "entries")
     dim = 1 << len(labels)
     if stack.shape[1:] != (dim, dim):
         raise ValueError(
@@ -137,6 +154,13 @@ def _checked_densities(stack: np.ndarray, labels: Iterable[str]) -> tuple[str, .
         )
     if np.abs(stack - stack.conj().swapaxes(1, 2)).max() > ATOL:
         raise ValueError("density matrix is not Hermitian")
+    if len(stack) == 1:
+        tr = stack[0].trace()
+        if abs(tr - 1.0) > ATOL:
+            raise ValueError(f"density matrix has trace {complex(tr)!r}, expected 1")
+        if np.linalg.eigvalsh(stack[0])[0] < -ATOL:
+            raise ValueError("density matrix has a negative eigenvalue")
+        return labels
     tr = stack.trace(axis1=1, axis2=2)
     dev = np.abs(tr - 1.0)
     worst = dev.argmax()
@@ -200,6 +224,19 @@ class Unitary:
         return self.dim.bit_length() - 1
 
 
+def _derived(u: Unitary, name: str, build) -> Unitary:
+    """``build(u)``, built on the first call for ``u`` and kept on it under ``name``.
+
+    A ``Unitary`` cannot change after its check, so a unitary derived from it
+    (an inverse, say) stays valid for as long as ``u`` lives, and each repeat
+    of a verdict can take the one built first.
+    """
+    kept = u.__dict__.get(name)
+    if kept is None:
+        kept = u.__dict__[name] = build(u)
+    return kept
+
+
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product of two states on the register ``a.labels + b.labels``.
 
@@ -210,7 +247,21 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(np.kron(a.amplitudes, b.amplitudes), a.labels + b.labels)
 
 
-def _grouped(amplitudes: np.ndarray, axes: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+@functools.lru_cache(maxsize=1024)
+def _layout(n: int, axes: tuple[int, ...]):
+    """The grouped layout of an ``n``-qubit register whose rows run over ``axes``.
+
+    Returns the axis order (``axes``, then the other axes in register
+    order), its inverse permutation and the ``2^k x 2^(n-k)`` matrix shape.
+    Every layout is computed once; the register operations ask for a
+    handful, so the memo stays far below its bound.
+    """
+    order = axes + tuple(i for i in range(n) if i not in axes)
+    inverse = tuple(np.argsort(order).tolist())
+    return order, inverse, (1 << len(axes), 1 << (n - len(axes)))
+
+
+def _grouped(amplitudes: np.ndarray, axes: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
     """The register as a ``2^k x 2^(n-k)`` matrix whose rows run over ``axes``.
 
     Rows index the k qubits at ``axes`` in the given order, columns the other
@@ -218,23 +269,23 @@ def _grouped(amplitudes: np.ndarray, axes: Sequence[int]) -> tuple[np.ndarray, l
     :func:`_ungrouped` takes to put the amplitudes back.
     """
     n = amplitudes.size.bit_length() - 1
-    order = list(axes) + [i for i in range(n) if i not in axes]
-    matrix = amplitudes.reshape([2] * n).transpose(order).reshape(1 << len(axes), -1)
-    return matrix, order
+    order, _, shape = _layout(n, tuple(axes))
+    return amplitudes.reshape((2,) * n).transpose(order).reshape(shape), order
 
 
 def _ungrouped(matrix: np.ndarray, order: Sequence[int]) -> np.ndarray:
     """Flat register-order amplitudes of a matrix laid out as :func:`_grouped` lays it."""
-    return matrix.reshape([2] * len(order)).transpose(np.argsort(order)).reshape(-1)
+    n = len(order)
+    return matrix.reshape((2,) * n).transpose(_layout(n, tuple(order))[1]).reshape(-1)
 
 
-def _target_axes(state: StateVector, targets: Sequence[str]) -> list[int]:
+def _target_axes(state: StateVector, targets: Sequence[str]) -> tuple[int, ...]:
     targets = tuple(targets)
     if not targets:
         raise ValueError("no target qubits given")
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target labels: {targets}")
-    return [state.axis_of(t) for t in targets]
+    return tuple(state.axis_of(t) for t in targets)
 
 
 def apply(state: StateVector, gate: Unitary, targets: Sequence[str]) -> StateVector:
@@ -267,7 +318,7 @@ def partial_trace(obj: StateVector, keep: Iterable[str]) -> DensityMatrix:
     unknown = keep_set - set(obj.labels)
     if unknown:
         raise ValueError(f"unknown qubit label(s) {sorted(unknown)}; register is {obj.labels}")
-    keep_axes = [i for i, label in enumerate(obj.labels) if label in keep_set]
+    keep_axes = tuple(i for i, label in enumerate(obj.labels) if label in keep_set)
     if len(keep_axes) > _MAX_KEEP_QUBITS:
         raise ValueError(
             f"refusing to build a reduced matrix on {len(keep_axes)} qubits"

@@ -235,3 +235,33 @@ def test_max_pairwise_diff_matches_the_pairwise_loop(k, dim):
     assert got == max_pairwise_diff_loop(mats)  # bitwise, not approx
     if k < 2:
         assert got == 0.0
+
+
+@pytest.fixture
+def unitary_validations(monkeypatch):
+    """A counter of ``Unitary`` validations: call it with a verdict to count its own."""
+    original = Unitary.__post_init__
+    seen = []
+
+    def counting(self):
+        seen.append(self)
+        original(self)
+
+    monkeypatch.setattr(Unitary, "__post_init__", counting)
+
+    def count(verdict) -> int:
+        seen.clear()
+        verdict()
+        return len(seen)
+
+    return count
+
+
+def test_a_verdict_builds_each_inverse_once(unitary_validations):
+    # the theorem builds qft(2) and its adjoint; every dense run shares that adjoint
+    assert unitary_validations(lambda: verify_theorem("ghz")) <= 2
+    for task in ("dense_coding", "teleportation"):
+        lock = gates.qft(2)
+        # one adjoint for 16 dense runs, one unlock for 36 enumerations
+        assert unitary_validations(lambda: classify_locking_unitary(lock, task)) <= 1
+        assert unitary_validations(lambda: classify_locking_unitary(lock, task)) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from simulq import gates
+from simulq import gates, protocols
 from tests.qft_oracle import qft_per_entry
 
 QFT2_LITERAL = 0.5 * np.array(
@@ -52,6 +52,33 @@ def test_encoder_rejects_bad_bits():
         gates.pauli_encoder((0, 2))
     with pytest.raises(ValueError):
         gates.pauli_encoder("xy")
+
+
+@pytest.mark.parametrize(
+    "bits", [(0.7, 1), ("1", 0), (1, 1.0), (0, "0"), (np.float64(1.0), 0), (None, 1), (0, 2)]
+)
+def test_bits_must_be_integers_0_or_1(bits):
+    with pytest.raises(ValueError, match=r"bits must be 0 or 1, got "):
+        gates.as_bits(bits)
+
+
+def test_dense_engine_rejects_non_bits():
+    with pytest.raises(ValueError, match=r"bits must be 0 or 1, got \(0\.7, 1\)"):
+        protocols.run_dense_coding_with_lock("bell", (0.7, 1), ("1", 0), gates.qft(2))
+
+
+def test_bits_accept_integer_types():
+    bits = gates.as_bits((np.int64(1), False))
+    assert bits == (1, 0)
+    assert all(type(b) is int for b in bits)
+
+
+def test_adjoint_is_built_once_per_unitary():
+    u = gates.qft(2)
+    inverse = gates.adjoint(u)
+    assert gates.adjoint(u) is inverse
+    assert np.array_equal(inverse.entries, u.entries.conj().T)
+    assert gates.adjoint(gates.qft(2)) is not inverse
 
 
 def test_qft2_literal_is_exact():

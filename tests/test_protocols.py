@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from simulq import gates, protocols
+from simulq import gates, protocols, states
 from simulq.protocols import (
     DENSE_STEPS,
     MAX_RECEIVERS,
@@ -403,6 +403,32 @@ def test_correction_digit_table_is_derived_once(rng):
     assert src.tolist() == [[0, 1], [0, 1], [1, 0], [1, 0]]
     assert sign.tolist() == [[1, 1], [1, -1], [1, 1], [1, -1]]
     assert not (src.flags.writeable or sign.flags.writeable)
+
+
+def test_unlock_is_built_once_per_lock(rng):
+    lock = random_unitary(rng, 2)
+    unlock = protocols._unlock(lock)
+    assert protocols._unlock(lock) is unlock
+    assert np.array_equal(unlock.entries, lock.entries.conj())
+    # the dense adjoint is kept apart from the teleportation unlock
+    assert np.array_equal(gates.adjoint(lock).entries, lock.entries.conj().T)
+    assert protocols._unlock(lock) is unlock
+
+
+def test_shared_pair_constants_are_built_once():
+    for n in range(1, MAX_RECEIVERS + 1):
+        amps = protocols._phi_pairs(n)
+        assert protocols._phi_pairs(n) is amps
+        chain = states.phi(0, 0, ("A1", "R1"))
+        for i in range(2, n + 1):
+            chain = tensor(chain, states.phi(0, 0, (f"A{i}", f"R{i}")))
+        assert np.array_equal(amps.view(np.float64), chain.amplitudes.view(np.float64))
+        assert not amps.flags.writeable
+    readout = protocols._bell_readout()
+    assert protocols._bell_readout() is readout
+    members = [m.amplitudes.conj() for m in states.family("bell").members.values()]
+    assert np.array_equal(readout, np.reshape(members, (4, 2, 2)))
+    assert not readout.flags.writeable
 
 
 # (scheme, receivers) of the sampled-run cases; n = 6 has its own seeded test

@@ -15,7 +15,11 @@ from simulq.qlinalg import (
     StateVector,
     Unitary,
     _checked_densities,
+    _checked_states,
+    _grouped,
+    _layout,
     _state_rows,
+    _ungrouped,
     apply,
     equal_up_to_global_phase,
     fidelity,
@@ -25,6 +29,7 @@ from simulq.qlinalg import (
     to_wire,
     unitary_from_wire,
 )
+from tests import validation_oracle as oracle
 from tests.conftest import random_density, random_state
 
 KET0 = np.array([1.0, 0.0])
@@ -326,3 +331,153 @@ class TestCheckedDensities:
         stack = self._stack(rng)
         want = _message(lambda: DensityMatrix(stack[0], ("q", "r")))
         assert _message(lambda: _checked_densities(stack, ("q", "r"))) == want
+
+
+def _outcome(check, *args):
+    """What a validator makes of an input: its result, or its exception's type and message."""
+    try:
+        return "accepted", check(*args)
+    except Exception as exc:  # any type, so a different one fails the comparison
+        return type(exc), str(exc)
+
+
+INF, NAN = np.inf, np.nan
+
+
+def _with(array, index, value):
+    array[index] = value
+    return array
+
+
+# Each spoiler edits row or matrix ``bad`` of a valid stack (or returns a new
+# array); several combine two faults, so the order of the checks is pinned too.
+STATE_SPOILERS = {
+    "valid": lambda t, bad: t,
+    "nan": lambda t, bad: _with(t, (bad, 1), NAN),
+    "+inf": lambda t, bad: _with(t, (bad, 0), INF),
+    "-inf": lambda t, bad: _with(t, (bad, 3), -INF),
+    "imaginary inf": lambda t, bad: _with(t, (bad, 2), complex(0.0, INF)),
+    "nan and inf": lambda t, bad: _with(_with(t, (bad, 1), INF), (bad, 0), NAN),
+    "squares overflow": lambda t, bad: _with(t, (bad, 2), 1e200),
+    "every square overflows": lambda t, bad: _with(t, bad, 1e160 * t[bad]),
+    "largest finite": lambda t, bad: _with(t, (bad, 0), complex(1.7e308, -1.7e308)),
+    "not normalized": lambda t, bad: _with(t, bad, 1.1 * t[bad]),
+    "just inside the tolerance": lambda t, bad: _with(t, bad, (1.0 + 4e-11) * t[bad]),
+    "zero row": lambda t, bad: _with(t, bad, 0.0),
+    "wrong width": lambda t, bad: t[:, :3],
+    "wrong width and nan": lambda t, bad: _with(t[:, :2].copy(), (bad, 0), NAN),
+    "wrong width and overflow": lambda t, bad: _with(t[:, :2].copy(), (bad, 0), 1e200),
+    "wider and not normalized": lambda t, bad: np.hstack([t, t]),
+}
+
+DENSITY_SPOILERS = {
+    "valid": lambda s, bad: s,
+    "nan on the diagonal": lambda s, bad: _with(s, (bad, 1, 1), NAN),
+    "nan off the diagonal": lambda s, bad: _with(s, (bad, 0, 3), NAN),
+    "+inf off the diagonal": lambda s, bad: _with(s, (bad, 2, 1), INF),
+    "-inf on the diagonal": lambda s, bad: _with(s, (bad, 3, 3), -INF),
+    "imaginary inf on the diagonal": lambda s, bad: _with(s, (bad, 0, 0), complex(0.0, INF)),
+    "inf at both mirrored entries": lambda s, bad: _with(_with(s, (bad, 0, 1), INF), (bad, 1, 0), INF),
+    "deviation overflows": lambda s, bad: _with(_with(s, (bad, 0, 1), 1e308), (bad, 1, 0), -1e308),
+    "trace sum overflows": lambda s, bad: _with(s, bad, np.diag([1e308, 1e308, -1e308, -1e308])),
+    "not Hermitian": lambda s, bad: _with(s, (bad, 0, 2), s[bad, 0, 2] + 1e-6),
+    "trace 1.5": lambda s, bad: _with(s, bad, 1.5 * s[bad]),
+    "trace just inside the tolerance": lambda s, bad: _with(s, (bad, 0, 0), s[bad, 0, 0] + 5e-11),
+    "negative eigenvalue": lambda s, bad: _with(s, bad, np.diag([1.5, -0.5, 0.0, 0.0])),
+    "wrong shape": lambda s, bad: s[:, :2, :2],
+    "not square": lambda s, bad: s[:, :, :2],
+    "wrong shape and nan": lambda s, bad: _with(s[:, :2, :2].copy(), (bad, 1, 0), NAN),
+}
+
+
+def _state_table(k: int) -> np.ndarray:
+    rng = np.random.default_rng(31 + k)
+    table = rng.normal(size=(k, 4)) + 1j * rng.normal(size=(k, 4))
+    return table / np.linalg.norm(table, axis=1)[:, None]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestValidatorsMatchTheOracle:
+    """The fast validators raise exactly what the step-by-step reference raises.
+
+    Some inputs overflow on purpose; the warnings they raise are the same
+    for the validator and for the reference.
+    """
+
+    @pytest.mark.parametrize("labels", [("a", "b"), ["a", "b"], ("a", "a"), (0, "0")])
+    @pytest.mark.parametrize("k, bad", [(1, 0), (5, 0), (5, 3), (5, 4)])
+    @pytest.mark.parametrize("spoil", list(STATE_SPOILERS), ids=str)
+    def test_states(self, spoil, k, bad, labels):
+        table = STATE_SPOILERS[spoil](_state_table(k), bad)
+        want = _outcome(oracle.checked_states, table, labels)
+        assert _outcome(_checked_states, table, labels) == want
+        if k == 1 and labels == ("a", "b"):
+            assert _outcome(lambda: StateVector(table[0], labels).labels) == want
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_states_on_random_tables(self, k):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            table = rng.normal(size=(k, 1 << n)) + 1j * rng.normal(size=(k, 1 << n))
+            table /= np.linalg.norm(table, axis=1)[:, None]
+            table *= 1.0 + rng.choice([0.0, 1e-12, 5e-11, 2e-10, -3e-10], size=(k, 1))
+            labels = tuple(f"q{i}" for i in range(n))
+            assert _outcome(_checked_states, table, labels) == _outcome(
+                oracle.checked_states, table, labels
+            )
+
+    @pytest.mark.parametrize("labels", [("q", "r"), ("q", "q")])
+    @pytest.mark.parametrize("k, bad", [(1, 0), (5, 0), (5, 2), (5, 4)])
+    @pytest.mark.parametrize("spoil", list(DENSITY_SPOILERS), ids=str)
+    def test_densities(self, rng, spoil, k, bad, labels):
+        stack = np.array([random_density(rng, 2).entries for _ in range(k)])
+        stack = DENSITY_SPOILERS[spoil](stack, bad)
+        want = _outcome(oracle.checked_densities, stack, labels)
+        assert _outcome(_checked_densities, stack, labels) == want
+        if k == 1 and labels == ("q", "r") and stack.shape[1:] == (4, 4):
+            assert _outcome(lambda: DensityMatrix(stack[0], labels).labels) == want
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_densities_with_the_trace_off_by_a_little(self, rng, k, n):
+        # the reported trace keeps every digit of the stacked computation
+        labels = tuple(f"q{i}" for i in range(n))
+        for scale in (1.0 + 2e-10, 1.0 - 3e-7, 1.0 + 1e-3, 3.0):
+            stack = np.array([random_density(rng, n).entries for _ in range(k)])
+            stack[-1] *= scale
+            want = _outcome(oracle.checked_densities, stack, labels)
+            assert want[0] is ValueError and "trace" in want[1]
+            assert _outcome(_checked_densities, stack, labels) == want
+
+
+@pytest.mark.parametrize("n", range(1, 19))
+def test_layout_memo_matches_the_argsort_rule(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(12):
+        k = int(rng.integers(1, n + 1))
+        axes = tuple(int(a) for a in rng.permutation(n)[:k])
+        order, inverse, shape = _layout(n, axes)
+        want = oracle.grouped_order(n, axes)
+        assert list(order) == want
+        assert list(inverse) == oracle.ungrouping_permutation(want).tolist()
+        assert shape == (1 << k, 1 << (n - k))
+        # an ungrouping layout is a full order, and its memo entry is that order's own
+        assert _layout(n, order) == (order, inverse, (1 << n, 1))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_grouped_and_ungrouped_match_the_uncached_layout(n):
+    rng = np.random.default_rng(n)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    for _ in range(6):
+        axes = [int(a) for a in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+        want_order = oracle.grouped_order(n, axes)
+        want = amps.reshape([2] * n).transpose(want_order).reshape(1 << len(axes), -1)
+        matrix, order = _grouped(amps, axes)
+        assert list(order) == want_order
+        assert np.array_equal(matrix, want)
+        back = want.reshape([2] * n).transpose(oracle.ungrouping_permutation(want_order))
+        assert np.array_equal(_ungrouped(matrix, order), back.reshape(-1))
+        assert np.array_equal(_ungrouped(matrix, want_order), amps)
