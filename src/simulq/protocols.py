@@ -274,20 +274,6 @@ def _unlock(lock: Unitary) -> Unitary:
 
 
 @functools.cache
-def _phi_pairs(n: int) -> np.ndarray:
-    """Read-only amplitudes of ``n`` shared pairs ``A1 R1 .. AN RN``, each ``Phi(0,0)``.
-
-    Built once per ``n`` by the ``phi``/``tensor`` chain; ``n`` is at most
-    ``MAX_RECEIVERS`` where the engines call it.
-    """
-    a_labels, r_labels = _numbered("A", n), _numbered("R", n)
-    shared = states.phi(0, 0, (a_labels[0], r_labels[0]))
-    for a, r in zip(a_labels[1:], r_labels[1:]):
-        shared = tensor(shared, states.phi(0, 0, (a, r)))
-    return shared.amplitudes
-
-
-@functools.cache
 def _bell_readout() -> np.ndarray:
     """The conjugated Bell members as a read-only 4x2x2 array, in member order."""
     bell = states.family("bell")
@@ -309,8 +295,9 @@ def _shared_pairs(payloads, lock: Unitary, a_labels, r_labels):
     order.  The rotation is unitary because :class:`~simulq.states.BasisFamily`
     has checked that its four members are orthonormal.
     """
-    labels = tuple(q for pair in zip(a_labels, r_labels) for q in pair)
-    shared = StateVector(_phi_pairs(len(a_labels)), labels)
+    shared = states.phi(0, 0, (a_labels[0], r_labels[0]))
+    for a, r in zip(a_labels[1:], r_labels[1:]):
+        shared = tensor(shared, states.phi(0, 0, (a, r)))
     locked = apply(shared, lock, a_labels)
     matrix = _grouped(locked.amplitudes, [locked.axis_of(a) for a in a_labels])[0]
     readout = _bell_readout()

@@ -134,19 +134,13 @@ def _state_rows(table: np.ndarray, labels: Iterable[str]) -> list[StateVector]:
 def _checked_densities(stack: np.ndarray, labels: Iterable[str]) -> tuple[str, ...]:
     """Validate a ``(k, d, d)`` complex stack of density matrices on one register.
 
-    Every matrix gets the checks of one ``DensityMatrix``, in this order:
-    distinct labels, finite entries, shape ``2^n x 2^n``, Hermitian and trace
-    one within ``ATOL``, and no eigenvalue below ``-ATOL``.  A trace failure
-    reports the matrix furthest from trace one.  Returns the labels.
-
-    As in :func:`_checked_states`, finiteness is read off the sum of squares
-    of all entries, and the entrywise pass runs only when that sum is not
-    finite.  A single matrix is judged with scalar arithmetic on its trace.
+    Every matrix gets the checks of one ``DensityMatrix``: distinct labels,
+    finite entries, shape ``2^n x 2^n``, Hermitian and trace one within
+    ``ATOL``, and no eigenvalue below ``-ATOL``.  A trace failure reports the
+    matrix furthest from trace one.  Returns the labels.
     """
     labels = _check_labels(labels)
-    flat = np.ascontiguousarray(stack, dtype=np.complex128).reshape(-1).view(np.float64)
-    if not math.isfinite(flat @ flat):
-        _require_finite(stack, "entries")
+    _require_finite(stack, "entries")
     dim = 1 << len(labels)
     if stack.shape[1:] != (dim, dim):
         raise ValueError(
@@ -154,13 +148,6 @@ def _checked_densities(stack: np.ndarray, labels: Iterable[str]) -> tuple[str, .
         )
     if np.abs(stack - stack.conj().swapaxes(1, 2)).max() > ATOL:
         raise ValueError("density matrix is not Hermitian")
-    if len(stack) == 1:
-        tr = stack[0].trace()
-        if abs(tr - 1.0) > ATOL:
-            raise ValueError(f"density matrix has trace {complex(tr)!r}, expected 1")
-        if np.linalg.eigvalsh(stack[0])[0] < -ATOL:
-            raise ValueError("density matrix has a negative eigenvalue")
-        return labels
     tr = stack.trace(axis1=1, axis2=2)
     dev = np.abs(tr - 1.0)
     worst = dev.argmax()

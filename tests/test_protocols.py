@@ -415,15 +415,7 @@ def test_unlock_is_built_once_per_lock(rng):
     assert protocols._unlock(lock) is unlock
 
 
-def test_shared_pair_constants_are_built_once():
-    for n in range(1, MAX_RECEIVERS + 1):
-        amps = protocols._phi_pairs(n)
-        assert protocols._phi_pairs(n) is amps
-        chain = states.phi(0, 0, ("A1", "R1"))
-        for i in range(2, n + 1):
-            chain = tensor(chain, states.phi(0, 0, (f"A{i}", f"R{i}")))
-        assert np.array_equal(amps.view(np.float64), chain.amplitudes.view(np.float64))
-        assert not amps.flags.writeable
+def test_bell_readout_is_built_once():
     readout = protocols._bell_readout()
     assert protocols._bell_readout() is readout
     members = [m.amplitudes.conj() for m in states.family("bell").members.values()]
