@@ -131,43 +131,30 @@ def _state_rows(table: np.ndarray, labels: Iterable[str]) -> list[StateVector]:
     return out
 
 
-def _checked_densities(stack: np.ndarray, labels: Iterable[str]) -> tuple[str, ...]:
-    """Validate a ``(k, d, d)`` complex stack of density matrices on one register.
-
-    Every matrix gets the checks of one ``DensityMatrix``: distinct labels,
-    finite entries, shape ``2^n x 2^n``, Hermitian and trace one within
-    ``ATOL``, and no eigenvalue below ``-ATOL``.  A trace failure reports the
-    matrix furthest from trace one.  Returns the labels.
-    """
-    labels = _check_labels(labels)
-    _require_finite(stack, "entries")
-    dim = 1 << len(labels)
-    if stack.shape[1:] != (dim, dim):
-        raise ValueError(
-            f"{len(labels)} labels require a {dim}x{dim} matrix, got {stack.shape[1:]}"
-        )
-    if np.abs(stack - stack.conj().swapaxes(1, 2)).max() > ATOL:
-        raise ValueError("density matrix is not Hermitian")
-    tr = stack.trace(axis1=1, axis2=2)
-    dev = np.abs(tr - 1.0)
-    worst = dev.argmax()
-    if dev[worst] > ATOL:
-        raise ValueError(f"density matrix has trace {complex(tr[worst])!r}, expected 1")
-    if np.linalg.eigvalsh(stack)[:, 0].min() < -ATOL:
-        raise ValueError("density matrix has a negative eigenvalue")
-    return labels
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A Hermitian, positive semidefinite, trace-one operator on a register."""
+    """A Hermitian, positive semidefinite, trace-one operator on a register.
+
+    Checked in this order: distinct labels, finite entries, shape ``2^n x 2^n``,
+    Hermitian and trace one within ``ATOL``, no eigenvalue below ``-ATOL``."""
 
     entries: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         mat = np.array(self.entries, dtype=np.complex128)
-        labels = _checked_densities(mat[None], self.labels)
+        labels = _check_labels(self.labels)
+        _require_finite(mat, "entries")
+        dim = 1 << len(labels)
+        if mat.shape != (dim, dim):
+            raise ValueError(f"{len(labels)} labels require a {dim}x{dim} matrix, got {mat.shape}")
+        if np.abs(mat - mat.conj().T).max() > ATOL:
+            raise ValueError("density matrix is not Hermitian")
+        tr = mat.trace()
+        if abs(tr - 1.0) > ATOL:
+            raise ValueError(f"density matrix has trace {complex(tr)!r}, expected 1")
+        if np.linalg.eigvalsh(mat)[0] < -ATOL:
+            raise ValueError("density matrix has a negative eigenvalue")
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
         object.__setattr__(self, "labels", labels)

@@ -2,11 +2,12 @@
 
 ``classify_teleportation_per_branch`` is the classifier that
 ``simulq.analysis._classify_teleportation`` used before its views were
-computed on stacked branch tables: it builds one ``partial_trace`` (a fully
-validated ``DensityMatrix``) per receiver, branch and payload pair, averages
-them in Python, and compares the views pair by pair with
-``max_pairwise_diff_loop``.  It is slow but follows the definition step by
-step, so the differential tests compare the classifier against it.
+computed on stacked branch tables, and then from each receiver's site block:
+it builds one ``partial_trace`` (a fully validated ``DensityMatrix``) per
+receiver, branch and payload pair, averages them in Python, and compares the
+views pair by pair with ``max_pairwise_diff_loop``.  It is slow but follows
+the definition step by step, so the differential tests compare the
+classifier against it.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from simulq.analysis import (
     verify_counterexample,
     verify_theorem,
 )
-from simulq.qlinalg import Unitary
+from simulq.qlinalg import ATOL, Unitary
 from tests.classify_oracle import classify_teleportation_per_branch, max_pairwise_diff_loop
 from tests.conftest import random_unitary
 
@@ -189,18 +189,70 @@ class TestClassifierTeleportation:
             classify_locking_unitary(gates.qft(2), "teleportation", channel="ghz")
 
 
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_Z = np.diag([1.0, -1.0])
+_PAULI_XYZ = (_X, _Y, _Z)
+
+
+def clifford_word(rng, n: int = 2, length: int = 24) -> Unitary:
+    """A random word of H and S on single qubits and, for n > 1, CNOTs on ordered qubit pairs."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    s = np.diag([1.0, 1.0j])
+    mat = np.eye(1 << n, dtype=complex)
+    for _ in range(length):
+        kind = rng.integers(3 if n > 1 else 2)
+        if kind < 2:
+            q = int(rng.integers(n))
+            gate = np.kron(np.kron(np.eye(1 << q), (h, s)[kind]), np.eye(1 << (n - 1 - q)))
+        else:
+            c, t = (int(q) for q in rng.choice(n, size=2, replace=False))
+            gate = np.zeros((1 << n, 1 << n))
+            for col in range(1 << n):
+                flip = (col >> (n - 1 - c)) & 1
+                gate[col ^ (flip << (n - 1 - t)), col] = 1.0
+        mat = gate @ mat
+    return Unitary(mat)
+
+
+def weyl_gate(c1: float, c2: float, c3: float) -> np.ndarray:
+    """The canonical two-qubit gate ``exp(i (c1 XX + c2 YY + c3 ZZ))``."""
+    generator = sum(c * np.kron(p, p) for c, p in zip((c1, c2, c3), _PAULI_XYZ))
+    vals, vecs = np.linalg.eigh(generator)
+    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+
+
+def dressed_weyl(rng, c1: float, c2: float, c3: float) -> Unitary:
+    """A Weyl gate between two layers of Haar-random single-qubit gates."""
+    def local():
+        return np.kron(random_unitary(rng, 1).entries, random_unitary(rng, 1).entries)
+
+    return Unitary(local() @ weyl_gate(c1, c2, c3) @ local())
+
+
 def _base_lock(name: str, seed: int) -> Unitary:
     if name == "qft":
         return gates.qft(2)
     if name == "ulock":
         return gates.lock_operator()
-    return random_unitary(np.random.default_rng(seed), 2)
+    rng = np.random.default_rng(seed)
+    if name == "clifford":
+        return clifford_word(rng)
+    if name == "weyl_face":
+        return dressed_weyl(rng, np.pi / 4, np.pi / 4, rng.uniform(0.0, np.pi / 4))
+    if name == "weyl_off_face":
+        # the Weyl chamber pi/4 >= c1 >= c2 >= |c3|, away from c1 = c2 = pi/4
+        c1, c2, c3 = sorted(rng.uniform(0.0, np.pi / 4 - 0.05, size=3), reverse=True)
+        return dressed_weyl(rng, c1, c2, c3 * rng.choice((-1.0, 1.0)))
+    return random_unitary(rng, 2)
 
 
 class TestTeleportClassifierAgainstPerBranch:
-    """The stacked teleportation classifier against the per-branch reference."""
+    """The site-block teleportation classifier against the per-branch reference."""
 
-    @pytest.mark.parametrize("name", ["qft", "ulock", "haar"])
+    @pytest.mark.parametrize(
+        "name", ["qft", "ulock", "haar", "clifford", "weyl_face", "weyl_off_face"]
+    )
     @settings(max_examples=2, deadline=None)
     @example(phase=0.0, seed=0)
     @given(phase=st.floats(0.0, 2 * np.pi), seed=st.integers(0, 2**32 - 1))
@@ -265,3 +317,90 @@ def test_a_verdict_builds_each_inverse_once(unitary_validations):
         # one adjoint for 16 dense runs, one unlock for 36 enumerations
         assert unitary_validations(lambda: classify_locking_unitary(lock, task)) <= 1
         assert unitary_validations(lambda: classify_locking_unitary(lock, task)) == 0
+
+
+def _site_block_by_definition(u: Unitary, i: int) -> np.ndarray:
+    """``Re Tr(U^H sigma_a^(i) U sigma_b^(i)) / 2^n`` with each Pauli padded by ``np.kron``."""
+    n = u.n_qubits
+
+    def at_i(p):
+        return np.kron(np.kron(np.eye(1 << i), p), np.eye(1 << (n - 1 - i)))
+
+    mat = u.entries
+    traces = [
+        [np.trace(mat.conj().T @ at_i(a) @ mat @ at_i(b)) for b in _PAULI_XYZ] for a in _PAULI_XYZ
+    ]
+    return np.real(traces) / u.dim
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_site_blocks_match_the_trace_definition(n):
+    rng = np.random.default_rng(40 + n)
+    for u in (random_unitary(rng, n), clifford_word(rng, n), gates.qft(n)):
+        blocks = analysis._site_blocks(u)
+        assert blocks.shape == (n, 3, 3)
+        for i in range(n):
+            np.testing.assert_allclose(blocks[i], _site_block_by_definition(u, i), atol=1e-13)
+
+
+def test_site_blocks_of_a_weyl_gate_are_its_cosine_products():
+    # the canonical gate's blocks are diagonal, and zero exactly when c1 = c2 = pi/4
+    for c1, c2, c3 in ((0.3, 0.2, -0.1), (np.pi / 4, np.pi / 4, 0.2), (np.pi / 4, 0.5, 0.0)):
+        cos = np.cos(2 * np.array([c1, c2, c3]))
+        want = np.diag([cos[1] * cos[2], cos[0] * cos[2], cos[0] * cos[1]])
+        for block in analysis._site_blocks(Unitary(weyl_gate(c1, c2, c3))):
+            np.testing.assert_allclose(block, want, atol=1e-13)
+
+
+# max|B| of the middle receiver of qft(N) for odd N, to three digits
+_QFT_MIDDLE_LEAK = {1: 1.0, 3: 0.5, 5: 0.604, 7: 0.628, 9: 0.635}
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_qft_leaks_through_the_middle_receiver_only_for_odd_n(n):
+    leaks = np.abs(analysis._site_blocks(gates.qft(n))).max(axis=(1, 2))
+    if n % 2 == 0:
+        assert leaks.max() < ATOL
+    else:
+        middle = (n - 1) // 2
+        assert round(float(leaks[middle]), 3) == _QFT_MIDDLE_LEAK[n]
+        assert np.delete(leaks, middle).max(initial=0.0) < ATOL
+
+
+@pytest.mark.parametrize(
+    "name, verdicts",
+    [("weyl_face", {True}), ("weyl_off_face", {False}), ("clifford", {True, False})],
+)
+def test_lock_families_give_the_expected_verdicts(name, verdicts):
+    # a dressed Weyl gate hides the payloads exactly on the c1 = c2 = pi/4 face, where
+    # its blocks vanish; short Clifford words land on both sides
+    seen = {
+        classify_locking_unitary(_base_lock(name, seed), "teleportation").valid_lock
+        for seed in range(10)
+    }
+    assert seen == verdicts
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record each call of ``analysis.<name>`` while still making it."""
+    original = getattr(analysis, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, name, counting)
+    return calls
+
+
+def test_verdicts_still_run_the_end_to_end_protocols(monkeypatch):
+    # the benchmark's reach counters need a teleportation verdict to enumerate
+    # all 36 probe pairs and a dense verdict to run all 16 encodings
+    enumerations = _count_calls(monkeypatch, "enumerate_teleportation_with_lock")
+    transcripts = _count_calls(monkeypatch, "run_dense_coding_with_lock")
+    lock = gates.qft(2)
+    classify_locking_unitary(lock, "teleportation")
+    assert (len(enumerations), len(transcripts)) == (36, 0)
+    classify_locking_unitary(lock, "dense_coding")
+    assert (len(enumerations), len(transcripts)) == (36, 16)

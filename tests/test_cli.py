@@ -112,6 +112,35 @@ def test_run_teleport_renormalizes_with_warning(capsys, tmp_path):
     assert "renormalized" in err
 
 
+@pytest.mark.parametrize(
+    "states, norm",
+    [([[1e-200, 1e-200], [1, 0]], "1.41421e-200"), ([[1e-170, 0], [1, 0]], "1e-170")],
+)
+def test_run_teleport_renormalizes_tiny_payloads(capsys, tmp_path, states, norm):
+    # sum|amp|^2 underflows to 0, yet the payload is not the zero vector
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(states))
+    code, out, err = run_cli(capsys, "run", "--teleport", "qft", "--n", "2", "--states", str(f))
+    assert code == 0
+    assert err == f"warning: payload 1 renormalized (norm was {norm})\n"
+    assert all(abs(v - 1.0) < 1e-10 for v in json.loads(out)["outcomes"]["fidelities"].values())
+
+
+@pytest.mark.parametrize(
+    "states, message",
+    [
+        ([[0, [0, 0]], [1, 0]], "payload 1 is the zero vector"),
+        ([[1, 0], [{"re": 0}, 0.0]], "payload 2 is the zero vector"),
+        ([[1e308, 1e308], [1, 0]], "payload 1 is too large to normalize: sum|amp|^2 overflows"),
+    ],
+)
+def test_run_teleport_rejects_zero_and_overflowing_payloads(capsys, tmp_path, states, message):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(states))
+    code, out, err = run_cli(capsys, "run", "--teleport", "qft", "--n", "2", "--states", str(f))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_run_usage_errors(capsys):
     # missing --bits with a dense protocol
     code, _, err = run_cli(capsys, "run", "--protocol", "bell")

@@ -14,7 +14,6 @@ from simulq.qlinalg import (
     DensityMatrix,
     StateVector,
     Unitary,
-    _checked_densities,
     _checked_states,
     _grouped,
     _layout,
@@ -302,10 +301,22 @@ class TestStateRows:
 
 
 class TestCheckedDensities:
-    """The stacked density checks raise what the constructor raises for one matrix."""
+    """The constructor checks each one-qubit matrix of a stack as the reference checks
+    that matrix alone: a spoiled one is refused with the same message, the rest accepted."""
 
     def _stack(self, rng, k=5):
         return np.array([random_density(rng, 1).entries for _ in range(k)])
+
+    @staticmethod
+    def _outcomes(stack, labels):
+        """Each matrix's outcome in the constructor and in the reference, side by side."""
+        return [
+            (
+                _outcome(lambda: DensityMatrix(mat, labels).labels),
+                _outcome(oracle.checked_densities, mat[None], labels),
+            )
+            for mat in stack
+        ]
 
     @pytest.mark.parametrize("bad", [0, 2, 4])
     @pytest.mark.parametrize(
@@ -320,17 +331,19 @@ class TestCheckedDensities:
     def test_bad_matrix_has_the_constructor_message(self, rng, bad, spoil):
         stack = self._stack(rng)
         stack[bad] = spoil(stack[bad])
-        want = _message(lambda: DensityMatrix(stack[bad], ("q",)))
-        assert _message(lambda: _checked_densities(stack, ("q",))) == want
+        outcomes = self._outcomes(stack, ("q",))
+        assert all(got == want for got, want in outcomes)
+        refused = [j for j, (got, _) in enumerate(outcomes) if got[0] is ValueError]
+        assert refused == [bad]
 
     def test_valid_stack_passes(self, rng):
         stack = self._stack(rng)
-        assert _checked_densities(stack, ["q"]) == ("q",)
+        assert self._outcomes(stack, ["q"]) == [(("accepted", ("q",)),) * 2] * len(stack)
 
     def test_wrong_shape_has_the_constructor_message(self, rng):
         stack = self._stack(rng)
-        want = _message(lambda: DensityMatrix(stack[0], ("q", "r")))
-        assert _message(lambda: _checked_densities(stack, ("q", "r"))) == want
+        for got, want in self._outcomes(stack, ("q", "r")):
+            assert got == want == (ValueError, "2 labels require a 4x4 matrix, got (2, 2)")
 
 
 def _outcome(check, *args):
@@ -432,24 +445,26 @@ class TestValidatorsMatchTheOracle:
     @pytest.mark.parametrize("k, bad", [(1, 0), (5, 0), (5, 2), (5, 4)])
     @pytest.mark.parametrize("spoil", list(DENSITY_SPOILERS), ids=str)
     def test_densities(self, rng, spoil, k, bad, labels):
+        # the constructor judges each matrix of the stack as the reference judges it alone
         stack = np.array([random_density(rng, 2).entries for _ in range(k)])
         stack = DENSITY_SPOILERS[spoil](stack, bad)
-        want = _outcome(oracle.checked_densities, stack, labels)
-        assert _outcome(_checked_densities, stack, labels) == want
-        if k == 1 and labels == ("q", "r") and stack.shape[1:] == (4, 4):
-            assert _outcome(lambda: DensityMatrix(stack[0], labels).labels) == want
+        for mat in stack:
+            want = _outcome(oracle.checked_densities, mat[None], labels)
+            assert _outcome(lambda: DensityMatrix(mat, labels).labels) == want
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_densities_with_the_trace_off_by_a_little(self, rng, k, n):
-        # the reported trace keeps every digit of the stacked computation
+        # the reported trace keeps every digit of the reference's computation
         labels = tuple(f"q{i}" for i in range(n))
         for scale in (1.0 + 2e-10, 1.0 - 3e-7, 1.0 + 1e-3, 3.0):
             stack = np.array([random_density(rng, n).entries for _ in range(k)])
             stack[-1] *= scale
-            want = _outcome(oracle.checked_densities, stack, labels)
+            want = _outcome(oracle.checked_densities, stack[-1:], labels)
             assert want[0] is ValueError and "trace" in want[1]
-            assert _outcome(_checked_densities, stack, labels) == want
+            assert _outcome(lambda: DensityMatrix(stack[-1], labels)) == want
+            for mat in stack[:-1]:
+                assert _outcome(lambda: DensityMatrix(mat, labels).labels) == ("accepted", labels)
 
 
 @pytest.mark.parametrize("n", range(1, 19))

@@ -3,10 +3,12 @@
 ``checked_states`` and ``checked_densities`` are ``simulq.qlinalg``'s
 ``_checked_states`` and ``_checked_densities`` as they were before the
 validators learned to read non-finite entries off quantities they compute
-anyway and to check a single row or matrix with scalar arithmetic.  Each
-check is a separate stack reduction, in the order the constructors document,
-so the differential tests require the fast validators to raise the same
-exception with the same message on every input, and to accept the same ones.
+anyway and to check a single row or matrix with scalar arithmetic, and
+before the density checks moved into the ``DensityMatrix`` constructor.
+Each check is a separate stack reduction, in the order the constructors
+document, so the differential tests require ``_checked_states`` and the
+constructor to raise the same exception with the same message on every
+input, and to accept the same ones.
 
 ``grouped_order`` and ``ungrouping_permutation`` are the register layout
 that ``qlinalg._grouped`` and ``qlinalg._ungrouped`` computed on every call
