@@ -257,7 +257,7 @@ def verify_theorem(channel: str) -> LockingReport:
     return _dense_report(channel, gates.qft(2), "qft", theorem=True)
 
 
-def verify_counterexample(seed=1789, shots: int = SUPPORT_SHOTS) -> LockingReport:
+def verify_counterexample(seed=1789) -> LockingReport:
     """Show that the Hadamard--CNOT operator fails to lock dense coding.
 
     On the Bell channel, Bob's intercepted view depends on (exactly) his
@@ -309,7 +309,7 @@ def verify_counterexample(seed=1789, shots: int = SUPPORT_SHOTS) -> LockingRepor
         )
         correct = total = 0
         for bits, rho in sub_views.items():
-            for _ in range(shots):
+            for _ in range(SUPPORT_SHOTS):
                 inside = sample_projective(rho, analysis.projector, rng)
                 predicted = 0 if inside else 1
                 correct += predicted == bits[bit_idx]

@@ -80,23 +80,23 @@ def _load_payloads(path: str, n: int) -> tuple[StateVector, ...]:
         parts = vec.view(np.float64)
         if not parts.any():
             raise ValueError(f"payload {i + 1} is the zero vector")
-        # Dividing by a power of two near the largest part is exact, so the scaled
-        # sum|amp|^2 cannot underflow, and where the unscaled sum would not, the
-        # quotient below has the bits of vec / np.linalg.norm(vec).
-        exp = math.frexp(np.abs(parts).max())[1]
-        unit = np.ldexp(parts, -exp).view(complex)
-        sq = unit.real @ unit.real + unit.imag @ unit.imag  # summed as np.linalg.norm sums
         with np.errstate(over="ignore"):
-            if not np.isfinite(np.ldexp(sq, 2 * exp)):
-                raise ValueError(f"payload {i + 1} is too large to normalize: sum|amp|^2 overflows")
-        scaled_norm = math.sqrt(sq)
-        norm = math.ldexp(scaled_norm, exp)
-        if abs(norm - 1.0) > 1e-6:
+            norm = float(np.linalg.norm(vec))
+        if not math.isfinite(norm):
+            raise ValueError(f"payload {i + 1} is too large to normalize: sum|amp|^2 overflows")
+        exp = 0
+        if norm < math.sqrt(sys.float_info.min):
+            # sum|amp|^2 underflowed: scaling up by a power of two first is exact
+            exp = math.frexp(np.abs(parts).max())[1]
+            vec = np.ldexp(parts, -exp).view(complex)
+            norm = float(np.linalg.norm(vec))
+        unscaled = math.ldexp(norm, exp)
+        if abs(unscaled - 1.0) > 1e-6:
             print(
-                f"warning: payload {i + 1} renormalized (norm was {norm:.6g})",
+                f"warning: payload {i + 1} renormalized (norm was {unscaled:.6g})",
                 file=sys.stderr,
             )
-        payloads.append(StateVector(unit / scaled_norm, (f"T{i + 1}",)))
+        payloads.append(StateVector(vec / norm, (f"T{i + 1}",)))
     return tuple(payloads)
 
 

@@ -171,7 +171,7 @@ def test_criterion_5_hadamard_cnot_lock_leaks_bobs_first_bit():
         if a[0] == b[0]
     )
     overlap = abs(float(np.real(np.trace(rho_b0 @ rho_b1))))
-    report = verify_counterexample(seed=20240817, shots=25)
+    report = verify_counterexample(seed=20240817)
     accuracy = report.notes["measurement_accuracy"]["b1"]
     ok = (
         form_dev <= 1e-10
@@ -281,7 +281,7 @@ def test_criterion_9_identical_seeds_are_byte_identical():
         return json.dumps(t.to_dict(include_snapshots=True), sort_keys=True)
 
     def verify_blob() -> str:
-        return json.dumps(verify_counterexample(seed=5, shots=5).to_dict(), sort_keys=True)
+        return json.dumps(verify_counterexample(seed=5).to_dict(), sort_keys=True)
 
     ok = (
         dense_blob() == dense_blob()

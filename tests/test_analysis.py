@@ -97,7 +97,7 @@ class TestCounterexample:
         assert report.end_to_end_correct  # decoding still works end to end
 
     def test_support_measurement_is_perfect(self):
-        report = verify_counterexample(seed=7, shots=10)
+        report = verify_counterexample(seed=7)
         assert report.notes["measurement_accuracy"] == {"b1": 1.0, "c2": 1.0}
 
     def test_bob_evidence_details(self):
@@ -119,7 +119,8 @@ class TestCounterexample:
             return sample(rho, projector, rng)
 
         monkeypatch.setattr(analysis, "sample_projective", spy)
-        verify_counterexample(seed=3, shots=1)
+        monkeypatch.setattr(analysis, "SUPPORT_SHOTS", 1)
+        verify_counterexample(seed=3)
         assert seen == {("A1", "B"), ("A2", "C")}
 
 
