@@ -390,7 +390,7 @@ def _classify_teleportation(u: Unitary) -> LockingReport:
         per_subsystem={},
         end_to_end_correct=bool(min_fidelity >= 1.0 - ATOL),
     )
-    for r, block in zip(branches[0].pre_unlock_state.labels, _site_blocks(u)):
+    for r, block in zip(branches[0].receivers, _site_blocks(u)):
         bloch = _PROBE_BLOCH @ block
         worst = _largest_entry(bloch[:, None] - bloch[None, :])
         report.per_subsystem[r] = SubsystemReport(

@@ -66,9 +66,16 @@ def _born_draw(rows: np.ndarray, family: BasisFamily, targets: tuple, rng):
     Returns the drawn index, its probability and the row normalised.  Both
     samplers draw here: :func:`measure_in_family` and the sampled
     teleportation run, so a seed gives one sequence of outcomes.
+
+    The draw is the one ``rng.choice(4, p=p)`` makes, without its argument
+    checks: one ``rng.random()`` looked up in the cumulative sum of ``p``
+    scaled to end at 1.  So it takes the same outcome and leaves the
+    generator in the same state.
     """
     probs = _born_weights(rows, family, targets)
-    pick = rng.choice(4, p=probs / probs.sum())
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    pick = int(cdf.searchsorted(rng.random(), side="right"))
     return pick, float(probs[pick]), rows[pick] / np.linalg.norm(rows[pick])
 
 

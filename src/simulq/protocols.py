@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .qlinalg import (
     _derived,
     _grouped,
     _jsonable,
-    _state_rows,
+    _StateTable,
     _ungrouped,
     apply,
     fidelity,
@@ -117,10 +118,15 @@ class TeleportInput:
                 f"{self.n_receivers} receivers need {self.n_receivers} payloads,"
                 f" got {len(payloads)}"
             )
-        for p in payloads:
-            if p.n_qubits != 1:
-                raise ValueError("payloads must be single-qubit states")
+        _check_payloads(payloads)
         object.__setattr__(self, "payloads", payloads)
+
+
+def _check_payloads(payloads) -> None:
+    """Refuse payloads that are not single-qubit states, for both teleportation entry points."""
+    for p in payloads:
+        if p.n_qubits != 1:
+            raise ValueError("payloads must be single-qubit states")
 
 
 @dataclass
@@ -220,21 +226,38 @@ def run_dense_coding_with_lock(
 # --- teleportation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TeleportBranch:
+class TeleportBranch(NamedTuple):
     """One joint Bell-measurement branch of a teleportation run.
 
     ``pre_unlock_state`` is the receiver register right after the sender's
     measurements collapse it (before any classical message is used);
     ``corrected_state`` is the same register after unlock and per-receiver
     correction, which should equal the payload product up to global phase.
+
+    A branch stores its results, probability and fidelities.  Its two states
+    are row ``row`` of the enumeration's two shared ``tables`` (pre-unlock,
+    corrected), each validated once for all branches; a state is built when
+    it is read, as a read-only view of its row.
     """
 
     results: tuple[gates.EncodedBits, ...]
     probability: float
-    pre_unlock_state: StateVector
-    corrected_state: StateVector
     fidelities: tuple[float, ...]
+    row: int
+    tables: tuple[_StateTable, _StateTable]
+
+    @property
+    def pre_unlock_state(self) -> StateVector:
+        return self.tables[0][self.row]
+
+    @property
+    def corrected_state(self) -> StateVector:
+        return self.tables[1][self.row]
+
+    @property
+    def receivers(self) -> tuple[str, ...]:
+        """The receiver labels, read without building a state."""
+        return self.tables[0].labels
 
 
 _TWO_RECEIVERS = ("B", "C")
@@ -463,8 +486,11 @@ def enumerate_teleportation_with_lock(
     probabilities (each exactly ``4^-N``, since the sender halves are
     maximally mixed), the unlock is one matrix product on the normalised
     rows, the per-receiver corrections are one signed gather, and the
-    fidelities act on all rows at once.  At most ``MAX_RECEIVERS`` receivers
-    are accepted.
+    fidelities act on all rows at once.  The normalised table and the
+    corrected one are each validated once, as a whole, and every branch is a
+    :class:`TeleportBranch` record pointing at its row of both.  At most
+    ``MAX_RECEIVERS`` receivers are accepted, and every payload must be a
+    single-qubit state.
     """
     payloads = tuple(payloads)
     n = len(payloads)
@@ -474,6 +500,7 @@ def enumerate_teleportation_with_lock(
         )
     if lock.dim != 1 << n:
         raise ValueError(f"{n} receivers need a {1 << n}-dimensional lock")
+    _check_payloads(payloads)
     _, a_labels, r_labels = _teleport_labels(n, receiver_labels)
 
     bell = states.family("bell")
@@ -493,19 +520,25 @@ def enumerate_teleportation_with_lock(
     for i, payload in enumerate(payloads):
         split = corrected.reshape(4**n, 2**i, 2, 2 ** (n - 1 - i))
         p0, p1 = payload.amplitudes.conj()
-        overlap = p0 * split[:, :, 0] + p1 * split[:, :, 1]
-        fids[:, i] = np.sum(np.abs(overlap) ** 2, axis=(1, 2))
+        overlap = p0 * split[:, :, 0]
+        overlap += p1 * split[:, :, 1]
+        weights = np.abs(overlap)
+        weights *= weights
+        fids[:, i] = np.sum(weights, axis=(1, 2))
 
-    return [
-        TeleportBranch(results, prob, pre, post, tuple(f))
-        for results, prob, pre, post, f in zip(
-            itertools.product(outcomes, repeat=n),
-            (norms**2).tolist(),
-            _state_rows(table, r_labels),
-            _state_rows(corrected, r_labels),
-            fids.tolist(),
+    tables = (_StateTable(table, r_labels), _StateTable(corrected, r_labels))
+    return list(
+        map(
+            TeleportBranch._make,
+            zip(
+                itertools.product(outcomes, repeat=n),
+                (norms**2).tolist(),
+                map(tuple, fids.tolist()),
+                range(4**n),
+                itertools.repeat(tables),
+            ),
         )
-    ]
+    )
 
 
 def enumerate_teleportation(inp: TeleportInput) -> list[TeleportBranch]:

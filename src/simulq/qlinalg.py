@@ -113,22 +113,27 @@ class StateVector:
             ) from None
 
 
-def _state_rows(table: np.ndarray, labels: Iterable[str]) -> list[StateVector]:
-    """One ``StateVector`` per row of a ``(k, 2^n)`` complex amplitude table.
+class _StateTable:
+    """A ``(k, 2^n)`` complex amplitude table, one state per row, checked once.
 
-    The table is validated once, with the constructor's checks and messages,
-    and then frozen in place: each state's amplitudes are a read-only view of
-    its row, so the caller hands the table over.
+    The table is validated with the constructor's checks and messages and
+    then frozen in place, so the caller hands it over.  ``table[i]`` is the
+    ``StateVector`` of row ``i``, built when asked for: its amplitudes are a
+    read-only view of the row, with no copy and no check repeated.
     """
-    labels = _checked_states(table, labels)
-    table.setflags(write=False)
-    out = []
-    for row in table:
+
+    __slots__ = ("amplitudes", "labels")
+
+    def __init__(self, table: np.ndarray, labels: Iterable[str]) -> None:
+        self.labels = _checked_states(table, labels)
+        table.setflags(write=False)
+        self.amplitudes = table
+
+    def __getitem__(self, row: int) -> StateVector:
         state = object.__new__(StateVector)
-        object.__setattr__(state, "amplitudes", row)
-        object.__setattr__(state, "labels", labels)
-        out.append(state)
-    return out
+        object.__setattr__(state, "amplitudes", self.amplitudes[row])
+        object.__setattr__(state, "labels", self.labels)
+        return state
 
 
 @dataclass(frozen=True)

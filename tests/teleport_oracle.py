@@ -17,13 +17,14 @@ transcript.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from simulq import gates, states
 from simulq.measurement import measure_in_family, resolve_rng
 from simulq.protocols import (
     ProtocolTranscript,
-    TeleportBranch,
     TeleportInput,
     _teleport_labels,
     _teleport_layout,
@@ -39,6 +40,17 @@ from simulq.qlinalg import (
     partial_trace,
     tensor,
 )
+
+
+@dataclass(frozen=True)
+class WalkBranch:
+    """One branch of the reference walk, under the attribute names of ``TeleportBranch``."""
+
+    results: tuple[gates.EncodedBits, ...]
+    probability: float
+    pre_unlock_state: StateVector
+    corrected_state: StateVector
+    fidelities: tuple[float, ...]
 
 
 def _teleport_initial(payloads, t_labels, a_labels, r_labels) -> StateVector:
@@ -110,7 +122,7 @@ def sample_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
 
 def walk_teleportation_with_lock(
     payloads, lock: Unitary, unlock: Unitary, receiver_labels=None
-) -> list[TeleportBranch]:
+) -> list[WalkBranch]:
     """Exhaustively enumerate every joint Bell branch for an arbitrary lock.
 
     ``payloads`` is one single-qubit state per receiver; ``lock`` acts on the
@@ -158,5 +170,5 @@ def walk_teleportation_with_lock(
             fidelity(payloads[i], partial_trace(corrected, (r,)))
             for i, r in enumerate(r_labels)
         )
-        branches.append(TeleportBranch(results, prob, pre_unlock, corrected, fids))
+        branches.append(WalkBranch(results, prob, pre_unlock, corrected, fids))
     return branches

@@ -44,7 +44,13 @@ def _ops(workload: str, prefix: str, workdir: Path):
 
 
 @pytest.mark.parametrize(
-    "workload, prefix", [("verify_claims", "teleport:"), ("teleport_enum", "enum:qftN:n=4")]
+    "workload, prefix",
+    [
+        ("verify_claims", "teleport:"),
+        ("teleport_enum", "enum:qftN:n=4"),
+        ("teleport_enum", "enum:qftN:n=5"),
+        ("teleport_enum", "enum:qftN:n=6"),
+    ],
 )
 def test_pinned_ops_pass_their_checks(workload, prefix, tmp_path):
     for op in _ops(workload, prefix, tmp_path):

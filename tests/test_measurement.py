@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from simulq import states
 from simulq.measurement import (
     ProtocolViolation,
+    _born_draw,
     enumerate_branches,
     measure_in_family,
     sample_projective,
@@ -26,6 +27,37 @@ def test_measuring_a_family_member_is_deterministic():
         assert out.label == bits
         assert out.probability == pytest.approx(1.0, abs=1e-12)
         assert_allclose(out.post_state.amplitudes, member.amplitudes, atol=1e-12)
+
+
+def _draw_weights(kind: str, rng) -> np.ndarray:
+    if kind == "one-hot":
+        return np.eye(4)[rng.integers(4)]
+    if kind == "split":
+        w = rng.random(4) * (rng.random(4) < 0.7)
+        w[rng.integers(4)] += 0.1
+        return w / w.sum()
+    w = rng.random(4)
+    return w * (1.0 + rng.uniform(-1e-11, 1e-11)) / w.sum()
+
+
+@pytest.mark.parametrize("kind", ["one-hot", "split", "sum within 1e-11 of 1"])
+def test_born_draw_takes_what_generator_choice_takes(kind):
+    # the direct draw must keep the random stream: same outcome, same
+    # generator state afterwards, as ``rng.choice`` on the normalised weights
+    fam = states.family("bell")
+    for seed in range(400):
+        setup = np.random.default_rng([seed, 7])
+        w = _draw_weights(kind, setup)
+        rows = np.sqrt(w[:, None] / 2) * np.exp(2j * np.pi * setup.random((4, 2)))
+        probs = (np.abs(rows) ** 2).sum(axis=1)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            pick, p, row = _born_draw(rows, fam, ("q0", "q1"), got_rng)
+            want = want_rng.choice(4, p=probs / probs.sum())
+            assert pick == want
+            assert p == probs[want]
+            assert np.array_equal(row, rows[want] / np.linalg.norm(rows[want]))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_single_branch_enumeration():

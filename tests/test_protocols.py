@@ -332,6 +332,72 @@ def test_receiver_labels_of_each_entry_point(rng):
         assert set(t.outcomes["fidelities"]) == expected
 
 
+def test_both_entry_points_refuse_payloads_of_more_than_one_qubit(rng):
+    one = random_state(rng, 1, ("p",))
+    two = random_state(rng, 2, ("x", "y"))
+    message = "^payloads must be single-qubit states$"
+    with pytest.raises(ValueError, match=message):
+        TeleportInput("qftN", (two, one), 2)
+    with pytest.raises(ValueError, match=message):
+        enumerate_teleportation_with_lock((two, one), gates.qft(2))
+    with pytest.raises(ValueError, match=message):
+        enumerate_teleportation_with_lock((one, two), gates.lock_operator())
+
+
+class TestBranchStatesOnAccess:
+    """A branch holds its row of the enumeration's two tables and builds its states when read."""
+
+    STATES = ("pre_unlock_state", "corrected_state")
+
+    @staticmethod
+    def _branches(rng, n=3):
+        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n))
+        return enumerate_teleportation_with_lock(payloads, random_unitary(rng, n))
+
+    def test_states_are_read_only_rows_of_one_table_each(self, rng):
+        branches, again = self._branches(rng), self._branches(rng)
+        tables = [t.amplitudes for t in branches[0].tables]
+        assert not np.shares_memory(*tables)
+        for table, other, field in zip(tables, again[0].tables, self.STATES):
+            assert table.shape == (64, 8)
+            assert not table.flags.writeable
+            assert not np.shares_memory(table, other.amplitudes)
+            for row, br in enumerate(branches):
+                assert br.row == row
+                assert br.tables is branches[0].tables
+                state = getattr(br, field)
+                assert not state.amplitudes.flags.writeable
+                assert np.shares_memory(state.amplitudes, table)
+                assert np.array_equal(state.amplitudes, table[row])
+
+    def test_reading_a_state_twice_gives_the_same_state(self, rng):
+        for br in self._branches(rng):
+            assert br.receivers == br.pre_unlock_state.labels == ("B1", "B2", "B3")
+            for field in self.STATES:
+                first, second = getattr(br, field), getattr(br, field)
+                assert first.labels == second.labels
+                assert np.array_equal(first.amplitudes, second.amplitudes)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "results",
+            "probability",
+            "pre_unlock_state",
+            "corrected_state",
+            "fidelities",
+            "row",
+            "tables",
+            "receivers",
+            "unknown",
+        ],
+    )
+    def test_no_attribute_can_be_assigned(self, rng, name):
+        br = self._branches(rng, n=1)[0]
+        with pytest.raises(AttributeError):
+            setattr(br, name, None)
+
+
 def _lock(name: str, n: int, rng) -> Unitary:
     if name == "qft":
         return gates.qft(n)

@@ -17,7 +17,7 @@ from simulq.qlinalg import (
     _checked_states,
     _grouped,
     _layout,
-    _state_rows,
+    _StateTable,
     _ungrouped,
     apply,
     equal_up_to_global_phase,
@@ -254,7 +254,7 @@ def _message(call) -> str:
 
 
 class TestStateRows:
-    """The batch builder validates a whole table as the constructor validates one row."""
+    """The state table validates a whole table as the constructor validates one row."""
 
     LABELS = ("a", "b")
 
@@ -265,12 +265,16 @@ class TestStateRows:
 
     def test_rows_become_read_only_states(self):
         table = self._table()
-        rows = _state_rows(table.copy(), self.LABELS)
-        assert len(rows) == len(table)
-        for row, want in zip(rows, table):
+        owned = table.copy()
+        rows = _StateTable(owned, self.LABELS)
+        assert rows.labels == self.LABELS
+        assert not owned.flags.writeable
+        for i, want in enumerate(table):
+            row = rows[i]
             assert isinstance(row, StateVector)
             assert row.labels == self.LABELS
             assert np.array_equal(row.amplitudes, want)
+            assert np.shares_memory(row.amplitudes, owned)
             with pytest.raises(ValueError):
                 row.amplitudes[0] = 0.0
 
@@ -280,24 +284,24 @@ class TestStateRows:
         table[bad] *= 1.1
         want = _message(lambda: StateVector(table[bad], self.LABELS))
         assert want.startswith("state is not normalized")
-        assert _message(lambda: _state_rows(table, self.LABELS)) == want
+        assert _message(lambda: _StateTable(table, self.LABELS)) == want
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_entry_has_the_constructor_message(self, value):
         table = self._table()
         table[3, 1] = value
         want = _message(lambda: StateVector(table[3], self.LABELS))
-        assert _message(lambda: _state_rows(table, self.LABELS)) == want
+        assert _message(lambda: _StateTable(table, self.LABELS)) == want
 
     def test_duplicate_labels_have_the_constructor_message(self):
         table = self._table()
         want = _message(lambda: StateVector(table[0], ("a", "a")))
-        assert _message(lambda: _state_rows(table, ("a", "a"))) == want
+        assert _message(lambda: _StateTable(table, ("a", "a"))) == want
 
     def test_wrong_width_has_the_constructor_message(self):
         table = self._table()[:, :3]
         want = _message(lambda: StateVector(table[0], self.LABELS))
-        assert _message(lambda: _state_rows(table, self.LABELS)) == want
+        assert _message(lambda: _StateTable(table, self.LABELS)) == want
 
 
 class TestCheckedDensities:
