@@ -22,9 +22,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import gates, states
-from .measurement import resolve_rng, sample_projective, support_distinguisher
+from .measurement import _born_weights, resolve_rng, sample_projective, support_distinguisher
 from .protocols import enumerate_teleportation_with_lock, run_dense_coding_with_lock
-from .qlinalg import ATOL, ATOL_STRICT, StateVector, Unitary, _jsonable
+from .qlinalg import ATOL, ATOL_STRICT, StateVector, Unitary, _grouped, _jsonable
 
 BIT_NAMES = ("b1", "b2", "c1", "c2")
 
@@ -34,40 +34,44 @@ _ENCODINGS = tuple(itertools.product((0, 1), repeat=4))
 SUPPORT_SHOTS = 25
 
 
-def _ket_outer(dim: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((dim, dim))
-    m[i, j] = 1.0
-    return m
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+# Each channel's receiver isometry V: its members are the Bell members seen
+# through I (x) V, ``(I (x) V) phi(x, y)``, up to the sign -1 on w(1, 1).
+_PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
+_RECEIVER_ISOMETRY = {
+    "bell": _read_only(np.eye(2)),
+    "ghz": _read_only(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])),
+    "w": _read_only(np.column_stack([_PSI_PLUS, [1.0, 0.0, 0.0, 0.0]])),
+}
+
+
+def _v_image(v: np.ndarray) -> np.ndarray:
+    """``(I (x) V)(I/4)(I (x) V)^H``: the V-image of the two-qubit fully mixed state."""
+    iv = np.kron(np.eye(2), v)
+    return _read_only(iv @ iv.T / 4.0)
+
+
+_EXPECTED_VIEWS = {channel: _v_image(v) for channel, v in _RECEIVER_ISOMETRY.items()}
 
 
 def _expected_view(channel: str) -> np.ndarray:
     """The closed-form intercepted view under the Fourier lock.
 
-    Bell channel: the fully mixed state on two qubits.  GHZ channel: an even
-    mixture of |000>, |011>, |100>, |111>.  W channel: a rank-4 mixture that
-    is encoding-independent but *not* maximally mixed.
+    Bell channel: the fully mixed state on two qubits.  The GHZ and W
+    members are Bell members seen through a receiver isometry ``V``, so
+    their views are the V-images of ``I/4``.  GHZ channel: an even mixture
+    of |000>, |011>, |100>, |111>.  W channel: a rank-4 mixture that is
+    encoding-independent but *not* maximally mixed (it is maximally mixed
+    on its four-dimensional support).
     """
-    if channel == "bell":
-        return np.eye(4) / 4.0
-    if channel == "ghz":
-        return (
-            _ket_outer(8, 0, 0) + _ket_outer(8, 3, 3) + _ket_outer(8, 4, 4) + _ket_outer(8, 7, 7)
-        ) / 4.0
-    if channel == "w":
-        m = (
-            2.0 * _ket_outer(8, 0, 0)
-            + _ket_outer(8, 1, 1)
-            + _ket_outer(8, 1, 2)
-            + _ket_outer(8, 2, 1)
-            + _ket_outer(8, 2, 2)
-            + 2.0 * _ket_outer(8, 4, 4)
-            + _ket_outer(8, 5, 5)
-            + _ket_outer(8, 5, 6)
-            + _ket_outer(8, 6, 5)
-            + _ket_outer(8, 6, 6)
-        )
-        return m / 8.0
-    raise ValueError(f"unknown channel {channel!r}")
+    try:
+        return _EXPECTED_VIEWS[channel]
+    except KeyError:
+        raise ValueError(f"unknown channel {channel!r}") from None
 
 
 # Bob's intercepted (A1, B) view under the Hadamard--CNOT lock depends on
@@ -124,86 +128,182 @@ class LockingReport:
         return _jsonable(asdict(self))
 
 
+# Row i marks the pairs of encodings, in ``_pair_diffs`` order, that agree on bit i.
+_SAME_BIT = _read_only(
+    np.array([np.equal(a, b) for a, b in itertools.combinations(_ENCODINGS, 2)]).T
+)
+
+
+def _pair_diffs(stack: np.ndarray) -> np.ndarray:
+    """Largest entrywise ``|a - b|`` of each pair ``a, b`` in a ``(k, d, d)`` stack, k >= 2.
+
+    Pairs are taken once each, in ``np.triu_indices(k, 1)`` order, since
+    ``|a - b|`` and ``|b - a|`` are the same float.  Matrix ``i`` is compared
+    with the ones after it in one step, so no temporary holds more than
+    ``k - 1`` matrices.
+    """
+    return np.concatenate(
+        [np.abs(stack[i + 1:] - stack[i]).max(axis=(1, 2)) for i in range(len(stack) - 1)]
+    )
+
+
 def _max_pairwise_diff(mats) -> float:
     """Largest entrywise ``|a - b|`` over all pairs of ``mats`` (0.0 for fewer than two)."""
     stack = np.asarray(mats)
     if len(stack) < 2:
         return 0.0
-    return float(np.abs(stack[:, None] - stack[None, :]).max())
+    return float(_pair_diffs(stack).max())
 
 
-def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+def _bit_averages(stack: np.ndarray) -> np.ndarray:
+    """Average a sweep's ``(16, d, d)`` stack of views over each encoded bit.
+
+    The stack is in ``_ENCODINGS`` order, so it reshapes to one axis per
+    bit.  Entry ``[i, v]`` of the ``(4, 2, d, d)`` result is the mean of the
+    eight views whose bit ``i`` is ``v``.
+    """
+    d = stack.shape[-1]
+    per_bit = stack.reshape(2, 2, 2, 2, d, d)
+    return np.array(
+        [np.moveaxis(per_bit, i, 0).reshape(2, 8, d, d).mean(axis=1) for i in range(4)]
+    )
 
 
-def _bit_classes(views: dict, idx: int) -> tuple[dict, dict]:
-    """Split a sweep's views by encoded bit ``idx``: the two classes and their averages."""
-    group = {0: [], 1: []}
-    for bits, rho in views.items():
-        group[bits[idx]].append(rho.entries)
-    return group, {v: np.mean(group[v], axis=0) for v in (0, 1)}
-
-
-def _bit_scan(views: dict) -> dict:
-    """Per-bit leak analysis of a sweep of intercepted views.
+def _bit_scan(stack: np.ndarray, pair_diffs: np.ndarray) -> dict:
+    """Per-bit leak analysis of a sweep's ``(16, d, d)`` stack of views.
 
     For each encoded bit: average the views with the bit 0 and with the bit 1.
     Orthogonal supports of the two averages (trace overlap ~ 0) mean the bit
     is recoverable with certainty by a support measurement; distinct but
-    non-orthogonal averages mean partial information (leaky).
+    non-orthogonal averages mean partial information (leaky).  ``pair_diffs``
+    is the stack's :func:`_pair_diffs`; a bit's within-class spread is its
+    largest entry over the pairs that agree on the bit.
     """
-    evidence = {}
-    for idx, bit in enumerate(BIT_NAMES):
-        group, avg = _bit_classes(views, idx)
-        overlap = float(np.real(np.trace(avg[0] @ avg[1])))
-        evidence[bit] = {
+    avg = _bit_averages(stack)
+    overlaps = np.trace(avg[:, 0] @ avg[:, 1], axis1=1, axis2=2).real
+    distances = 0.5 * np.abs(np.linalg.eigvalsh(avg[:, 0] - avg[:, 1])).sum(axis=1)
+    within = [float(pair_diffs[same].max()) for same in _SAME_BIT]
+    return {
+        bit: {
             "certain": overlap <= ATOL,
             "support_overlap": overlap,
-            "avg_trace_distance": _trace_distance(avg[0], avg[1]),
-            "within_class_max_diff": max(
-                _max_pairwise_diff(group[0]), _max_pairwise_diff(group[1])
-            ),
+            "avg_trace_distance": distance,
+            "within_class_max_diff": diff,
         }
-    return evidence
+        for bit, overlap, distance, diff in zip(
+            BIT_NAMES, overlaps.tolist(), distances.tolist(), within
+        )
+    }
 
 
-def _subsystem_report(views: dict, closed_form: np.ndarray | None) -> SubsystemReport:
-    mats = [rho.entries for rho in views.values()]
-    max_diff = _max_pairwise_diff(mats)
-    dim = mats[0].shape[0]
-    evidence = _bit_scan(views)
+def _subsystem_report(stack: np.ndarray, closed_form: np.ndarray | None) -> SubsystemReport:
+    """What one receiver's ``(16, d, d)`` stack of views, in ``_ENCODINGS`` order, reveals."""
+    pair_diffs = _pair_diffs(stack)
+    max_diff = float(pair_diffs.max())
+    dim = stack.shape[-1]
+    evidence = _bit_scan(stack, pair_diffs)
     revealed = [b for b in BIT_NAMES if evidence[b]["avg_trace_distance"] > ATOL]
     recoverable = [b for b in revealed if evidence[b]["certain"]]
     leaky = [b for b in revealed if not evidence[b]["certain"]]
     matches = None
     if closed_form is not None:
-        matches = all(float(np.max(np.abs(m - closed_form))) <= ATOL for m in mats)
+        matches = bool(np.abs(stack - closed_form).max() <= ATOL)
     return SubsystemReport(
         independent_of_encoding=max_diff < ATOL,
         max_pairwise_diff=max_diff,
         matches_closed_form=matches,
-        maximally_mixed=all(
-            float(np.max(np.abs(m - np.eye(dim) / dim))) <= ATOL for m in mats
-        ),
+        maximally_mixed=bool(np.abs(stack - np.eye(dim) / dim).max() <= ATOL),
         recoverable_bits=recoverable,
         leaky_bits=leaky,
         bit_evidence=evidence,
     )
 
 
-def _dense_sweep(channel: str, lock: Unitary):
-    """Run all 16 encodings; collect the intercepted views (each transcript's
-    validated ``DensityMatrix``) and decode results."""
-    subs = tuple(states.DENSE_CHANNELS[channel].values())
-    views = {"".join(sub): {} for sub in subs}
+def _protocol_sweep(channel: str, lock: Unitary):
+    """Run all 16 encodings through the protocol.
+
+    Returns each receiver's intercepted views (each transcript's validated
+    ``DensityMatrix``, in ``_ENCODINGS`` order) and whether every message
+    decoded.  A transcript intercepts Bob's subsystem, then Charlie's.
+    """
+    views = {}
     decode_ok = True
     for bits in _ENCODINGS:
         bob, charlie = bits[:2], bits[2:]
         t = run_dense_coding_with_lock(channel, bob, charlie, lock, seed=0)
-        for sub in subs:
-            views["".join(sub)][bits] = t.intercepts[("step2_lock_send", sub)]
+        for (_, sub), rho in t.intercepts.items():
+            views.setdefault("".join(sub), []).append(rho)
         decode_ok = decode_ok and t.outcomes["bob"] == bob and t.outcomes["charlie"] == charlie
     return views, decode_ok
+
+
+def _stacked(views: dict) -> dict:
+    """Each receiver's list of intercepted views as one ``(16, d, d)`` stack."""
+    return {name: np.array([rho.entries for rho in rhos]) for name, rhos in views.items()}
+
+
+# Alice's operator for each encoding, pauli_encoder(b1 b2) (x) pauli_encoder(c1 c2),
+# in _ENCODINGS order.  Each is a signed permutation, so a lock times one is exact.
+_ENCODER_PRODUCTS = _read_only(
+    np.array(
+        [
+            np.kron(gates.pauli_encoder(bits[:2]).entries, gates.pauli_encoder(bits[2:]).entries)
+            for bits in _ENCODINGS
+        ]
+    )
+)
+
+
+def _stacked_sweep(channel: str, lock: Unitary):
+    """All 16 encodings under ``lock`` at once, with no protocol run.
+
+    Returns each receiver's ``(16, d, d)`` stack of intercepted views, in
+    ``_ENCODINGS`` order, and whether every message decodes.  The initial
+    state is a ``4 x R`` matrix ``g`` (rows ``A1 A2``, columns the
+    receivers' qubits in ``DENSE_CHANNELS`` order), so every encoding's
+    locked register is one ``(16, 4, R)`` product ``(U E) g``.  Grouped with
+    a receiver's subsystem on the rows, as ``qlinalg.partial_trace`` groups
+    it, the register ``psi`` gives the view ``psi psi^H``, which traces out
+    the other sender qubit and the other receiver's qubits.  After the
+    unlock ``gates.adjoint(lock)``, the conjugated family members times the
+    same grouping are the receiver's four residuals, as ``qlinalg.contract``
+    forms them, and each encoding's go through ``measurement._born_weights``:
+    the span check the protocol's measurement makes.  A message decodes when
+    its member's weight is at least ``1 - ATOL``: the outcome the protocol's
+    draw then takes with certainty.
+    """
+    state = states.initial_state(channel)
+    layout = states.DENSE_CHANNELS[channel]
+    fam = states.family(channel)
+    g, _ = _grouped(state.amplitudes, (state.axis_of("A1"), state.axis_of("A2")))
+    rb = 1 << (len(layout["bob"]) - 1)
+    rc = g.shape[1] // rb
+
+    def by_receiver(registers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # each receiver's (16, own, rest) stack: rows over its subsystem (its
+        # sender qubit, then its own qubits), columns over the other qubits
+        t = registers.reshape(16, 2, 2, rb, rc)  # encoding, A1, A2, Bob's, Charlie's
+        return (
+            t.transpose(0, 1, 3, 2, 4).reshape(16, 2 * rb, 2 * rc),
+            t.transpose(0, 2, 4, 1, 3).reshape(16, 2 * rc, 2 * rb),
+        )
+
+    locked = (lock.entries @ _ENCODER_PRODUCTS) @ g
+    names = ["".join(layout[who]) for who in ("bob", "charlie")]
+    views = {
+        name: psi @ psi.conj().swapaxes(1, 2) for name, psi in zip(names, by_receiver(locked))
+    }
+
+    unlocked = by_receiver(gates.adjoint(lock).entries @ locked)
+    bras = np.array([m.amplitudes.conj() for m in fam.members.values()])
+    residuals = [bras @ psi for psi in unlocked]  # (16, 4, rest) per receiver
+    # members run (0,0), (0,1), (1,0), (1,1), so message (x, y) is row 2x + y
+    decode_ok = True
+    for k, bits in enumerate(_ENCODINGS):
+        for rows, who, (x, y) in zip(residuals, ("bob", "charlie"), (bits[:2], bits[2:])):
+            weights = _born_weights(rows[k], fam, layout[who])
+            decode_ok = decode_ok and weights[2 * x + y] >= 1.0 - ATOL
+    return views, bool(decode_ok)
 
 
 def _judged(report: LockingReport) -> LockingReport:
@@ -216,18 +316,20 @@ def _judged(report: LockingReport) -> LockingReport:
     return report
 
 
-def _dense_report(channel: str, lock: Unitary, lock_used: str, theorem: bool) -> LockingReport:
-    """Sweep all 16 encodings under ``lock`` and judge it as a dense coding lock.
+def _dense_report(
+    channel: str, stacks: dict, decode_ok: bool, lock_used: str, theorem: bool
+) -> LockingReport:
+    """Judge a lock as a dense coding lock from its sweep over all 16 encodings.
 
-    A ``theorem`` report also checks each view against its closed form and for
-    leaked bits; without ``theorem`` the report passes exactly when the lock is valid.
+    ``stacks`` holds each receiver's ``(16, d, d)`` views.  A ``theorem``
+    report also checks each view against its closed form and for leaked
+    bits; without ``theorem`` the report passes exactly when the lock is valid.
     """
-    views, decode_ok = _dense_sweep(channel, lock)
     report = LockingReport(
         protocol=f"dense_coding:{channel}",
         lock_used=lock_used,
         per_subsystem={
-            name: _subsystem_report(v, _expected_view(channel)) for name, v in views.items()
+            name: _subsystem_report(v, _expected_view(channel)) for name, v in stacks.items()
         },
         end_to_end_correct=decode_ok,
     )
@@ -248,13 +350,15 @@ def _dense_report(channel: str, lock: Unitary, lock_used: str, theorem: bool) ->
 def verify_theorem(channel: str) -> LockingReport:
     """Verify the locked dense coding guarantee for one channel type.
 
-    Sweeps all 16 encodings under the Fourier lock and checks that each
-    receiver's intercepted view is encoding-independent and equal to its
-    closed form, and that the receivers still decode every message exactly.
-    Encoding-independence is the security claim; maximal mixedness holds for
-    the Bell channel only and is reported without being required.
+    Runs all 16 encodings through the protocol under the Fourier lock and
+    checks that each receiver's intercepted view is encoding-independent and
+    equal to its closed form, and that the receivers still decode every
+    message exactly.  Encoding-independence is the security claim; maximal
+    mixedness holds for the Bell channel only and is reported without being
+    required.
     """
-    return _dense_report(channel, gates.qft(2), "qft", theorem=True)
+    views, decode_ok = _protocol_sweep(channel, gates.qft(2))
+    return _dense_report(channel, _stacked(views), decode_ok, "qft", theorem=True)
 
 
 def verify_counterexample(seed=1789) -> LockingReport:
@@ -264,14 +368,15 @@ def verify_counterexample(seed=1789) -> LockingReport:
     first bit, with the two conditional matrices orthogonal in support, so a
     support measurement reads the bit with certainty; by the same analysis
     Charlie's view depends on (exactly) his second bit.  Both leaks are
-    established by brute force over all 16 encodings, and the distinguishing
-    measurement is actually simulated.
+    established by brute force over all 16 protocol runs, and the
+    distinguishing measurement is actually simulated.
     """
-    views, decode_ok = _dense_sweep("bell", gates.lock_operator())
+    views, decode_ok = _protocol_sweep("bell", gates.lock_operator())
+    stacks = _stacked(views)
     report = LockingReport(
         protocol="dense_coding:bell",
         lock_used="ulock",
-        per_subsystem={name: _subsystem_report(v, None) for name, v in views.items()},
+        per_subsystem={name: _subsystem_report(v, None) for name, v in stacks.items()},
         end_to_end_correct=decode_ok,
     )
     discovered = {
@@ -290,8 +395,8 @@ def verify_counterexample(seed=1789) -> LockingReport:
     # Bob's side: conditional views match their closed forms and are
     # invariant within each class (no dependence on b2, c1, c2).
     report.checks["bob_conditional_closed_forms"] = all(
-        float(np.max(np.abs(rho.entries - LOCKED_VIEW_BOB[bits[0]]))) <= ATOL
-        for bits, rho in views[bob].items()
+        float(np.max(np.abs(m - LOCKED_VIEW_BOB[bits[0]]))) <= ATOL
+        for bits, m in zip(_ENCODINGS, stacks[bob])
     )
     b1 = report.per_subsystem[bob].bit_evidence["b1"]
     report.checks["bob_view_invariant_in_other_bits"] = b1["within_class_max_diff"] < ATOL
@@ -299,16 +404,14 @@ def verify_counterexample(seed=1789) -> LockingReport:
     # The support measurement itself, simulated shot by shot.
     rng = resolve_rng(seed)
     accuracy = {}
-    for sub, bit_idx, bit in ((layout["bob"], 0, "b1"), (layout["charlie"], 3, "c2")):
-        name = "".join(sub)
-        sub_views = views[name]
-        _, avg = _bit_classes(sub_views, bit_idx)
+    for name, bit_idx, bit in ((bob, 0, "b1"), (charlie, 3, "c2")):
+        avg = _bit_averages(stacks[name])[bit_idx]
         analysis = support_distinguisher(avg[0], avg[1])
         report.per_subsystem[name].bit_evidence[bit]["support_overlap_strict"] = (
             analysis.overlap <= ATOL_STRICT
         )
         correct = total = 0
-        for bits, rho in sub_views.items():
+        for bits, rho in zip(_ENCODINGS, views[name]):
             for _ in range(SUPPORT_SHOTS):
                 inside = sample_projective(rho, analysis.projector, rng)
                 predicted = 0 if inside else 1
@@ -418,7 +521,8 @@ def classify_locking_unitary(u: Unitary, task: str, channel: str = "bell") -> Lo
     if u.dim != 4:
         raise ValueError(f"a channel lock acts on two sender qubits; got dim {u.dim}")
     if task == "dense_coding":
-        return _dense_report(channel, u, "custom", theorem=False)
+        stacks, decode_ok = _stacked_sweep(channel, u)
+        return _dense_report(channel, stacks, decode_ok, "custom", theorem=False)
     if task == "teleportation":
         if channel != "bell":
             raise ValueError("teleportation locks are probed on shared Bell pairs only")

@@ -143,8 +143,8 @@ def identity(n_qubits: int = 1) -> Unitary:
 def adjoint(u: Unitary) -> Unitary:
     """The Hermitian adjoint (inverse) of a unitary.
 
-    It is built once per ``u`` and kept on it, so the 16 dense runs of a lock
-    verdict share one inverse.
+    It is built once per ``u`` and kept on it, so the 16 protocol runs of the
+    dense theorem, and every repeat of a dense lock verdict, share one inverse.
     """
     return _derived(u, "_adjoint", lambda v: Unitary(v.entries.conj().T))
 

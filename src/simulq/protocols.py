@@ -125,7 +125,7 @@ class TeleportInput:
 def _check_payloads(payloads) -> None:
     """Refuse payloads that are not single-qubit states, for both teleportation entry points."""
     for p in payloads:
-        if p.n_qubits != 1:
+        if not isinstance(p, StateVector) or p.n_qubits != 1:
             raise ValueError("payloads must be single-qubit states")
 
 

@@ -1,4 +1,10 @@
-"""Test-only reference for the teleportation lock classifier.
+"""Test-only references for the lock classifiers.
+
+``classify_dense_per_run`` is the dense coding classifier that
+``simulq.analysis`` used before its sweep was stacked: it runs all 16
+encodings through ``run_dense_coding_with_lock`` (one full transcript with
+validated snapshots per encoding), keeps each intercepted view as a
+``DensityMatrix``, and builds the per-subsystem report one matrix at a time.
 
 ``classify_teleportation_per_branch`` is the classifier that
 ``simulq.analysis._classify_teleportation`` used before its views were
@@ -16,8 +22,16 @@ import itertools
 
 import numpy as np
 
-from simulq.analysis import _PROBES, LockingReport, SubsystemReport
-from simulq.protocols import enumerate_teleportation_with_lock
+from simulq import states
+from simulq.analysis import (
+    _ENCODINGS,
+    _PROBES,
+    BIT_NAMES,
+    LockingReport,
+    SubsystemReport,
+    _expected_view,
+)
+from simulq.protocols import enumerate_teleportation_with_lock, run_dense_coding_with_lock
 from simulq.qlinalg import ATOL, Unitary, partial_trace
 
 
@@ -29,6 +43,105 @@ def max_pairwise_diff_loop(mats) -> float:
         for j in range(i + 1, len(mats)):
             worst = max(worst, float(np.max(np.abs(mats[i] - mats[j]))))
     return worst
+
+
+def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+
+def _bit_classes(views: dict, idx: int) -> tuple[dict, dict]:
+    """Split a sweep's views by encoded bit ``idx``: the two classes and their averages."""
+    group = {0: [], 1: []}
+    for bits, rho in views.items():
+        group[bits[idx]].append(rho.entries)
+    return group, {v: np.mean(group[v], axis=0) for v in (0, 1)}
+
+
+def _bit_scan(views: dict) -> dict:
+    """Per-bit leak evidence: class averages, their overlap and trace distance."""
+    evidence = {}
+    for idx, bit in enumerate(BIT_NAMES):
+        group, avg = _bit_classes(views, idx)
+        overlap = float(np.real(np.trace(avg[0] @ avg[1])))
+        evidence[bit] = {
+            "certain": overlap <= ATOL,
+            "support_overlap": overlap,
+            "avg_trace_distance": _trace_distance(avg[0], avg[1]),
+            "within_class_max_diff": max(
+                max_pairwise_diff_loop(group[0]), max_pairwise_diff_loop(group[1])
+            ),
+        }
+    return evidence
+
+
+def _subsystem_report(views: dict, closed_form: np.ndarray) -> SubsystemReport:
+    mats = [rho.entries for rho in views.values()]
+    max_diff = max_pairwise_diff_loop(mats)
+    dim = mats[0].shape[0]
+    evidence = _bit_scan(views)
+    revealed = [b for b in BIT_NAMES if evidence[b]["avg_trace_distance"] > ATOL]
+    return SubsystemReport(
+        independent_of_encoding=max_diff < ATOL,
+        max_pairwise_diff=max_diff,
+        matches_closed_form=all(
+            float(np.max(np.abs(m - closed_form))) <= ATOL for m in mats
+        ),
+        maximally_mixed=all(
+            float(np.max(np.abs(m - np.eye(dim) / dim))) <= ATOL for m in mats
+        ),
+        recoverable_bits=[b for b in revealed if evidence[b]["certain"]],
+        leaky_bits=[b for b in revealed if not evidence[b]["certain"]],
+        bit_evidence=evidence,
+    )
+
+
+def dense_views_per_run(channel: str, lock: Unitary):
+    """Each receiver's 16 intercepted views, keyed by encoding, and whether all messages decoded."""
+    subs = tuple(states.DENSE_CHANNELS[channel].values())
+    views = {"".join(sub): {} for sub in subs}
+    decode_ok = True
+    for bits in _ENCODINGS:
+        bob, charlie = bits[:2], bits[2:]
+        t = run_dense_coding_with_lock(channel, bob, charlie, lock, seed=0)
+        for sub in subs:
+            views["".join(sub)][bits] = t.intercepts[("step2_lock_send", sub)]
+        decode_ok = decode_ok and t.outcomes["bob"] == bob and t.outcomes["charlie"] == charlie
+    return views, decode_ok
+
+
+def classify_dense_per_run(
+    u: Unitary, channel: str = "bell", theorem: bool = False, lock_used: str = "custom"
+) -> LockingReport:
+    """Judge ``u`` as a dense coding lock from 16 protocol runs, one matrix at a time.
+
+    Without ``theorem`` this is ``classify_locking_unitary(u, "dense_coding",
+    channel)``; with it, and the Fourier lock, it is ``verify_theorem(channel)``.
+    """
+    views, decode_ok = dense_views_per_run(channel, u)
+    report = LockingReport(
+        protocol=f"dense_coding:{channel}",
+        lock_used=lock_used,
+        per_subsystem={
+            name: _subsystem_report(v, _expected_view(channel)) for name, v in views.items()
+        },
+        end_to_end_correct=decode_ok,
+    )
+    for name, sub in report.per_subsystem.items():
+        report.checks[f"encoding_independent:{name}"] = sub.independent_of_encoding
+        if theorem:
+            leaked = sub.recoverable_bits or sub.leaky_bits
+            report.checks[f"closed_form:{name}"] = bool(sub.matches_closed_form)
+            report.checks[f"no_bit_recoverable:{name}"] = not leaked
+    report.checks["decode_correct"] = decode_ok
+    if theorem:
+        report.notes["maximally_mixed"] = {
+            name: sub.maximally_mixed for name, sub in report.per_subsystem.items()
+        }
+    report.valid_lock = decode_ok and all(
+        s.independent_of_encoding for s in report.per_subsystem.values()
+    )
+    report.passed = all(report.checks.values())
+    return report
 
 
 def classify_teleportation_per_branch(u: Unitary) -> LockingReport:

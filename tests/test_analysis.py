@@ -9,15 +9,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from simulq import analysis, gates
+from simulq import analysis, gates, states
 from simulq.analysis import (
     _max_pairwise_diff,
     classify_locking_unitary,
     verify_counterexample,
     verify_theorem,
 )
-from simulq.qlinalg import ATOL, Unitary
-from tests.classify_oracle import classify_teleportation_per_branch, max_pairwise_diff_loop
+from simulq.qlinalg import ATOL, ATOL_STRICT, Unitary
+from tests.classify_oracle import (
+    classify_dense_per_run,
+    classify_teleportation_per_branch,
+    dense_views_per_run,
+    max_pairwise_diff_loop,
+)
 from tests.conftest import random_unitary
 
 
@@ -159,6 +164,15 @@ class TestClassifierDenseCoding:
     def test_rejects_unknown_task(self):
         with pytest.raises(ValueError):
             classify_locking_unitary(gates.qft(2), "uncloning")
+
+    def test_rejections_name_the_lock_size_and_the_channel(self):
+        size = "^a channel lock acts on two sender qubits; got dim 2$"
+        with pytest.raises(ValueError, match=size):
+            classify_locking_unitary(gates.hadamard(), "dense_coding")
+        with pytest.raises(ValueError, match="^unknown channel 'cluster'"):
+            classify_locking_unitary(gates.qft(2), "dense_coding", channel="cluster")
+        with pytest.raises(ValueError, match="^unknown channel 'cluster'"):
+            verify_theorem("cluster")
 
 
 class TestClassifierTeleportation:
@@ -396,12 +410,160 @@ def _count_calls(monkeypatch, name: str) -> list:
 
 
 def test_verdicts_still_run_the_end_to_end_protocols(monkeypatch):
-    # the benchmark's reach counters need a teleportation verdict to enumerate
-    # all 36 probe pairs and a dense verdict to run all 16 encodings
+    # a teleportation verdict enumerates all 36 probe pairs; a dense verdict reads
+    # its 16 encodings from one stacked sweep and runs no transcript; the theorem
+    # and the counterexample, the paper's end-to-end claims, each run all 16
+    # encodings through the protocol, which is what the benchmark's reach counters read
     enumerations = _count_calls(monkeypatch, "enumerate_teleportation_with_lock")
     transcripts = _count_calls(monkeypatch, "run_dense_coding_with_lock")
     lock = gates.qft(2)
     classify_locking_unitary(lock, "teleportation")
     assert (len(enumerations), len(transcripts)) == (36, 0)
-    classify_locking_unitary(lock, "dense_coding")
+    for channel in ("bell", "ghz", "w"):
+        classify_locking_unitary(lock, "dense_coding", channel)
+    assert (len(enumerations), len(transcripts)) == (36, 0)
+    verify_theorem("bell")
     assert (len(enumerations), len(transcripts)) == (36, 16)
+    verify_counterexample()
+    assert (len(enumerations), len(transcripts)) == (36, 32)
+
+
+# --- the stacked dense sweep against the 16 protocol runs ---------------------
+
+_DENSE_LOCKS = ("qft", "qft_phase", "ulock", "identity", "weyl_face", "weyl_off_face", "clifford")
+_DENSE_LOCKS += tuple(f"haar{i}" for i in range(4))
+
+
+def _dense_lock(name: str) -> Unitary:
+    if name == "qft_phase":
+        phase = np.random.default_rng(11).uniform(0.0, 2 * np.pi)
+        return Unitary(np.exp(1j * phase) * gates.qft(2).entries)
+    if name == "identity":
+        return gates.identity(2)
+    if name.startswith("haar"):
+        return _base_lock("haar", 60 + int(name[4:]))
+    return _base_lock(name, 7)
+
+
+def _assert_same_report(got, want) -> None:
+    """Equal keys, order, booleans, bit lists and strings; floats within 1e-12."""
+
+    def walk(a, b, path):
+        if isinstance(a, dict):
+            assert list(a) == list(b), path
+            for key in a:
+                walk(a[key], b[key], path + (key,))
+        elif isinstance(a, float):
+            assert type(b) is float and abs(a - b) <= 1e-12, (path, a, b)
+        else:
+            assert type(a) is type(b) and a == b, (path, a, b)
+
+    assert (got.valid_lock, got.passed, got.end_to_end_correct) == (
+        want.valid_lock,
+        want.passed,
+        want.end_to_end_correct,
+    )
+    assert list(got.checks.items()) == list(want.checks.items())
+    for name, sub in got.per_subsystem.items():
+        ref = want.per_subsystem[name]
+        assert (sub.recoverable_bits, sub.leaky_bits) == (ref.recoverable_bits, ref.leaky_bits)
+    walk(got.to_dict(), want.to_dict(), ())
+
+
+@pytest.mark.parametrize("channel", ["bell", "ghz", "w"])
+@pytest.mark.parametrize("name", _DENSE_LOCKS)
+def test_dense_verdict_matches_the_per_run_classifier(name, channel):
+    lock = _dense_lock(name)
+    _assert_same_report(
+        classify_locking_unitary(lock, "dense_coding", channel),
+        classify_dense_per_run(lock, channel),
+    )
+
+
+@pytest.mark.parametrize("channel", ["bell", "ghz", "w"])
+def test_theorem_report_matches_the_per_run_classifier(channel):
+    want = classify_dense_per_run(gates.qft(2), channel, theorem=True, lock_used="qft")
+    _assert_same_report(verify_theorem(channel), want)
+
+
+def test_dense_verdict_families_are_sorted_by_the_weyl_face():
+    # a dressed Weyl gate locks dense coding on the c1 = c2 = pi/4 face and leaks off it
+    verdicts = {
+        name: {
+            classify_locking_unitary(_dense_lock(name), "dense_coding", ch).valid_lock
+            for ch in ("bell", "ghz", "w")
+        }
+        for name in ("weyl_face", "weyl_off_face", "haar0")
+    }
+    assert verdicts == {"weyl_face": {True}, "weyl_off_face": {False}, "haar0": {False}}
+
+
+@pytest.mark.parametrize("channel", ["bell", "ghz", "w"])
+@pytest.mark.parametrize("name", ["qft", "ulock", "haar0", "clifford"])
+def test_stacked_views_are_the_protocol_intercepts(name, channel):
+    lock = _dense_lock(name)
+    stacks, decode_ok = analysis._stacked_sweep(channel, lock)
+    views, decoded = dense_views_per_run(channel, lock)
+    assert list(stacks) == list(views)
+    assert decode_ok is decoded is True
+    for sub, stack in stacks.items():
+        assert stack.shape[0] == 16
+        for got, bits in zip(stack, analysis._ENCODINGS):
+            assert np.abs(got - views[sub][bits].entries).max() <= ATOL_STRICT
+
+
+@pytest.mark.parametrize("channel", ["bell", "ghz", "w"])
+def test_stacked_decode_fails_when_the_unlock_does_nothing(channel, monkeypatch):
+    # the exhaustive decode reads the unlocked register: with the identity as the
+    # unlock, the Fourier lock scrambles the messages and the verdict must say so
+    monkeypatch.setattr(analysis.gates, "adjoint", lambda u: gates.identity(2))
+    report = classify_locking_unitary(gates.qft(2), "dense_coding", channel)
+    assert report.checks["decode_correct"] is False
+    assert report.end_to_end_correct is False
+    assert not report.valid_lock
+
+
+# --- G6: the GHZ and W channels are the Bell channel through a receiver isometry
+
+# the closed forms as they were written out by hand, entry by entry
+_LITERAL_VIEWS = {
+    "bell": np.eye(4) / 4.0,
+    "ghz": np.diag([1.0, 0, 0, 1.0, 1.0, 0, 0, 1.0]) / 4.0,
+    "w": np.array(
+        [
+            [2, 0, 0, 0, 0, 0, 0, 0],
+            [0, 1, 1, 0, 0, 0, 0, 0],
+            [0, 1, 1, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 2, 0, 0, 0],
+            [0, 0, 0, 0, 0, 1, 1, 0],
+            [0, 0, 0, 0, 0, 1, 1, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0],
+        ]
+    )
+    / 8.0,
+}
+
+
+@pytest.mark.parametrize("channel", ["bell", "ghz", "w"])
+def test_closed_forms_are_the_v_images_of_the_fully_mixed_state(channel):
+    view = analysis._expected_view(channel)
+    assert not view.flags.writeable
+    assert view.shape == _LITERAL_VIEWS[channel].shape
+    assert np.abs(view - _LITERAL_VIEWS[channel]).max() <= ATOL_STRICT
+
+
+def test_unknown_closed_form_is_refused():
+    with pytest.raises(ValueError, match="unknown channel 'cluster'"):
+        analysis._expected_view("cluster")
+
+
+@pytest.mark.parametrize("channel, member", [("ghz", states.ghz), ("w", states.w)])
+def test_members_are_bell_members_through_the_receiver_isometry(channel, member):
+    iv = np.kron(np.eye(2), analysis._RECEIVER_ISOMETRY[channel])
+    np.testing.assert_allclose(iv.T @ iv, np.eye(4), atol=ATOL_STRICT)  # an isometry
+    for x in (0, 1):
+        for y in (0, 1):
+            sign = -1.0 if (channel, x, y) == ("w", 1, 1) else 1.0
+            image = iv @ states.phi(x, y).amplitudes
+            assert np.abs(member(x, y).amplitudes - sign * image).max() <= ATOL_STRICT

@@ -1,11 +1,12 @@
 """Smoke test of the benchmark's pinned ops.
 
 Builds the ``perfbench`` workloads at one seed and runs, through each op's
-own check, the ops that exercise the stacked teleportation lock classifier,
-the batched branch enumerator, the sampled teleportation run and the CLI's
-JSON writer.  A wrong verdict, branch count, probability, fidelity, exit code
-or output on these fast paths then fails here, in the ordinary test run, and
-not only in a benchmark run.
+own check, the ops that exercise every lock verdict (the stacked dense
+sweep, the site-block teleportation classifier, the theorem and the
+counterexample), the batched branch enumerator, the sampled teleportation
+run and the CLI's JSON writer.  A wrong verdict, branch count, probability,
+fidelity, exit code or output on these fast paths then fails here, in the
+ordinary test run, and not only in a benchmark run.
 """
 
 from __future__ import annotations
@@ -46,7 +47,10 @@ def _ops(workload: str, prefix: str, workdir: Path):
 @pytest.mark.parametrize(
     "workload, prefix",
     [
+        ("verify_claims", "dense:"),
         ("verify_claims", "teleport:"),
+        ("verify_claims", "theorem:"),
+        ("verify_claims", "counterexample"),
         ("teleport_enum", "enum:qftN:n=4"),
         ("teleport_enum", "enum:qftN:n=5"),
         ("teleport_enum", "enum:qftN:n=6"),

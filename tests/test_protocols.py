@@ -344,6 +344,20 @@ def test_both_entry_points_refuse_payloads_of_more_than_one_qubit(rng):
         enumerate_teleportation_with_lock((one, two), gates.lock_operator())
 
 
+# bare amplitude arrays are not states: both entry points refuse them by name
+_BARE_PAYLOADS = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+
+def test_teleport_input_refuses_bare_arrays_as_payloads():
+    with pytest.raises(ValueError, match="^payloads must be single-qubit states$"):
+        TeleportInput("qftN", _BARE_PAYLOADS, 2)
+
+
+def test_enumerator_refuses_bare_arrays_as_payloads():
+    with pytest.raises(ValueError, match="^payloads must be single-qubit states$"):
+        enumerate_teleportation_with_lock(_BARE_PAYLOADS, gates.qft(2))
+
+
 class TestBranchStatesOnAccess:
     """A branch holds its row of the enumeration's two tables and builds its states when read."""
 
