@@ -23,7 +23,11 @@ import numpy as np
 
 from . import gates, states
 from .measurement import _born_weights, resolve_rng, sample_projective, support_distinguisher
-from .protocols import enumerate_teleportation_with_lock, run_dense_coding_with_lock
+from .protocols import (
+    _require_unitary,
+    enumerate_teleportation_with_lock,
+    run_dense_coding_with_lock,
+)
 from .qlinalg import ATOL, ATOL_STRICT, StateVector, Unitary, _grouped, _jsonable
 
 BIT_NAMES = ("b1", "b2", "c1", "c2")
@@ -135,24 +139,15 @@ _SAME_BIT = _read_only(
 
 
 def _pair_diffs(stack: np.ndarray) -> np.ndarray:
-    """Largest entrywise ``|a - b|`` of each pair ``a, b`` in a ``(k, d, d)`` stack, k >= 2.
+    """Largest entrywise ``|a - b|`` of each pair ``a, b`` in a ``(k, d, d)`` stack.
 
     Pairs are taken once each, in ``np.triu_indices(k, 1)`` order, since
-    ``|a - b|`` and ``|b - a|`` are the same float.  Matrix ``i`` is compared
-    with the ones after it in one step, so no temporary holds more than
-    ``k - 1`` matrices.
+    ``|a - b|`` and ``|b - a|`` are the same float; fewer than two matrices
+    make no pair and an empty array.  Matrix ``i`` is compared with the ones
+    after it in one step, so no temporary holds more than ``k - 1`` matrices.
     """
-    return np.concatenate(
-        [np.abs(stack[i + 1:] - stack[i]).max(axis=(1, 2)) for i in range(len(stack) - 1)]
-    )
-
-
-def _max_pairwise_diff(mats) -> float:
-    """Largest entrywise ``|a - b|`` over all pairs of ``mats`` (0.0 for fewer than two)."""
-    stack = np.asarray(mats)
-    if len(stack) < 2:
-        return 0.0
-    return float(_pair_diffs(stack).max())
+    diffs = [np.abs(stack[i + 1:] - stack[i]).max(axis=(1, 2)) for i in range(len(stack) - 1)]
+    return np.concatenate(diffs) if diffs else np.empty(0)
 
 
 def _bit_averages(stack: np.ndarray) -> np.ndarray:
@@ -516,8 +511,10 @@ def classify_locking_unitary(u: Unitary, task: str, channel: str = "bell") -> Lo
     ``task`` is ``dense_coding`` or ``teleportation``.  The verdict is
     invariant under a global phase of ``u``.  For dense coding the unlock is
     the adjoint of ``u``; the report carries per-subsystem independence, any
-    recoverable or leaky bits, and end-to-end decode correctness.
+    recoverable or leaky bits, and end-to-end decode correctness.  A ``u``
+    that is not a ``Unitary`` raises ``ValueError``.
     """
+    _require_unitary(u)
     if u.dim != 4:
         raise ValueError(f"a channel lock acts on two sender qubits; got dim {u.dim}")
     if task == "dense_coding":

@@ -24,7 +24,7 @@ Both teleportation engines use that a Bell measurement is a basis rotation
 followed by a computational readout, and that the payloads are a product
 state: they lock only the shared pairs ``A1 R1 .. AN RN``, read them as a
 ``2^N x 2^N`` matrix (sender rows, receiver columns) and fold each payload
-into its pair's 4x2 Bell readout (:func:`_shared_pairs`).  The sampled run
+into its pair's 4x2 Bell readout (:func:`_readouts`).  The sampled run
 maps one sender axis at a time to four candidate rows, draws one with
 ``measurement``'s Born-rule draw and keeps it, so it measures nothing larger
 than the shared pairs and applies the unlock and corrections to the ``2^N``
@@ -53,7 +53,7 @@ from .qlinalg import (
     _grouped,
     _jsonable,
     _StateTable,
-    _ungrouped,
+    _ungrouped_outer,
     apply,
     fidelity,
     partial_trace,
@@ -122,6 +122,12 @@ class TeleportInput:
         object.__setattr__(self, "payloads", payloads)
 
 
+def _require_unitary(lock) -> None:
+    """Refuse a lock that is not a :class:`~simulq.qlinalg.Unitary`, before any of it is read."""
+    if not isinstance(lock, Unitary):
+        raise ValueError(f"the lock must be a Unitary, got {type(lock).__name__}")
+
+
 def _check_payloads(payloads) -> None:
     """Refuse payloads that are not single-qubit states, for both teleportation entry points."""
     for p in payloads:
@@ -183,9 +189,10 @@ def run_dense_coding_with_lock(
 
     ``lock`` is any 4x4 unitary on ``(A1, A2)`` (the receivers unlock with its
     adjoint) and ``lock_name`` names it in the protocol id.  An unknown
-    channel, bits that are not a pair of 0/1 values or a lock of another size
-    raise ``ValueError``.
+    channel, bits that are not a pair of 0/1 values, a lock that is not a
+    ``Unitary`` or a lock of another size raise ``ValueError``.
     """
+    _require_unitary(lock)
     if lock.dim != 4:
         raise ValueError(f"the lock acts on (A1, A2) and must be 4x4, got {lock.dim}")
     state = states.initial_state(channel)
@@ -305,26 +312,51 @@ def _bell_readout() -> np.ndarray:
     return readout
 
 
-def _shared_pairs(payloads, lock: Unitary, a_labels, r_labels):
-    """The shared pairs and Bell readouts both teleportation engines start from.
+def _readouts(payloads) -> list[np.ndarray]:
+    """Each payload folded into its pair's 4x2 Bell readout.
+
+    A Bell measurement of ``(Ai, Ti)`` is the rotation whose rows are the
+    conjugated Bell members followed by a computational readout, so
+    contracted with payload ``i`` on ``Ti`` it maps the sender bit ``Ai`` to
+    amplitudes of the pair's four outcomes, in member order.  The rotation is
+    unitary because :class:`~simulq.states.BasisFamily` has checked that its
+    four members are orthonormal.
+    """
+    readout = _bell_readout()
+    return [readout @ p.amplitudes for p in payloads]
+
+
+def _shared_pairs(lock: Unitary, a_labels, r_labels):
+    """The shared pairs both teleportation engines start from.
 
     Returns the shared pairs ``A1 R1 .. AN RN`` (each ``Phi(0,0)``) before
-    and after ``lock`` acts on ``A1..AN``; the locked pairs as a ``2^N x 2^N``
-    matrix, sender qubits on the rows and receivers on the columns; and one
-    4x2 readout per payload.  A Bell measurement of ``(Ai, Ti)`` is the
-    rotation whose rows are the conjugated Bell members followed by a
-    computational readout, so contracted with payload ``i`` on ``Ti`` it maps
-    the sender bit ``Ai`` to amplitudes of the pair's four outcomes, in member
-    order.  The rotation is unitary because :class:`~simulq.states.BasisFamily`
-    has checked that its four members are orthonormal.
+    and after ``lock`` acts on ``A1..AN``, and the locked pairs as a
+    ``2^N x 2^N`` matrix, sender qubits on the rows and receivers on the
+    columns.
     """
     shared = states.phi(0, 0, (a_labels[0], r_labels[0]))
     for a, r in zip(a_labels[1:], r_labels[1:]):
         shared = tensor(shared, states.phi(0, 0, (a, r)))
     locked = apply(shared, lock, a_labels)
     matrix = _grouped(locked.amplitudes, [locked.axis_of(a) for a in a_labels])[0]
-    readout = _bell_readout()
-    return shared, locked, matrix, [readout @ p.amplitudes for p in payloads]
+    return shared, locked, matrix
+
+
+def _pair_matrix(lock: Unitary) -> np.ndarray:
+    """The locked shared pairs of :func:`_shared_pairs` as a read-only ``2^N x 2^N`` matrix.
+
+    The matrix depends on the lock alone (the labels only name its axes), so
+    it is built once per lock and kept on it: the 36 enumerations of a lock
+    verdict share one.
+    """
+
+    def build(u: Unitary) -> np.ndarray:
+        _, a_labels, r_labels = _teleport_labels(u.n_qubits)
+        matrix = _shared_pairs(u, a_labels, r_labels)[2]
+        matrix.setflags(write=False)
+        return matrix
+
+    return _derived(lock, "_pair_matrix", build)
 
 
 def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
@@ -353,7 +385,7 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     seed_val = seed if isinstance(seed, int) else None
     bell = states.family("bell")
     members = list(bell.members.items())
-    shared, locked, rows, readouts = _shared_pairs(inp.payloads, lock, a_labels, r_labels)
+    shared, locked, rows = _shared_pairs(lock, a_labels, r_labels)
 
     t = ProtocolTranscript(protocol=f"teleportation:{inp.scheme}:n={n}", seed=seed_val)
     payload = StateVector(inp.payloads[0].amplitudes, (t_labels[0],))
@@ -368,7 +400,7 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     # step 2: Bell measurement on each (Ai, Ti) pair; ``rows`` runs over the
     # unmeasured sender qubits and ``pairs`` holds the drawn members so far
     results, pairs = [], np.ones(1)
-    for a, tl, readout in zip(a_labels, t_labels, readouts):
+    for a, tl, readout in zip(a_labels, t_labels, _readouts(inp.payloads)):
         pick, _, rows = _born_draw(readout @ rows.reshape(2, -1), bell, (a, tl), rng)
         label, member = members[pick]
         results.append(gates.EncodedBits(*label))
@@ -380,8 +412,10 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     order += [init.axis_of(r) for r in r_labels]
 
     def snapshot(receivers: StateVector) -> StateVector:
-        # the outer product is freed before the constructor copies the result
-        return StateVector(_ungrouped(np.outer(pairs, receivers.amplitudes), order), init.labels)
+        # the amplitudes are a fresh array, so the one-row table takes it
+        # over with the constructor's checks and no copy
+        amplitudes = _ungrouped_outer(pairs, receivers.amplitudes, order)
+        return _StateTable(amplitudes.reshape(1, -1), init.labels)[0]
 
     measured = snapshot(received)
     t.steps.append(("step2_bsm", measured))
@@ -480,17 +514,18 @@ def enumerate_teleportation_with_lock(
     A Bell measurement of ``(Ai, Ti)`` is a rotation into the Bell basis
     followed by a computational readout, and the payloads are a product
     state, so the table is built from the locked shared pairs alone: read as
-    a ``2^N x 2^N`` matrix (sender rows, receiver columns), each sender row
-    axis is mapped to its four outcomes by the 4x2 readout of pair ``i``
-    folded with payload ``i``.  Row norms squared are the branch
+    a ``2^N x 2^N`` matrix (sender rows, receiver columns), built once per
+    lock and kept on it (:func:`_pair_matrix`), each sender row axis is
+    mapped to its four outcomes by the 4x2 readout of pair ``i`` folded with
+    payload ``i``.  Row norms squared are the branch
     probabilities (each exactly ``4^-N``, since the sender halves are
     maximally mixed), the unlock is one matrix product on the normalised
     rows, the per-receiver corrections are one signed gather, and the
     fidelities act on all rows at once.  The normalised table and the
     corrected one are each validated once, as a whole, and every branch is a
     :class:`TeleportBranch` record pointing at its row of both.  At most
-    ``MAX_RECEIVERS`` receivers are accepted, and every payload must be a
-    single-qubit state.
+    ``MAX_RECEIVERS`` receivers are accepted, the lock must be a
+    :class:`~simulq.qlinalg.Unitary` and every payload a single-qubit state.
     """
     payloads = tuple(payloads)
     n = len(payloads)
@@ -498,16 +533,17 @@ def enumerate_teleportation_with_lock(
         raise ValueError(
             f"{n} receivers requested; the enumerator is capped at {MAX_RECEIVERS} receivers"
         )
+    _require_unitary(lock)
     if lock.dim != 1 << n:
         raise ValueError(f"{n} receivers need a {1 << n}-dimensional lock")
     _check_payloads(payloads)
-    _, a_labels, r_labels = _teleport_labels(n, receiver_labels)
+    r_labels = _teleport_labels(n, receiver_labels)[2]
 
     bell = states.family("bell")
     outcomes = [gates.EncodedBits(*xy) for xy in bell.members]
-    _, _, table, readouts = _shared_pairs(payloads, lock, a_labels, r_labels)
+    table = _pair_matrix(lock)
     # pair i maps each row's first sender axis to its four outcomes
-    for i, readout in enumerate(readouts):
+    for i, readout in enumerate(_readouts(payloads)):
         table = np.matmul(readout, table.reshape(4**i, 2, -1)).reshape(-1, 1 << n)
     norms = np.linalg.norm(table, axis=1)
     table /= norms[:, None]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -203,12 +203,13 @@ class Unitary:
         return self.dim.bit_length() - 1
 
 
-def _derived(u: Unitary, name: str, build) -> Unitary:
+def _derived(u: Unitary, name: str, build: Callable[[Unitary], Any]) -> Any:
     """``build(u)``, built on the first call for ``u`` and kept on it under ``name``.
 
-    A ``Unitary`` cannot change after its check, so a unitary derived from it
-    (an inverse, say) stays valid for as long as ``u`` lives, and each repeat
-    of a verdict can take the one built first.
+    A ``Unitary`` cannot change after its check, so any value derived from
+    it alone (an inverse, or a read-only array) stays valid for as long as
+    ``u`` lives, and each repeat of a verdict can take the one built first.
+    Each caller keeps its value under its own ``name``.
     """
     kept = u.__dict__.get(name)
     if kept is None:
@@ -256,6 +257,23 @@ def _ungrouped(matrix: np.ndarray, order: Sequence[int]) -> np.ndarray:
     """Flat register-order amplitudes of a matrix laid out as :func:`_grouped` lays it."""
     n = len(order)
     return matrix.reshape((2,) * n).transpose(_layout(n, tuple(order))[1]).reshape(-1)
+
+
+def _ungrouped_outer(rows: np.ndarray, cols: np.ndarray, order: Sequence[int]) -> np.ndarray:
+    """``_ungrouped(np.outer(rows, cols), order)``, built as one array.
+
+    Each product is written straight to its register-order place, so no
+    outer product is held and no copy is made: the result is the only
+    array allocated, with the same bits.
+    """
+    n, k = len(order), rows.size.bit_length() - 1
+    flat = np.empty(rows.size * cols.size, dtype=np.result_type(rows, cols))
+    np.multiply(
+        rows.reshape((2,) * k + (1,) * (n - k)),
+        cols.reshape((1,) * k + (2,) * (n - k)),
+        out=flat.reshape((2,) * n).transpose(order),
+    )
+    return flat
 
 
 def _target_axes(state: StateVector, targets: Sequence[str]) -> tuple[int, ...]:

@@ -36,7 +36,7 @@ from simulq.qlinalg import ATOL, Unitary, partial_trace
 
 
 def max_pairwise_diff_loop(mats) -> float:
-    """The pairwise loop that ``analysis._max_pairwise_diff`` replaced."""
+    """The pairwise loop whose maximum ``analysis._pair_diffs`` must reproduce."""
     mats = list(mats)
     worst = 0.0
     for i in range(len(mats)):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from simulq import analysis, gates, states
+from simulq import analysis, gates, protocols, states
 from simulq.analysis import (
-    _max_pairwise_diff,
+    _pair_diffs,
     classify_locking_unitary,
     verify_counterexample,
     verify_theorem,
@@ -165,6 +165,11 @@ class TestClassifierDenseCoding:
         with pytest.raises(ValueError):
             classify_locking_unitary(gates.qft(2), "uncloning")
 
+    @pytest.mark.parametrize("task", ["dense_coding", "teleportation"])
+    def test_rejects_a_bare_array_by_its_type(self, task):
+        with pytest.raises(ValueError, match="^the lock must be a Unitary, got ndarray$"):
+            classify_locking_unitary(gates.qft(2).entries, task)
+
     def test_rejections_name_the_lock_size_and_the_channel(self):
         size = "^a channel lock acts on two sender qubits; got dim 2$"
         with pytest.raises(ValueError, match=size):
@@ -297,11 +302,10 @@ class TestTeleportClassifierAgainstPerBranch:
 def test_max_pairwise_diff_matches_the_pairwise_loop(k, dim):
     rng = np.random.default_rng(100 * k + dim)
     mats = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(k)]
-    got = _max_pairwise_diff(mats)
-    assert type(got) is float
-    assert got == max_pairwise_diff_loop(mats)  # bitwise, not approx
-    if k < 2:
-        assert got == 0.0
+    diffs = _pair_diffs(np.asarray(mats))
+    assert diffs.shape == (k * (k - 1) // 2,)
+    if k >= 2:
+        assert float(diffs.max()) == max_pairwise_diff_loop(mats)  # bitwise, not approx
 
 
 @pytest.fixture
@@ -426,6 +430,20 @@ def test_verdicts_still_run_the_end_to_end_protocols(monkeypatch):
     assert (len(enumerations), len(transcripts)) == (36, 16)
     verify_counterexample()
     assert (len(enumerations), len(transcripts)) == (36, 32)
+
+
+def test_a_teleportation_verdict_builds_the_locked_pairs_once(monkeypatch):
+    # the 36 enumerations share the fresh lock's pair matrix, built on the first
+    enumerations = _count_calls(monkeypatch, "enumerate_teleportation_with_lock")
+    builds = []
+    build = protocols._shared_pairs
+    monkeypatch.setattr(protocols, "_shared_pairs", lambda *a: builds.append(a) or build(*a))
+    for lock in (gates.qft(2), gates.lock_operator(), random_unitary(np.random.default_rng(3), 2)):
+        before = len(enumerations)
+        classify_locking_unitary(lock, "teleportation")
+        assert len(enumerations) - before == 36
+        assert builds[-1][0] is lock
+    assert len(builds) == 3
 
 
 # --- the stacked dense sweep against the 16 protocol runs ---------------------

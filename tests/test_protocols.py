@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from simulq import gates, protocols, states
+from simulq import gates, protocols, qlinalg, states
 from simulq.protocols import (
     DENSE_STEPS,
     MAX_RECEIVERS,
@@ -348,6 +348,20 @@ def test_both_entry_points_refuse_payloads_of_more_than_one_qubit(rng):
 _BARE_PAYLOADS = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
+_BARE_LOCK = "^the lock must be a Unitary, got ndarray$"
+
+
+def test_enumerator_refuses_a_bare_array_as_the_lock(rng):
+    payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(2))
+    with pytest.raises(ValueError, match=_BARE_LOCK):
+        enumerate_teleportation_with_lock(payloads, gates.qft(2).entries)
+
+
+def test_dense_run_refuses_a_bare_array_as_the_lock():
+    with pytest.raises(ValueError, match=_BARE_LOCK):
+        run_dense_coding_with_lock("bell", (0, 1), (1, 0), gates.qft(2).entries)
+
+
 def test_teleport_input_refuses_bare_arrays_as_payloads():
     with pytest.raises(ValueError, match="^payloads must be single-qubit states$"):
         TeleportInput("qftN", _BARE_PAYLOADS, 2)
@@ -495,6 +509,41 @@ def test_unlock_is_built_once_per_lock(rng):
     assert protocols._unlock(lock) is unlock
 
 
+def test_pair_matrix_is_built_once_per_lock_and_read_only(rng, monkeypatch):
+    builds = []
+    build = protocols._shared_pairs
+    monkeypatch.setattr(protocols, "_shared_pairs", lambda *a: builds.append(a) or build(*a))
+    for n in (1, 2, 3):
+        lock = random_unitary(rng, n)
+        matrix = protocols._pair_matrix(lock)
+        assert protocols._pair_matrix(lock) is matrix
+        assert not matrix.flags.writeable
+        # Phi(0,0)^N is I / sqrt(2^N) with sender rows, so the locked pairs are U / sqrt(2^N)
+        assert_allclose(matrix, lock.entries / np.sqrt(2**n), rtol=0, atol=1e-15)
+        before = matrix.copy()
+        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n))
+        enumerate_teleportation_with_lock(payloads, lock)
+        assert protocols._pair_matrix(lock) is matrix
+        assert np.array_equal(matrix, before)
+        assert len(builds) == n
+
+
+def test_alternating_locks_enumerate_as_fresh_copies(rng):
+    # each lock keeps its own pair matrix: interleaved enumerations with two
+    # locks match, bit for bit, enumerations with a fresh copy of each lock
+    locks = (gates.qft(2), random_unitary(rng, 2))
+    payloads = [tuple(random_state(rng, 1, (f"p{i}",)) for i in range(2)) for _ in range(4)]
+    for k, pair in enumerate(payloads):
+        lock = locks[k % 2]
+        got = enumerate_teleportation_with_lock(pair, lock)
+        want = enumerate_teleportation_with_lock(pair, Unitary(lock.entries))
+        assert [(b.results, b.probability, b.fidelities) for b in got] == [
+            (b.results, b.probability, b.fidelities) for b in want
+        ]
+        for g, w in zip(got[0].tables, want[0].tables):
+            assert g.amplitudes.tobytes() == w.amplitudes.tobytes()
+
+
 def test_bell_readout_is_built_once():
     readout = protocols._bell_readout()
     assert protocols._bell_readout() is readout
@@ -547,6 +596,27 @@ class TestSampledRunAgainstOracle:
         rng = np.random.default_rng(seed)
         payloads = tuple(random_state(rng, 1, (label,)) for _ in range(n))
         self.assert_same_run(TeleportInput(scheme, payloads, n), seed)
+
+    def test_snapshots_are_read_only_and_match_the_outer_product_path(self, rng, monkeypatch):
+        # each sampled snapshot is written once and handed to a one-row table;
+        # its bits are those of the outer product, reordered and then copied
+        # by the StateVector constructor
+        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(3))
+        inp = TeleportInput("qftN", payloads, 3)
+        got = run_teleportation(inp, seed=5)
+        monkeypatch.setattr(
+            protocols,
+            "_ungrouped_outer",
+            lambda rows, cols, order: qlinalg._ungrouped(np.outer(rows, cols), order),
+        )
+        monkeypatch.setattr(
+            protocols, "_StateTable", lambda table, labels: [StateVector(table[0], labels)]
+        )
+        want = run_teleportation(inp, seed=5)
+        for (name, g), (_, w) in zip(got.steps, want.steps):
+            assert not g.amplitudes.flags.writeable, name
+            assert g.labels == w.labels
+            assert g.amplitudes.tobytes() == w.amplitudes.tobytes(), name
 
     def test_matches_full_register_sampler_for_six_receivers(self):
         rng = np.random.default_rng(2009)

@@ -19,6 +19,7 @@ from simulq.qlinalg import (
     _layout,
     _StateTable,
     _ungrouped,
+    _ungrouped_outer,
     apply,
     equal_up_to_global_phase,
     fidelity,
@@ -500,3 +501,16 @@ def test_grouped_and_ungrouped_match_the_uncached_layout(n):
         back = want.reshape([2] * n).transpose(oracle.ungrouping_permutation(want_order))
         assert np.array_equal(_ungrouped(matrix, order), back.reshape(-1))
         assert np.array_equal(_ungrouped(matrix, want_order), amps)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_ungrouped_outer_is_the_outer_product_ungrouped_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    for k in range(1, n):
+        order = [int(a) for a in rng.permutation(n)]
+        rows = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
+        cols = rng.normal(size=1 << (n - k)) + 1j * rng.normal(size=1 << (n - k))
+        for left in (rows, rows.real):
+            got = _ungrouped_outer(left, cols, order)
+            assert got.dtype == np.complex128 and got.flags.c_contiguous
+            assert got.tobytes() == _ungrouped(np.outer(left, cols), order).tobytes()
