@@ -29,6 +29,7 @@ from .protocols import (
     _LOCKS,
     MAX_RECEIVERS,
     TeleportInput,
+    _check_receivers,
     run_dense_coding_with_lock,
     run_teleportation,
 )
@@ -291,6 +292,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         n = 2 if args.n is None else args.n
         scheme = "ulock2" if args.teleport == "ulock" else "qftN"
+        _check_receivers(scheme, n)
         if args.states is not None:
             payloads = _load_payloads(args.states, n)
         else:

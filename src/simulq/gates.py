@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qlinalg import Unitary, _derived
+from .qlinalg import Unitary
 
 
 class EncodedBits(NamedTuple):
@@ -145,8 +145,13 @@ def adjoint(u: Unitary) -> Unitary:
 
     It is built once per ``u`` and kept on it, so the 16 protocol runs of the
     dense theorem, and every repeat of a dense lock verdict, share one inverse.
+    A ``Unitary`` cannot change after its check, so the kept inverse stays
+    valid for as long as ``u`` lives.
     """
-    return _derived(u, "_adjoint", lambda v: Unitary(v.entries.conj().T))
+    kept = u.__dict__.get("_adjoint")
+    if kept is None:
+        kept = u.__dict__["_adjoint"] = Unitary(u.entries.conj().T)
+    return kept
 
 
 # Gates addressable by name from the command line.

@@ -49,7 +49,6 @@ from .qlinalg import (
     DensityMatrix,
     StateVector,
     Unitary,
-    _derived,
     _grouped,
     _jsonable,
     _StateTable,
@@ -103,16 +102,7 @@ class TeleportInput:
 
     def __post_init__(self) -> None:
         payloads = tuple(self.payloads)
-        if self.scheme == "ulock2":
-            if self.n_receivers != 2:
-                raise ValueError("the ulock2 scheme has exactly 2 receivers")
-        elif self.scheme == "qftN":
-            if not 1 <= self.n_receivers <= MAX_RECEIVERS:
-                raise ValueError(
-                    f"qftN supports 1..{MAX_RECEIVERS} receivers, got {self.n_receivers}"
-                )
-        else:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected ulock2 or qftN")
+        _check_receivers(self.scheme, self.n_receivers)
         if len(payloads) != self.n_receivers:
             raise ValueError(
                 f"{self.n_receivers} receivers need {self.n_receivers} payloads,"
@@ -120,6 +110,22 @@ class TeleportInput:
             )
         _check_payloads(payloads)
         object.__setattr__(self, "payloads", payloads)
+
+
+def _check_receivers(scheme: str, n: int) -> None:
+    """Refuse an unknown scheme or a receiver count it does not support.
+
+    :class:`TeleportInput` checks this first, and the command line before it
+    builds any payload, so a huge count is refused without allocating.
+    """
+    if scheme == "ulock2":
+        if n != 2:
+            raise ValueError("the ulock2 scheme has exactly 2 receivers")
+    elif scheme == "qftN":
+        if not 1 <= n <= MAX_RECEIVERS:
+            raise ValueError(f"qftN supports 1..{MAX_RECEIVERS} receivers, got {n}")
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}; expected ulock2 or qftN")
 
 
 def _require_unitary(lock) -> None:
@@ -297,10 +303,9 @@ def _unlock(lock: Unitary) -> Unitary:
     The joint state picked up by the receivers carries the transpose of the
     lock, so the inverse they must apply is its elementwise conjugate.  For
     the (real) Hadamard--CNOT lock that is the lock itself; for the
-    (symmetric) Fourier lock it is the ordinary adjoint.  It is built once
-    per lock and kept on it, so the 36 enumerations of a lock verdict share one.
+    (symmetric) Fourier lock it is the ordinary adjoint.
     """
-    return _derived(lock, "_unlock", lambda u: Unitary(u.entries.conj()))
+    return Unitary(lock.entries.conj())
 
 
 @functools.cache
@@ -340,23 +345,6 @@ def _shared_pairs(lock: Unitary, a_labels, r_labels):
     locked = apply(shared, lock, a_labels)
     matrix = _grouped(locked.amplitudes, [locked.axis_of(a) for a in a_labels])[0]
     return shared, locked, matrix
-
-
-def _pair_matrix(lock: Unitary) -> np.ndarray:
-    """The locked shared pairs of :func:`_shared_pairs` as a read-only ``2^N x 2^N`` matrix.
-
-    The matrix depends on the lock alone (the labels only name its axes), so
-    it is built once per lock and kept on it: the 36 enumerations of a lock
-    verdict share one.
-    """
-
-    def build(u: Unitary) -> np.ndarray:
-        _, a_labels, r_labels = _teleport_labels(u.n_qubits)
-        matrix = _shared_pairs(u, a_labels, r_labels)[2]
-        matrix.setflags(write=False)
-        return matrix
-
-    return _derived(lock, "_pair_matrix", build)
 
 
 def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
@@ -514,16 +502,16 @@ def enumerate_teleportation_with_lock(
     A Bell measurement of ``(Ai, Ti)`` is a rotation into the Bell basis
     followed by a computational readout, and the payloads are a product
     state, so the table is built from the locked shared pairs alone: read as
-    a ``2^N x 2^N`` matrix (sender rows, receiver columns), built once per
-    lock and kept on it (:func:`_pair_matrix`), each sender row axis is
-    mapped to its four outcomes by the 4x2 readout of pair ``i`` folded with
-    payload ``i``.  Row norms squared are the branch
-    probabilities (each exactly ``4^-N``, since the sender halves are
-    maximally mixed), the unlock is one matrix product on the normalised
-    rows, the per-receiver corrections are one signed gather, and the
-    fidelities act on all rows at once.  The normalised table and the
-    corrected one are each validated once, as a whole, and every branch is a
-    :class:`TeleportBranch` record pointing at its row of both.  At most
+    a ``2^N x 2^N`` matrix (sender rows, receiver columns) by
+    :func:`_shared_pairs`, each sender row axis is mapped to its four
+    outcomes by the 4x2 readout of pair ``i`` folded with payload ``i``.
+    Row norms squared are the branch probabilities (each exactly ``4^-N``,
+    since the sender halves are maximally mixed), the unlock is one matrix
+    product on the normalised rows, the per-receiver corrections are one
+    signed gather, and the fidelities act on all rows at once.  The
+    normalised table and the corrected one are each validated once, as a
+    whole, and every branch is a :class:`TeleportBranch` record pointing at
+    its row of both.  At most
     ``MAX_RECEIVERS`` receivers are accepted, the lock must be a
     :class:`~simulq.qlinalg.Unitary` and every payload a single-qubit state.
     """
@@ -541,7 +529,8 @@ def enumerate_teleportation_with_lock(
 
     bell = states.family("bell")
     outcomes = [gates.EncodedBits(*xy) for xy in bell.members]
-    table = _pair_matrix(lock)
+    # the matrix depends on the lock alone; the default labels only name its axes
+    table = _shared_pairs(lock, *_teleport_labels(n)[1:])[2]
     # pair i maps each row's first sender axis to its four outcomes
     for i, readout in enumerate(_readouts(payloads)):
         table = np.matmul(readout, table.reshape(4**i, 2, -1)).reshape(-1, 1 << n)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -201,20 +201,6 @@ class Unitary:
     @property
     def n_qubits(self) -> int:
         return self.dim.bit_length() - 1
-
-
-def _derived(u: Unitary, name: str, build: Callable[[Unitary], Any]) -> Any:
-    """``build(u)``, built on the first call for ``u`` and kept on it under ``name``.
-
-    A ``Unitary`` cannot change after its check, so any value derived from
-    it alone (an inverse, or a read-only array) stays valid for as long as
-    ``u`` lives, and each repeat of a verdict can take the one built first.
-    Each caller keeps its value under its own ``name``.
-    """
-    kept = u.__dict__.get(name)
-    if kept is None:
-        kept = u.__dict__[name] = build(u)
-    return kept
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

@@ -8,12 +8,13 @@ validated snapshots per encoding), keeps each intercepted view as a
 
 ``classify_teleportation_per_branch`` is the classifier that
 ``simulq.analysis._classify_teleportation`` used before its views were
-computed on stacked branch tables, and then from each receiver's site block:
-it builds one ``partial_trace`` (a fully validated ``DensityMatrix``) per
-receiver, branch and payload pair, averages them in Python, and compares the
-views pair by pair with ``max_pairwise_diff_loop``.  It is slow but follows
-the definition step by step, so the differential tests compare the
-classifier against it.
+computed on stacked branch tables, and then from each receiver's site block
+and one enumeration: it enumerates all 36 ordered pairs of its own six
+stabilizer payloads, builds one ``partial_trace`` (a fully validated
+``DensityMatrix``) per receiver, branch and payload pair, averages them in
+Python, and compares the views pair by pair with ``max_pairwise_diff_loop``.
+It is slow but follows the definition step by step, so the differential
+tests compare the classifier against it.
 """
 
 from __future__ import annotations
@@ -25,14 +26,29 @@ import numpy as np
 from simulq import states
 from simulq.analysis import (
     _ENCODINGS,
-    _PROBES,
     BIT_NAMES,
     LockingReport,
     SubsystemReport,
     _expected_view,
 )
 from simulq.protocols import enumerate_teleportation_with_lock, run_dense_coding_with_lock
-from simulq.qlinalg import ATOL, Unitary, partial_trace
+from simulq.qlinalg import ATOL, StateVector, Unitary, partial_trace
+
+# The six single-qubit stabilizer states |0>, |1>, |+>, |->, |+i>, |-i>,
+# written out here rather than read from ``simulq.analysis``.
+_STABILIZER_AMPLITUDES = (
+    (1.0, 0.0),
+    (0.0, 1.0),
+    (2**-0.5, 2**-0.5),
+    (2**-0.5, -(2**-0.5)),
+    (2**-0.5, 1j * 2**-0.5),
+    (2**-0.5, -1j * 2**-0.5),
+)
+# each state on each payload qubit: _PROBES[i] holds all six on qubit p{i + 1}
+_PROBES = tuple(
+    tuple(StateVector(np.array(amps, dtype=complex), (label,)) for amps in _STABILIZER_AMPLITUDES)
+    for label in ("p1", "p2")
+)
 
 
 def max_pairwise_diff_loop(mats) -> float:

@@ -331,11 +331,13 @@ def unitary_validations(monkeypatch):
 def test_a_verdict_builds_each_inverse_once(unitary_validations):
     # the theorem builds qft(2) and its adjoint; every dense run shares that adjoint
     assert unitary_validations(lambda: verify_theorem("ghz")) <= 2
-    for task in ("dense_coding", "teleportation"):
-        lock = gates.qft(2)
-        # one adjoint for 16 dense runs, one unlock for 36 enumerations
-        assert unitary_validations(lambda: classify_locking_unitary(lock, task)) <= 1
-        assert unitary_validations(lambda: classify_locking_unitary(lock, task)) == 0
+    lock = gates.qft(2)
+    # a dense verdict keeps its one adjoint on the lock for every repeat
+    assert unitary_validations(lambda: classify_locking_unitary(lock, "dense_coding")) <= 1
+    assert unitary_validations(lambda: classify_locking_unitary(lock, "dense_coding")) == 0
+    # a teleportation verdict builds the one unlock of its one enumeration, each time
+    for _ in range(2):
+        assert unitary_validations(lambda: classify_locking_unitary(lock, "teleportation")) <= 1
 
 
 def _site_block_by_definition(u: Unitary, i: int) -> np.ndarray:
@@ -414,7 +416,7 @@ def _count_calls(monkeypatch, name: str) -> list:
 
 
 def test_verdicts_still_run_the_end_to_end_protocols(monkeypatch):
-    # a teleportation verdict enumerates all 36 probe pairs; a dense verdict reads
+    # a teleportation verdict enumerates one probe pair; a dense verdict reads
     # its 16 encodings from one stacked sweep and runs no transcript; the theorem
     # and the counterexample, the paper's end-to-end claims, each run all 16
     # encodings through the protocol, which is what the benchmark's reach counters read
@@ -422,28 +424,29 @@ def test_verdicts_still_run_the_end_to_end_protocols(monkeypatch):
     transcripts = _count_calls(monkeypatch, "run_dense_coding_with_lock")
     lock = gates.qft(2)
     classify_locking_unitary(lock, "teleportation")
-    assert (len(enumerations), len(transcripts)) == (36, 0)
+    assert (len(enumerations), len(transcripts)) == (1, 0)
     for channel in ("bell", "ghz", "w"):
         classify_locking_unitary(lock, "dense_coding", channel)
-    assert (len(enumerations), len(transcripts)) == (36, 0)
+    assert (len(enumerations), len(transcripts)) == (1, 0)
     verify_theorem("bell")
-    assert (len(enumerations), len(transcripts)) == (36, 16)
+    assert (len(enumerations), len(transcripts)) == (1, 16)
     verify_counterexample()
-    assert (len(enumerations), len(transcripts)) == (36, 32)
+    assert (len(enumerations), len(transcripts)) == (1, 32)
 
 
 def test_a_teleportation_verdict_builds_the_locked_pairs_once(monkeypatch):
-    # the 36 enumerations share the fresh lock's pair matrix, built on the first
+    # each verdict, repeated or not, makes one enumeration, which builds the pairs once
     enumerations = _count_calls(monkeypatch, "enumerate_teleportation_with_lock")
     builds = []
     build = protocols._shared_pairs
     monkeypatch.setattr(protocols, "_shared_pairs", lambda *a: builds.append(a) or build(*a))
-    for lock in (gates.qft(2), gates.lock_operator(), random_unitary(np.random.default_rng(3), 2)):
-        before = len(enumerations)
+    locks = (gates.qft(2), gates.lock_operator(), random_unitary(np.random.default_rng(3), 2))
+    for lock in locks + locks:
+        before = (len(enumerations), len(builds))
         classify_locking_unitary(lock, "teleportation")
-        assert len(enumerations) - before == 36
+        assert (len(enumerations), len(builds)) == (before[0] + 1, before[1] + 1)
         assert builds[-1][0] is lock
-    assert len(builds) == 3
+        assert enumerations[-1] == (analysis._PROBE_PAIR, lock)
 
 
 # --- the stacked dense sweep against the 16 protocol runs ---------------------
@@ -539,6 +542,35 @@ def test_stacked_decode_fails_when_the_unlock_does_nothing(channel, monkeypatch)
     assert report.checks["decode_correct"] is False
     assert report.end_to_end_correct is False
     assert not report.valid_lock
+
+
+# the locks the single end-to-end run must reject once the unlock is wrong
+_HAAR_LOCKS = tuple(f"haar{i}" for i in range(5))
+
+
+@pytest.mark.parametrize(
+    "unlock, names",
+    [
+        ("identity", ("qft", "ulock", *_HAAR_LOCKS)),
+        ("adjoint", ("ulock", *_HAAR_LOCKS)),
+    ],
+)
+def test_one_run_fails_when_the_unlock_is_wrong(unlock, names, monkeypatch):
+    # the verdict's one enumeration reads the unlocked register: with the identity
+    # or the adjoint as the unlock, the lock scrambles the payloads and the verdict
+    # must say so (the adjoint of the symmetric qft(2) is its conjugate, so qft
+    # is left out there)
+    wrong = {"identity": lambda u: gates.identity(u.n_qubits), "adjoint": gates.adjoint}[unlock]
+    monkeypatch.setattr(protocols, "_unlock", wrong)
+    for name in names:
+        lock = _dense_lock(name)
+        report = classify_locking_unitary(lock, "teleportation")
+        assert report.end_to_end_correct is False, name
+        assert report.checks["end_to_end_correct"] is False
+        assert report.notes["min_fidelity"] < 1.0 - ATOL
+        assert not report.valid_lock
+        # the 36-pair per-branch reference flags the same lock
+        assert classify_teleportation_per_branch(lock).end_to_end_correct is False
 
 
 # --- G6: the GHZ and W channels are the Bell channel through a receiver isometry

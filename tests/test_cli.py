@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from simulq import cli, gates
 from simulq.cli import main
-from simulq.qlinalg import to_wire
+from simulq.qlinalg import StateVector, to_wire
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +159,30 @@ def test_run_usage_errors(capsys):
     code, out, err = run_cli(capsys, "run", "--teleport", "qft", "--n", "2", "--states", "")
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "teleport, n, message",
+    [
+        ("qft", "100000", "qftN supports 1..6 receivers, got 100000"),
+        ("qft", "0", "qftN supports 1..6 receivers, got 0"),
+        ("ulock", "100000", "the ulock2 scheme has exactly 2 receivers"),
+    ],
+)
+@pytest.mark.parametrize("with_states", [False, True])
+def test_receiver_count_is_refused_before_any_payload_is_built(
+    capsys, monkeypatch, tmp_path, teleport, n, message, with_states
+):
+    built = []
+    check = StateVector.__post_init__
+    monkeypatch.setattr(StateVector, "__post_init__", lambda self: built.append(1) or check(self))
+    argv = ["run", "--teleport", teleport, "--n", n]
+    if with_states:
+        # the count is checked before the file is read
+        argv += ["--states", str(tmp_path / "missing.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert built == []
 
 
 @pytest.mark.parametrize(
@@ -546,7 +570,7 @@ def test_reused_parser_matches_a_fresh_one(capsys):
 _COLD_AND_WARM = """
 import contextlib, io, json, sys
 from simulq import cli, gates
-from simulq.qlinalg import to_wire
+from simulq.qlinalg import StateVector, to_wire
 
 with open(sys.argv[1], "w") as fh:
     json.dump(to_wire(gates.qft(2)), fh)

@@ -229,64 +229,3 @@ def test_checker_finds_decorated_public_functions():
 def test_public_functions_are_plain():
     trees = {p.name: _parsed_modules()[str(p)] for p in SRC_MODULES}
     assert decorated_public_functions(trees) == []
-
-
-def derived_key_faults(trees: dict[str, ast.Module]) -> list[str]:
-    """Each ``_derived(u, name, build)`` call of ``trees`` whose ``name`` is unsafe.
-
-    ``_derived`` keeps a value on ``u`` under ``name``, so a key that is not
-    a string literal, or a literal that a second call passes too, could hand
-    one caller's cached value to another on the same lock.  Returns one
-    ``key:line: reason`` string per fault, in order of ``trees``.
-    """
-    faults, seen = [], {}
-    for key, tree in trees.items():
-        calls = [
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and "_derived" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-        ]
-        for call in sorted(calls, key=lambda c: c.lineno):
-            site = f"{key}:{call.lineno}"
-            arg = call.args[1] if len(call.args) > 1 else None
-            arg = next((kw.value for kw in call.keywords if kw.arg == "name"), arg)
-            if not (isinstance(arg, ast.Constant) and isinstance(arg.value, str)):
-                faults.append(f"{site}: key is not a string literal")
-            elif arg.value in seen:
-                faults.append(f"{site}: key {arg.value!r} is also used at {seen[arg.value]}")
-            else:
-                seen[arg.value] = site
-    return faults
-
-
-def test_checker_finds_unsafe_derived_keys():
-    first = (
-        "from q import _derived\n"
-        "def inverse(u):\n    return _derived(u, '_inverse', build)\n"
-        "def named(u, name):\n    return _derived(u, name, build)\n"
-        "def keyword(u):\n    return _derived(u, name='_kw', build=build)\n"
-    )
-    second = (
-        "import q\n"
-        "def again(u):\n    return q._derived(u, '_inverse', build)\n"
-        "def other(u):\n    return q._derived(u, '_other', build)\n"
-        "def kw_again(u):\n    return _derived(u, build=build, name='_kw')\n"
-        "def missing(u):\n    return _derived(u)\n"
-    )
-    trees = {"a": ast.parse(first), "b": ast.parse(second)}
-    assert derived_key_faults(trees) == [
-        "a:5: key is not a string literal",
-        "b:3: key '_inverse' is also used at a:3",
-        "b:7: key '_kw' is also used at a:7",
-        "b:9: key is not a string literal",
-    ]
-
-
-def test_derived_values_have_distinct_literal_keys():
-    trees = {p.name: _parsed_modules()[str(p)] for p in SRC_MODULES}
-    assert derived_key_faults(trees) == []
-    # the checker reaches the known callers: the adjoint, the unlock and the pair matrix
-    calls = [n for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.Call)]
-    keys = {c.args[1].value for c in calls if getattr(c.func, "id", None) == "_derived"}
-    assert keys >= {"_adjoint", "_pair_matrix", "_unlock"}

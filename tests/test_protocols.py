@@ -310,6 +310,10 @@ class TestTeleportQft:
         lock = gates.qft(2)
         branches = enumerate_teleportation_with_lock(payloads, lock, receiver_labels=("R1", "R2"))
         assert branches[0].pre_unlock_state.labels == ("R1", "R2")
+        # the sender names are internal, so receivers may take them too
+        renamed = enumerate_teleportation_with_lock(payloads, lock, receiver_labels=("A1", "A2"))
+        assert renamed[0].pre_unlock_state.labels == ("A1", "A2")
+        assert [b.fidelities for b in renamed] == [b.fidelities for b in branches]
         with pytest.raises(ValueError):
             enumerate_teleportation_with_lock(payloads, lock, ("only-one",))
 
@@ -499,38 +503,28 @@ def test_correction_digit_table_is_derived_once(rng):
     assert not (src.flags.writeable or sign.flags.writeable)
 
 
-def test_unlock_is_built_once_per_lock(rng):
+def test_unlock_is_the_conjugate_not_the_adjoint(rng):
     lock = random_unitary(rng, 2)
     unlock = protocols._unlock(lock)
-    assert protocols._unlock(lock) is unlock
     assert np.array_equal(unlock.entries, lock.entries.conj())
-    # the dense adjoint is kept apart from the teleportation unlock
-    assert np.array_equal(gates.adjoint(lock).entries, lock.entries.conj().T)
-    assert protocols._unlock(lock) is unlock
+    # the dense adjoint differs from the teleportation unlock
+    adjoint = gates.adjoint(lock)
+    assert np.array_equal(adjoint.entries, lock.entries.conj().T)
+    assert not np.allclose(adjoint.entries, unlock.entries)
 
 
-def test_pair_matrix_is_built_once_per_lock_and_read_only(rng, monkeypatch):
-    builds = []
-    build = protocols._shared_pairs
-    monkeypatch.setattr(protocols, "_shared_pairs", lambda *a: builds.append(a) or build(*a))
+def test_shared_pairs_are_the_lock_over_root_dim(rng):
     for n in (1, 2, 3):
         lock = random_unitary(rng, n)
-        matrix = protocols._pair_matrix(lock)
-        assert protocols._pair_matrix(lock) is matrix
-        assert not matrix.flags.writeable
+        _, a_labels, r_labels = protocols._teleport_labels(n)
+        matrix = protocols._shared_pairs(lock, a_labels, r_labels)[2]
         # Phi(0,0)^N is I / sqrt(2^N) with sender rows, so the locked pairs are U / sqrt(2^N)
         assert_allclose(matrix, lock.entries / np.sqrt(2**n), rtol=0, atol=1e-15)
-        before = matrix.copy()
-        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n))
-        enumerate_teleportation_with_lock(payloads, lock)
-        assert protocols._pair_matrix(lock) is matrix
-        assert np.array_equal(matrix, before)
-        assert len(builds) == n
 
 
 def test_alternating_locks_enumerate_as_fresh_copies(rng):
-    # each lock keeps its own pair matrix: interleaved enumerations with two
-    # locks match, bit for bit, enumerations with a fresh copy of each lock
+    # nothing carries over from one enumeration to the next: interleaved
+    # enumerations with two locks match, bit for bit, ones with a fresh copy of each lock
     locks = (gates.qft(2), random_unitary(rng, 2))
     payloads = [tuple(random_state(rng, 1, (f"p{i}",)) for i in range(2)) for _ in range(4)]
     for k, pair in enumerate(payloads):
