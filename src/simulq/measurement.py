@@ -82,15 +82,16 @@ def _born_draw(rows: np.ndarray, family: BasisFamily, targets: tuple, rng):
 def _branches(state: StateVector, family: BasisFamily, targets: tuple):
     """The four unnormalised residuals of ``family``'s members on ``targets``, stacked.
 
-    Also returns the residuals' labels, in register order.
+    One :func:`~simulq.qlinalg.contract` call on the family's read-only bra
+    stack: the register is grouped once and each member's residual is its own
+    row product.  Also returns the residuals' labels, in register order.
     """
     if family.ambient_dim != 1 << len(targets):
         raise ValueError(
             f"family {family.name!r} lives on {family.ambient_dim} dimensions,"
             f" got {len(targets)} target qubit(s)"
         )
-    rows = [contract(state, m.amplitudes, targets) for m in family.members.values()]
-    return np.array([residual for residual, _ in rows]), rows[0][1]
+    return contract(state, family.bras, targets)
 
 
 def _collapse(
@@ -109,7 +110,11 @@ def _collapse(
 def measure_in_family(
     state: StateVector, family: BasisFamily, targets, seed
 ) -> MeasurementOutcome:
-    """Sample one Born-rule outcome of measuring ``targets`` in ``family``."""
+    """Sample one Born-rule outcome of measuring ``targets`` in ``family``.
+
+    The four residuals come from one ``contract`` call (see :func:`_branches`)
+    and the outcome from one ``rng.random()`` (see :func:`_born_draw`).
+    """
     rng = resolve_rng(seed)
     targets = tuple(targets)
     rows, rest_labels = _branches(state, family, targets)
@@ -174,12 +179,26 @@ def support_distinguisher(rho0, rho1) -> SupportAnalysis:
     return SupportAnalysis(overlap <= ATOL, support_projector(m0), overlap)
 
 
-def sample_projective(rho: DensityMatrix, projector: np.ndarray, seed) -> bool:
-    """One shot of the two-outcome measurement ``{P, I-P}`` on ``rho``.
+def sample_projective(rho: DensityMatrix, projector: np.ndarray, shots: int, seed) -> np.ndarray:
+    """``shots`` shots of the two-outcome measurement ``{P, I-P}`` on ``rho``.
 
-    Returns True when the ``P`` outcome fires, with probability ``tr(P rho)``.
+    Returns a boolean array, True where the ``P`` outcome fires.  Every shot
+    fires with the same probability ``p = tr(P rho)``, so ``p`` is taken once
+    and the shots are drawn together as ``rng.random(shots) < p``.  A PCG64
+    generator gives ``rng.random(k)`` the values of ``k`` calls to
+    ``rng.random()``, so the shots and the generator's end state are those of
+    drawing them one by one.
+
+    A projector whose shape differs from ``rho``'s, and a ``p`` that is not
+    finite or lies outside ``[-ATOL, 1 + ATOL]``, raise ``ValueError``;
+    rounding inside that band is clamped to ``[0, 1]``.
     """
-    rng = resolve_rng(seed)
+    projector = np.asarray(projector)
+    if projector.shape != rho.entries.shape:
+        raise ValueError(
+            f"projector has shape {projector.shape}, rho has shape {rho.entries.shape}"
+        )
     p = float((projector @ rho.entries).trace().real)
-    p = min(max(p, 0.0), 1.0)
-    return bool(rng.random() < p)
+    if not -ATOL <= p <= 1.0 + ATOL:
+        raise ValueError(f"tr(P rho) = {p!r} is not a probability: bound [-{ATOL:g}, 1 + {ATOL:g}]")
+    return resolve_rng(seed).random(shots) < min(max(p, 0.0), 1.0)

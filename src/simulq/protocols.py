@@ -311,8 +311,7 @@ def _unlock(lock: Unitary) -> Unitary:
 @functools.cache
 def _bell_readout() -> np.ndarray:
     """The conjugated Bell members as a read-only 4x2x2 array, in member order."""
-    bell = states.family("bell")
-    readout = np.array([m.amplitudes.conj() for m in bell.members.values()]).reshape(4, 2, 2)
+    readout = states.family("bell").bras.conj().reshape(4, 2, 2)
     readout.setflags(write=False)
     return readout
 

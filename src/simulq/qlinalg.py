@@ -315,16 +315,33 @@ def contract(
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Contract ``<bra|`` against the target qubits of ``state``.
 
-    Returns the *unnormalized* residual amplitudes on the remaining qubits
-    together with their labels (original relative order).  The squared norm
-    of the residual is the Born probability of projecting onto ``bra``.
+    ``bra`` holds the ``2^k`` amplitudes of a ket on the targets, or a
+    ``(m, 2^k)`` stack of them, one per row; each is conjugated here.
+    Returns the *unnormalized* residual amplitudes on the remaining qubits,
+    one row per bra for a stack, together with their labels (original
+    relative order).  The squared norm of a residual is the Born probability
+    of projecting onto its bra.
+
+    The register is grouped once per call, and each bra is its own
+    vector-matrix product: one stacked matrix product would round
+    differently.  A finite complex128 bra is read in place.
     """
     axes = _target_axes(state, targets)
-    bra = _as_complex_array(bra, "bra").reshape(-1)
-    if bra.size != 1 << len(axes):
-        raise ValueError(f"bra has {bra.size} amplitudes for {len(axes)} qubit(s)")
+    bra = np.asarray(bra, dtype=np.complex128)
+    _require_finite(bra, "bra")
+    width = 1 << len(axes)
+    if bra.ndim not in (1, 2) or bra.shape[-1] != width:
+        raise ValueError(
+            f"bra has shape {bra.shape} for {len(axes)} qubit(s);"
+            f" expected ({width},) or a stack (m, {width})"
+        )
     psi, order = _grouped(state.amplitudes, axes)
-    return bra.conj() @ psi, tuple(state.labels[i] for i in order[len(axes):])
+    rest = tuple(state.labels[i] for i in order[len(axes):])
+    rows = np.atleast_2d(bra).conj()
+    residuals = np.empty((len(rows), psi.shape[1]), dtype=np.complex128)
+    for row, out in zip(rows, residuals):
+        np.matmul(row, psi, out=out)
+    return (residuals if bra.ndim == 2 else residuals[0]), rest
 
 
 def inner(a: StateVector, b: StateVector) -> complex:

@@ -15,7 +15,7 @@ ambient space.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -68,24 +68,32 @@ class BasisFamily:
     ``members`` maps ``(x, y)`` to the member state, in the fixed order
     ``(0,0), (0,1), (1,0), (1,1)``.  The family keeps a read-only copy of the
     mapping it is given, so it cannot change after its check.
+
+    ``bras`` is the members' amplitudes stacked in that order, a read-only
+    ``(4, d)`` complex array built once: the bra stack that
+    :func:`~simulq.qlinalg.contract` takes (it conjugates each row), and whose
+    conjugate every Bell readout and decode check reads.
     """
 
     name: str
     members: Mapping
+    bras: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         members = MappingProxyType(dict(self.members))
         if tuple(members) != _BIT_PAIRS:
             raise ValueError(f"family members must be keyed by {_BIT_PAIRS}")
-        vecs = np.array([m.amplitudes for m in members.values()])
-        if np.max(np.abs(vecs.conj() @ vecs.T - np.eye(4))) > ATOL_STRICT:
+        bras = np.array([m.amplitudes for m in members.values()], dtype=np.complex128)
+        if np.max(np.abs(bras.conj() @ bras.T - np.eye(4))) > ATOL_STRICT:
             raise ValueError(f"family {self.name!r} is not orthonormal")
+        bras.setflags(write=False)
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "bras", bras)
 
     @property
     def ambient_dim(self) -> int:
         """The dimension of the space the members live in."""
-        return self.members[_BIT_PAIRS[0]].dim
+        return self.bras.shape[1]
 
 
 # The member constructor of each channel's family: the one channel -> family map.

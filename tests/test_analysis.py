@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from simulq import analysis, gates, protocols, states
+from simulq import analysis, gates, measurement, protocols, states
 from simulq.analysis import (
     _pair_diffs,
     classify_locking_unitary,
@@ -20,6 +20,7 @@ from simulq.qlinalg import ATOL, ATOL_STRICT, Unitary
 from tests.classify_oracle import (
     classify_dense_per_run,
     classify_teleportation_per_branch,
+    counterexample_shot_by_shot,
     dense_views_per_run,
     max_pairwise_diff_loop,
 )
@@ -119,9 +120,9 @@ class TestCounterexample:
         seen = set()
         sample = analysis.sample_projective
 
-        def spy(rho, projector, rng):
+        def spy(rho, projector, shots, rng):
             seen.add(rho.labels)
-            return sample(rho, projector, rng)
+            return sample(rho, projector, shots, rng)
 
         monkeypatch.setattr(analysis, "sample_projective", spy)
         monkeypatch.setattr(analysis, "SUPPORT_SHOTS", 1)
@@ -402,16 +403,16 @@ def test_lock_families_give_the_expected_verdicts(name, verdicts):
     assert seen == verdicts
 
 
-def _count_calls(monkeypatch, name: str) -> list:
-    """Record each call of ``analysis.<name>`` while still making it."""
-    original = getattr(analysis, name)
+def _count_calls(monkeypatch, name: str, module=analysis) -> list:
+    """Record each call of ``<module>.<name>`` while still making it."""
+    original = getattr(module, name)
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -432,6 +433,34 @@ def test_verdicts_still_run_the_end_to_end_protocols(monkeypatch):
     assert (len(enumerations), len(transcripts)) == (1, 16)
     verify_counterexample()
     assert (len(enumerations), len(transcripts)) == (1, 32)
+
+
+def test_claim_checks_contract_once_per_measurement_and_sample_once_per_view(monkeypatch):
+    # the theorem and the counterexample keep their 16 transcripts each; every
+    # measurement contracts its family's read-only bra stack once, and the
+    # counterexample draws each of its 32 views' shots in one call
+    transcripts = _count_calls(monkeypatch, "run_dense_coding_with_lock")
+    samples = _count_calls(monkeypatch, "sample_projective")
+    measurements = _count_calls(monkeypatch, "measure_in_family", protocols)
+    contracts = _count_calls(monkeypatch, "contract", measurement)
+    verify_theorem("ghz")
+    assert [len(c) for c in (transcripts, measurements, contracts, samples)] == [16, 32, 32, 0]
+    verify_counterexample()
+    assert [len(c) for c in (transcripts, measurements, contracts, samples)] == [32, 64, 64, 32]
+    assert all(shots == analysis.SUPPORT_SHOTS for _, _, shots, _ in samples)
+    bras = [states.family(name).bras for name in ("ghz", "bell")]
+    assert all(c[1] is bras[i // 32] for i, c in enumerate(contracts))
+    assert not any(b.flags.writeable for b in bras)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1789, 20240817, 2**31 - 1])
+def test_counterexample_matches_the_shot_by_shot_loop(seed):
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = verify_counterexample(got_rng)
+    want = counterexample_shot_by_shot(want_rng)
+    _assert_same_report(got, want)
+    assert got.notes["measurement_accuracy"] == want.notes["measurement_accuracy"]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_a_teleportation_verdict_builds_the_locked_pairs_once(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from simulq import states
+from simulq import measurement, qlinalg, states
 from simulq.measurement import (
     ProtocolViolation,
     _born_draw,
@@ -16,8 +16,9 @@ from simulq.measurement import (
     support_distinguisher,
     support_projector,
 )
-from simulq.qlinalg import DensityMatrix, StateVector, partial_trace, tensor
-from tests.conftest import random_state
+from simulq.qlinalg import DensityMatrix, StateVector, _ungrouped, contract, partial_trace, tensor
+from tests.classify_oracle import sample_one_shot
+from tests.conftest import random_density, random_state, random_unitary
 
 
 def test_measuring_a_family_member_is_deterministic():
@@ -183,13 +184,120 @@ class TestSupportTools:
         rho_out = DensityMatrix(np.diag([0.0, 1.0]), ("a",))
         proj = np.diag([1.0, 0.0])
         rng = np.random.default_rng(5)
-        assert all(sample_projective(rho_in, proj, rng) for _ in range(50))
-        assert not any(sample_projective(rho_out, proj, rng) for _ in range(50))
+        inside = sample_projective(rho_in, proj, 50, rng)
+        assert inside.dtype == bool and inside.shape == (50,)
+        assert inside.all()
+        assert not sample_projective(rho_out, proj, 50, rng).any()
 
     def test_sample_projective_frequency(self):
         rho = DensityMatrix(np.eye(2) / 2, ("a",))
         proj = np.diag([1.0, 0.0])
         rng = np.random.default_rng(17)
         n = 10_000
-        hits = sum(sample_projective(rho, proj, rng) for _ in range(n))
+        hits = int(sample_projective(rho, proj, n, rng).sum())
         assert abs(hits - n / 2) < 4 * np.sqrt(n * 0.25)
+
+
+def _random_projector(rng, n_qubits: int) -> np.ndarray:
+    """The projector onto a random subspace of 1 .. 2^n - 1 dimensions."""
+    q = random_unitary(rng, n_qubits).entries[:, : rng.integers(1, 1 << n_qubits)]
+    return q @ q.conj().T
+
+
+@pytest.mark.parametrize("seed", [0, 5, 1789, 20240817, 2**31 - 1])
+def test_sample_projective_draws_what_the_one_shot_loop_draws(seed):
+    # a view's shots drawn at once are the one-shot draws, and leave the
+    # generator where the one-shot loop leaves it
+    setup = np.random.default_rng([seed, 3])
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n_qubits, shots in ((1, 25), (2, 1), (2, 40), (3, 0), (3, 25)):
+        rho = random_density(setup, n_qubits)
+        proj = _random_projector(setup, n_qubits)
+        got = sample_projective(rho, proj, shots, got_rng)
+        want = [sample_one_shot(rho, proj, want_rng) for _ in range(shots)]
+        assert got.dtype == bool and got.tolist() == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestSampleProjectiveInputs:
+    VIEW = DensityMatrix(np.eye(4) / 4, ("A1", "B"))
+
+    def test_refuses_a_projector_of_another_shape(self):
+        shapes = "projector has shape (2, 2), rho has shape (4, 4)"
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            sample_projective(self.VIEW, np.eye(2), 5, 0)
+
+    @pytest.mark.parametrize(
+        "projector, value",
+        [(5 * np.eye(4), "5.0"), (np.full((4, 4), np.nan), "nan"), (-1e-9 * np.eye(4), "-1e-09")],
+    )
+    def test_refuses_a_probability_outside_the_band(self, projector, value):
+        message = f"tr(P rho) = {value} is not a probability: bound [-1e-10, 1 + 1e-10]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_projective(self.VIEW, projector, 5, 0)
+
+    def test_clamps_rounding_inside_the_band(self):
+        assert sample_projective(self.VIEW, (1 + 1e-11) * np.eye(4), 100, 1).all()
+        assert not sample_projective(self.VIEW, -1e-11 * np.eye(4), 100, 1).any()
+
+
+def _in_span_register(family, n_rest: int, rng) -> tuple[StateVector, tuple]:
+    """A random register inside the family's span on its targets, which sit at random axes.
+
+    Returns the state and the target labels in the family's qubit order.
+    """
+    k = family.ambient_dim.bit_length() - 1
+    coeff = rng.normal(size=4) + 1j * rng.normal(size=4)
+    rest = rng.normal(size=(4, 1 << n_rest)) + 1j * rng.normal(size=(4, 1 << n_rest))
+    grouped = family.bras.T @ (coeff[:, None] * rest)
+    order = tuple(rng.permutation(k + n_rest).tolist())
+    amps = _ungrouped(grouped / np.linalg.norm(grouped), order)
+    labels = tuple(f"q{i}" for i in range(k + n_rest))
+    return StateVector(amps, labels), tuple(labels[i] for i in order[:k])
+
+
+def _measure_per_member(state, family, targets, rng):
+    """``measure_in_family`` with one ``contract`` call per member, as it measured before."""
+    rows = []
+    for member in family.members.values():
+        residual, rest = contract(state, member.amplitudes, targets)
+        rows.append(residual)
+    pick, p, row = _born_draw(np.array(rows), family, targets, rng)
+    label, member = list(family.members.items())[pick]
+    order = tuple(state.axis_of(q) for q in (*targets, *rest))
+    return label, p, _ungrouped(np.outer(member.amplitudes, row), order)
+
+
+@pytest.mark.parametrize("name", ["bell", "ghz", "w"])
+def test_measure_in_family_matches_the_per_member_contractions(name):
+    fam = states.family(name)
+    setup = np.random.default_rng([17, len(name)])
+    for seed in range(60):
+        state, targets = _in_span_register(fam, seed % 4, setup)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = measure_in_family(state, fam, targets, got_rng)
+        label, p, amps = _measure_per_member(state, fam, targets, want_rng)
+        assert (got.label, got.probability) == (label, p)
+        assert got.post_state.amplitudes.tobytes() == amps.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_a_measurement_contracts_the_familys_stack_once_in_place(monkeypatch):
+    # one contract call per measurement, on the family's read-only stack,
+    # which contract checks as it is, without a copy
+    calls, checked = [], []
+    contract_fn, require_finite = measurement.contract, qlinalg._require_finite
+    monkeypatch.setattr(measurement, "contract", lambda *a: calls.append(a) or contract_fn(*a))
+    monkeypatch.setattr(
+        qlinalg,
+        "_require_finite",
+        lambda arr, name: checked.append(arr) or require_finite(arr, name),
+    )
+    for name in ("bell", "ghz", "w"):
+        fam = states.family(name)
+        state, targets = _in_span_register(fam, 2, np.random.default_rng(4))
+        before = len(calls)
+        measure_in_family(state, fam, targets, seed=1)
+        assert len(calls) == before + 1
+        assert calls[-1][1] is fam.bras and checked[-1] is fam.bras
+        assert not fam.bras.flags.writeable

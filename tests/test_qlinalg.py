@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from simulq.qlinalg import (
     _ungrouped,
     _ungrouped_outer,
     apply,
+    contract,
     equal_up_to_global_phase,
     fidelity,
     inner,
@@ -514,3 +517,51 @@ def test_ungrouped_outer_is_the_outer_product_ungrouped_bit_for_bit(n):
             got = _ungrouped_outer(left, cols, order)
             assert got.dtype == np.complex128 and got.flags.c_contiguous
             assert got.tobytes() == _ungrouped(np.outer(left, cols), order).tobytes()
+
+
+def _assert_stack_is_the_rows(state: StateVector, bras: np.ndarray, targets) -> None:
+    # each row must be what one call per bra gives, and what the product of
+    # the conjugated bra with the grouped register gives
+    got, rest = contract(state, bras, targets)
+    assert got.shape == (len(bras), state.dim >> len(targets))
+    psi, _ = _grouped(state.amplitudes, [state.axis_of(t) for t in targets])
+    for bra, row in zip(bras, got):
+        want, want_rest = contract(state, bra, targets)
+        assert row.tobytes() == want.tobytes() and rest == want_rest
+        assert row.tobytes() == (np.asarray(bra, dtype=complex).conj() @ psi).tobytes()
+
+
+class TestContractStack:
+    """A stack of bras contracts to the rows that one call per bra gives, bit for bit."""
+
+    @pytest.mark.parametrize("channel", ["bell", "ghz", "w"])
+    def test_channel_registers_with_their_family(self, channel):
+        start = states.initial_state(channel)
+        bras = states.family(channel).bras
+        for state in (start, apply(start, gates.qft(2), ("A1", "A2"))):
+            for targets in states.DENSE_CHANNELS[channel].values():
+                _assert_stack_is_the_rows(state, bras, targets)
+                _assert_stack_is_the_rows(state, bras, targets[::-1])
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_random_registers(self, n):
+        rng = np.random.default_rng(300 + n)
+        state = random_state(rng, n)
+        for _ in range(6):
+            k = int(rng.integers(1, min(n, 4)))
+            targets = tuple(state.labels[i] for i in rng.permutation(n)[:k])
+            m = int(rng.integers(1, 6))
+            bras = rng.normal(size=(m, 1 << k)) + 1j * rng.normal(size=(m, 1 << k))
+            _assert_stack_is_the_rows(state, bras, targets)
+            _assert_stack_is_the_rows(state, bras.real, targets)
+
+    def test_refuses_bad_stacks(self):
+        state = random_state(np.random.default_rng(2), 3)
+        with pytest.raises(ValueError, match=re.escape("bra has shape (4, 2) for 2 qubit(s)")):
+            contract(state, np.ones((4, 2)), ("q0", "q1"))
+        with pytest.raises(ValueError, match=re.escape("bra has shape (1, 1, 2) for 1 qubit(s)")):
+            contract(state, np.ones((1, 1, 2)), ("q0",))
+        bras = np.ones((3, 2), dtype=complex)
+        bras[2, 1] = np.nan
+        with pytest.raises(ValueError, match="bra contains non-finite entries"):
+            contract(state, bras, ("q2",))

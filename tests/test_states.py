@@ -129,6 +129,17 @@ def test_family_is_built_once_and_read_only(name):
         fam.members[(0, 0)].amplitudes[0] = 0.0
 
 
+@pytest.mark.parametrize("name", ["bell", "ghz", "w"])
+def test_family_bra_stack_is_its_members_built_once_read_only(name):
+    fam = states.family(name)
+    want = np.array([m.amplitudes for m in fam.members.values()])
+    assert fam.bras.dtype == np.complex128 and fam.bras.tobytes() == want.tobytes()
+    assert fam.bras.shape == (4, fam.ambient_dim)
+    with pytest.raises(ValueError):
+        fam.bras[0, 0] = 0.0
+    assert states.family(name).bras is fam.bras
+
+
 def test_family_keeps_a_read_only_copy_of_its_members():
     given = {xy: states.phi(*xy) for xy in ALL_BITS}
     fam = states.BasisFamily("bell", given)
