@@ -484,6 +484,45 @@ def _corrected(unlocked: np.ndarray, encoders) -> np.ndarray:
     return corrected
 
 
+def _payload_basis(payloads) -> tuple[np.ndarray, np.ndarray]:
+    """The receivers' basis change ``W = W_1 (x) .. (x) W_N``, and each payload's squared norm.
+
+    ``W_i`` is the 2x2 unitary whose first row is ``<p_i|`` and whose second
+    is ``<p_i^perp|``, with ``p_i`` payload ``i`` scaled to unit norm, so
+    ``W`` is unitary and column ``c`` of ``corrected @ W.T`` holds each row's
+    amplitude on the product of ``p_i`` (where bit ``i`` of ``c`` is 0) and
+    ``p_i^perp`` (where it is 1), receiver 1 the most significant bit.  A
+    fidelity read there is scaled by the payload's squared norm, to give
+    ``<p_i|rho_i|p_i>`` for a payload that is normalised only to ``ATOL``.
+    """
+    amps = np.array([p.amplitudes for p in payloads])
+    flat = amps.view(np.float64)
+    sq_norms = np.einsum("ij,ij->i", flat, flat)
+    p0, p1 = (amps / np.sqrt(sq_norms)[:, None]).T
+    factors = np.array([p0.conj(), p1.conj(), -p1, p0]).T.reshape(-1, 2, 2)
+    basis = factors[0]
+    for factor in factors[1:]:
+        # np.kron as one broadcast multiply, without np.kron's per-call overhead
+        basis = (basis[:, None, :, None] * factor[None, :, None, :]).reshape(2 * len(basis), -1)
+    return basis, sq_norms
+
+
+@functools.cache
+def _branch_results(n: int) -> tuple[tuple[gates.EncodedBits, ...], ...]:
+    """Every branch's Bell results in branch order, built once per receiver count."""
+    outcomes = [gates.EncodedBits(*xy) for xy in states.family("bell").members]
+    return tuple(itertools.product(outcomes, repeat=n))
+
+
+@functools.cache
+def _payload_mask(n: int) -> np.ndarray:
+    """The read-only ``(2^n, n)`` float mask of "column bit ``i`` is 0", bit 0 the most significant."""
+    cols = np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)
+    mask = 1.0 - (cols & 1)
+    mask.setflags(write=False)
+    return mask
+
+
 def enumerate_teleportation_with_lock(
     payloads, lock: Unitary, receiver_labels=None
 ) -> list[TeleportBranch]:
@@ -506,19 +545,21 @@ def enumerate_teleportation_with_lock(
     outcomes by the 4x2 readout of pair ``i`` folded with payload ``i``.
     Row norms squared are the branch probabilities (each exactly ``4^-N``,
     since the sender halves are maximally mixed), the unlock is one matrix
-    product on the normalised rows, the per-receiver corrections are one
-    signed gather, and the fidelities act on all rows at once.  The
+    product on the normalised rows and the per-receiver corrections are one
+    signed gather.  The fidelities are one more product, into the payloads'
+    basis (:func:`_payload_basis`): payload ``i``'s fidelity is a row's
+    squared weight on the columns whose bit ``i`` is 0.  The
     normalised table and the corrected one are each validated once, as a
     whole, and every branch is a :class:`TeleportBranch` record pointing at
-    its row of both.  At most
+    its row of both.  Between 1 and
     ``MAX_RECEIVERS`` receivers are accepted, the lock must be a
     :class:`~simulq.qlinalg.Unitary` and every payload a single-qubit state.
     """
     payloads = tuple(payloads)
     n = len(payloads)
-    if n > MAX_RECEIVERS:
+    if not 1 <= n <= MAX_RECEIVERS:
         raise ValueError(
-            f"{n} receivers requested; the enumerator is capped at {MAX_RECEIVERS} receivers"
+            f"{n} receivers requested; the enumerator takes 1..{MAX_RECEIVERS} receivers"
         )
     _require_unitary(lock)
     if lock.dim != 1 << n:
@@ -526,38 +567,34 @@ def enumerate_teleportation_with_lock(
     _check_payloads(payloads)
     r_labels = _teleport_labels(n, receiver_labels)[2]
 
-    bell = states.family("bell")
-    outcomes = [gates.EncodedBits(*xy) for xy in bell.members]
     # the matrix depends on the lock alone; the default labels only name its axes
     table = _shared_pairs(lock, *_teleport_labels(n)[1:])[2]
     # pair i maps each row's first sender axis to its four outcomes
     for i, readout in enumerate(_readouts(payloads)):
         table = np.matmul(readout, table.reshape(4**i, 2, -1)).reshape(-1, 1 << n)
-    norms = np.linalg.norm(table, axis=1)
-    table /= norms[:, None]
+    flat = table.view(np.float64)
+    probabilities = np.einsum("ij,ij->i", flat, flat)
+    flat /= np.sqrt(probabilities)[:, None]
 
-    corrected = _corrected(
-        table @ _unlock(lock).entries.T,
-        [gates.pauli_encoder(bits).entries for bits in outcomes],
-    )
-    fids = np.empty((4**n, n))
-    for i, payload in enumerate(payloads):
-        split = corrected.reshape(4**n, 2**i, 2, 2 ** (n - 1 - i))
-        p0, p1 = payload.amplitudes.conj()
-        overlap = p0 * split[:, :, 0]
-        overlap += p1 * split[:, :, 1]
-        weights = np.abs(overlap)
-        weights *= weights
-        fids[:, i] = np.sum(weights, axis=(1, 2))
+    unlocked = table @ _unlock(lock).entries.T
+    encoders = [gates.pauli_encoder(bits).entries for (bits,) in _branch_results(1)]
+    corrected = _corrected(unlocked, encoders)
+    # the payload-basis amplitudes reuse the unlocked buffer, which the gather has read
+    basis, sq_norms = _payload_basis(payloads)
+    weights = np.abs(np.matmul(corrected, basis.T, out=unlocked))
+    weights *= weights
+    fids = weights @ (_payload_mask(n) * sq_norms)
+    # free both before the records are built, so they do not raise the call's peak
+    del unlocked, weights
 
     tables = (_StateTable(table, r_labels), _StateTable(corrected, r_labels))
     return list(
         map(
             TeleportBranch._make,
             zip(
-                itertools.product(outcomes, repeat=n),
-                (norms**2).tolist(),
-                map(tuple, fids.tolist()),
+                _branch_results(n),
+                probabilities.tolist(),
+                zip(*fids.T.tolist()),
                 range(4**n),
                 itertools.repeat(tables),
             ),

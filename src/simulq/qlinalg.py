@@ -304,7 +304,8 @@ def partial_trace(obj: StateVector, keep: Iterable[str]) -> DensityMatrix:
     keep_axes = tuple(i for i, label in enumerate(obj.labels) if label in keep_set)
     if len(keep_axes) > _MAX_KEEP_QUBITS:
         raise ValueError(
-            f"refusing to build a reduced matrix on {len(keep_axes)} qubits"
+            f"refusing to build a reduced matrix on {len(keep_axes)} qubits;"
+            f" at most {_MAX_KEEP_QUBITS} qubits can be kept"
         )
     psi, _ = _grouped(obj.amplitudes, keep_axes)
     return DensityMatrix(psi @ psi.conj().T, tuple(obj.labels[i] for i in keep_axes))

@@ -13,6 +13,10 @@ pairs: it builds the full ``3N``-qubit register and samples each Bell
 measurement on it with ``measure_in_family``, drawing from the same random
 stream, so it must give the same results and, to rounding, the same
 transcript.
+
+``strided_fidelities`` is the fidelity step the batched enumerator took
+before it read every fidelity from one change into the payloads' basis: one
+strided two-term sum per payload over the corrected table.
 """
 
 from __future__ import annotations
@@ -172,3 +176,25 @@ def walk_teleportation_with_lock(
         )
         branches.append(WalkBranch(results, prob, pre_unlock, corrected, fids))
     return branches
+
+
+def strided_fidelities(corrected: np.ndarray, payloads) -> np.ndarray:
+    """Each row's fidelity with each payload, one strided two-term sum per payload.
+
+    ``corrected`` is a ``(4^n, 2^n)`` table, one receiver register per row,
+    receiver 1 the most significant bit.  Payload ``i``'s fidelity is
+    ``sum |conj(p0) row[.., 0, ..] + conj(p1) row[.., 1, ..]|^2`` over
+    receiver ``i``'s axis, i.e. ``<p_i|rho_i|p_i>``.
+    """
+    rows, dim = corrected.shape
+    n = dim.bit_length() - 1
+    fids = np.empty((rows, n))
+    for i, payload in enumerate(payloads):
+        split = corrected.reshape(rows, 2**i, 2, 2 ** (n - 1 - i))
+        p0, p1 = payload.amplitudes.conj()
+        overlap = p0 * split[:, :, 0]
+        overlap += p1 * split[:, :, 1]
+        weights = np.abs(overlap)
+        weights *= weights
+        fids[:, i] = np.sum(weights, axis=(1, 2))
+    return fids

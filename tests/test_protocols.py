@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,11 @@ from simulq.qlinalg import (
     tensor,
 )
 from tests.conftest import random_state, random_unitary
-from tests.teleport_oracle import sample_teleportation, walk_teleportation_with_lock
+from tests.teleport_oracle import (
+    sample_teleportation,
+    strided_fidelities,
+    walk_teleportation_with_lock,
+)
 
 ALL_ENCODINGS = list(itertools.product((0, 1), repeat=4))
 
@@ -301,7 +306,7 @@ class TestTeleportQft:
         with pytest.raises(ValueError, match=r"^qftN supports 1\.\.6 receivers, got 7$"):
             TeleportInput("qftN", payloads, 7)
         with pytest.raises(
-            ValueError, match="^7 receivers requested; the enumerator is capped at 6 receivers$"
+            ValueError, match=r"^7 receivers requested; the enumerator takes 1\.\.6 receivers$"
         ):
             enumerate_teleportation_with_lock(payloads, gates.qft(7))
 
@@ -478,6 +483,11 @@ class TestBranchEngineAgainstWalk:
         labels = ("Bob", "Charlie", "Dave", "Erin", "Frank")
         self.assert_same_branches(payloads, random_unitary(rng, 5), labels)
 
+    def test_matches_reference_walk_for_five_receivers_under_the_fourier_lock(self):
+        rng = np.random.default_rng(20)
+        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(5))
+        self.assert_same_branches(payloads, gates.qft(5), None)
+
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_every_branch_is_equally_likely_under_any_lock(self, n, seed):
@@ -544,6 +554,99 @@ def test_bell_readout_is_built_once():
     members = [m.amplitudes.conj() for m in states.family("bell").members.values()]
     assert np.array_equal(readout, np.reshape(members, (4, 2, 2)))
     assert not readout.flags.writeable
+
+
+def test_enumerator_refuses_an_empty_payload_tuple():
+    message = r"^0 receivers requested; the enumerator takes 1\.\.6 receivers$"
+    with pytest.raises(ValueError, match=message):
+        enumerate_teleportation_with_lock((), gates.identity(1))
+
+
+# (lock name, receivers) for the fidelity-stage tests: qft and a Haar lock at
+# every size, and the Hadamard--CNOT lock at its one size
+_FIDELITY_CASES = [(name, n) for n in range(1, MAX_RECEIVERS + 1) for name in ("qft", "haar")]
+_FIDELITY_CASES.append(("ulock", 2))
+
+
+class TestFidelityBasisChange:
+    """The fidelities from one change into the payloads' basis against the strided sums."""
+
+    @pytest.mark.parametrize("name,n", _FIDELITY_CASES)
+    def test_matches_the_strided_sum_per_payload(self, name, n):
+        rng = np.random.default_rng(1000 + n)
+        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n))
+        branches = enumerate_teleportation_with_lock(payloads, _lock(name, n, rng))
+        want = strided_fidelities(branches[0].tables[1].amplitudes, payloads)
+        assert_allclose([b.fidelities for b in branches], want, rtol=0, atol=1e-14)
+
+    def test_payloads_normalised_only_to_atol_keep_their_fidelity(self, rng):
+        # a payload's squared norm may sit up to ATOL from one; its fidelity is
+        # still <p|rho|p>, and the other receivers' payloads do not scale it
+        payloads = []
+        for i, scale in enumerate((1 + 4e-11, 1 - 4e-11, 1.0)):
+            amps = random_state(rng, 1).amplitudes * np.sqrt(scale)
+            payloads.append(StateVector(amps, (f"p{i}",)))
+        branches = enumerate_teleportation_with_lock(payloads, random_unitary(rng, 3))
+        want = strided_fidelities(branches[0].tables[1].amplitudes, payloads)
+        assert_allclose([b.fidelities for b in branches], want, rtol=0, atol=1e-14)
+        # the corrected rows are the normalised payload product, so F_i = |p_i|^2
+        norms = np.broadcast_to([1 + 4e-11, 1 - 4e-11, 1.0], want.shape)
+        assert_allclose(want, norms, rtol=0, atol=1e-14)
+
+    def test_payload_basis_is_unitary_with_each_payload_as_its_first_row(self, rng):
+        payloads = [random_state(rng, 1) for _ in range(3)]
+        basis, sq_norms = protocols._payload_basis(payloads)
+        assert_allclose(basis @ basis.conj().T, np.eye(8), rtol=0, atol=1e-15)
+        assert_allclose(sq_norms, 1.0, rtol=0, atol=1e-15)
+        # row 0 is <p_1 p_2 p_3|, row 7 is <p_1^perp p_2^perp p_3^perp|
+        product = payloads[0].amplitudes
+        for p in payloads[1:]:
+            product = np.kron(product, p.amplitudes)
+        assert_allclose(basis[0], product.conj(), rtol=0, atol=1e-15)
+        assert abs(basis[7] @ product) < 1e-15
+
+    def test_mask_marks_each_receivers_payload_columns_once_read_only(self):
+        mask = protocols._payload_mask(2)
+        assert protocols._payload_mask(2) is mask
+        assert mask.tolist() == [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+        assert not mask.flags.writeable
+
+    def test_the_fidelity_stage_holds_no_more_than_the_gather_stage(self, rng, monkeypatch):
+        # traced peaks above the call's entry: up to the end of the gather, and
+        # from there to the end of the call (fidelities and branch records)
+        n = MAX_RECEIVERS
+        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n))
+        lock = gates.qft(n)
+        enumerate_teleportation_with_lock(payloads, lock)
+        gather, peaks = protocols._corrected, []
+
+        def traced_gather(*args):
+            out = gather(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return out
+
+        monkeypatch.setattr(protocols, "_corrected", traced_gather)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            branches = enumerate_teleportation_with_lock(payloads, lock)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        gather_peak, after_peak = (peak - entry for peak in peaks)
+        # the gather holds both tables, the unlocked one and the flat index
+        assert gather_peak >= 2.5 * branches[0].tables[0].amplitudes.nbytes
+        assert after_peak <= gather_peak
+
+    @pytest.mark.parametrize("n", range(3, MAX_RECEIVERS + 1))
+    def test_a_wrong_unlock_still_fails_at_the_benchmark_sizes(self, n, monkeypatch):
+        rng = np.random.default_rng(2009 + n)
+        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n))
+        lock = random_unitary(rng, n)
+        monkeypatch.setattr(protocols, "_unlock", gates.adjoint)
+        branches = enumerate_teleportation_with_lock(payloads, lock)
+        assert min(min(b.fidelities) for b in branches) < 1 - ATOL
 
 
 # (scheme, receivers) of the sampled-run cases; n = 6 has its own seeded test

@@ -174,6 +174,13 @@ class TestPartialTrace:
         rho = partial_trace(random_state(rng, 4), ("q1", "q3"))
         assert abs(np.trace(rho.entries) - 1.0) < 1e-12
 
+    def test_refusal_names_the_kept_qubits_and_the_bound(self):
+        labels = tuple(f"q{i}" for i in range(11))
+        psi = StateVector(np.eye(1, 2**11).ravel(), labels)
+        message = "refusing to build a reduced matrix on 11 qubits; at most 10 qubits can be kept"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            partial_trace(psi, labels)
+
 
 class TestComparisons:
     def test_inner_requires_same_labels(self):
