@@ -33,7 +33,7 @@ from .protocols import (
     run_dense_coding_with_lock,
     run_teleportation,
 )
-from .qlinalg import StateVector, _is_number, to_wire, unitary_from_wire
+from .qlinalg import StateVector, _is_number, _wire_arrays, unitary_from_wire
 
 # What the hadamard-cnot lock gives away in each task; a run that uses it says so.
 _ULOCK_WARNING = {
@@ -132,7 +132,8 @@ def _json_text(obj) -> str:
     one ``float.__repr__`` per value.  Here the wire format's ``re``/``im``
     matrices (a 10-qubit gate holds 2**21 floats) are joined in bulk, and a
     large one formats each distinct value once: gates and states repeat few
-    values many times.
+    values many times.  A 2-D float64 ``ndarray`` is written as json writes
+    its ``tolist()``, straight from the array.
     """
     out: list[str] = []
     _write_json(obj, "\n", out)
@@ -153,20 +154,19 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         out.append(int.__repr__(obj))
     elif isinstance(obj, float):
         out.append(_float_text(obj))
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == np.float64:
+        if obj.size:
+            out.append(_matrix_text(obj, newline))
+        else:
+            _write_json(obj.tolist(), newline, out)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
-        inner = newline + "  "
-        texts = _matrix_texts(obj)
-        if texts is not None:
-            width, cell = len(obj[0]), inner + "  "
-            rows = (
-                f"[{cell}" + f",{cell}".join(texts[i : i + width]) + f"{inner}]"
-                for i in range(0, len(texts), width)
-            )
-            out.append(f"[{inner}" + f",{inner}".join(rows) + f"{newline}]")
+        if _is_float_matrix(obj):
+            out.append(_matrix_text(np.array(obj), newline))
             return
+        inner = newline + "  "
         sep = "[" + inner
         for item in obj:
             out.append(sep)
@@ -197,25 +197,34 @@ def _float_text(value: float) -> str:
     return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
 
 
-def _matrix_texts(rows) -> list[str] | None:
-    """The entries of a list of equal-length float lists as json text, row-major.
-
-    ``None`` for anything else.  Distinct values are keyed by bit pattern, not
-    by value, so ``-0.0`` and ``0.0`` keep their own texts.
-    """
+def _is_float_matrix(rows) -> bool:
+    """Whether ``rows`` is a list of equal-length, non-empty lists of ``float``s."""
     if any(type(row) is not list for row in rows):
-        return None
+        return False
     width = len(rows[0])
     if width == 0 or any(len(row) != width for row in rows):
-        return None
-    flat = list(chain.from_iterable(rows))
-    if set(map(type, flat)) != {float}:
-        return None
-    if len(flat) < _DISTINCT_MIN_ENTRIES:
-        return list(map(_float_text, flat))
-    bits, inverse = np.unique(np.array(flat).view(np.uint64), return_inverse=True)
-    texts = list(map(_float_text, bits.view(np.float64).tolist()))
-    return list(map(texts.__getitem__, inverse.tolist()))
+        return False
+    return set(map(type, chain.from_iterable(rows))) == {float}
+
+
+def _matrix_text(matrix: np.ndarray, newline: str) -> str:
+    """A non-empty 2-D float64 array as json writes its ``tolist()``.
+
+    ``newline`` ends in the indent of the array's depth, as for
+    :func:`_write_json`.  A large array formats each distinct value once,
+    keyed by bit pattern, not by value, so ``-0.0`` and ``0.0`` keep their
+    own texts.  Each row is then one join.
+    """
+    if matrix.size < _DISTINCT_MIN_ENTRIES:
+        rows = [list(map(_float_text, row)) for row in matrix.tolist()]
+    else:
+        bits, inverse = np.unique(matrix.view(np.uint64), return_inverse=True)
+        texts = np.array(list(map(_float_text, bits.view(np.float64).tolist())), dtype=object)
+        rows = texts[inverse.reshape(matrix.shape)].tolist()
+    inner = newline + "  "
+    cell = inner + "  "
+    body = f",{inner}".join(f"[{cell}" + f",{cell}".join(row) + f"{inner}]" for row in rows)
+    return f"[{inner}{body}{newline}]"
 
 
 def _fmt_entry(re: float, im: float) -> str:
@@ -327,7 +336,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_gate(args: argparse.Namespace) -> int:
-    _emit_json(to_wire(gates.named_gate(args.name, args.n)))
+    _emit_json(_wire_arrays(gates.named_gate(args.name, args.n)))
     return 0
 
 
@@ -336,7 +345,7 @@ def _cmd_dump_state(args: argparse.Namespace) -> int:
         state = states.initial_state(args.name)
     else:
         state = states.named_state(args.name)
-    _emit_json(to_wire(state))
+    _emit_json(_wire_arrays(state))
     return 0
 
 

@@ -84,15 +84,17 @@ def qft(n_qubits: int) -> Unitary:
     ``omega = exp(2 pi i / 2**n)``; for one qubit this is the Hadamard.
     Roots of unity on the real or imaginary axis are exact, so the one- and
     two-qubit matrices reproduce their printed forms with no rounding dust.
+    Each of the ``2**n`` scaled roots is computed once and gathered by
+    ``j*k mod 2**n``.
     """
     dim = _gate_dim(n_qubits)
     k = np.arange(dim)
-    num = np.outer(k, k) % dim
-    roots = np.exp(2j * np.pi * num / dim)
-    quarter, rem = np.divmod(4 * num, dim)
+    roots = np.exp(2j * np.pi * k / dim)
+    quarter, rem = np.divmod(4 * k, dim)
     on_axis = rem == 0
     roots[on_axis] = _AXIS_ROOTS[quarter[on_axis]]
-    return Unitary(roots / np.sqrt(dim))
+    roots /= np.sqrt(dim)
+    return Unitary(roots[np.outer(k, k) % dim])
 
 
 def lock_operator() -> Unitary:

@@ -28,10 +28,10 @@ into its pair's 4x2 Bell readout (:func:`_readouts`).  The sampled run
 maps one sender axis at a time to four candidate rows, draws one with
 ``measurement``'s Born-rule draw and keeps it, so it measures nothing larger
 than the shared pairs and applies the unlock and corrections to the ``2^N``
-receiver register; its ``3N``-qubit snapshots are assembled from the drawn
-Bell members and that register.  The exhaustive enumerator keeps all four
-rows at every pair, and so reads every joint branch as one row of a
-``4^N x 2^N`` table.
+receiver register.  Its ``3N``-qubit snapshots are built only when they are
+read, those after the measurement from the drawn Bell members and that
+register.  The exhaustive enumerator keeps all four rows at every pair, and
+so reads every joint branch as one row of a ``4^N x 2^N`` table.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,7 +66,8 @@ _LOCKS = {"qft": lambda: gates.qft(2), "ulock": gates.lock_operator}
 
 # Most receivers a teleportation run or enumeration takes: the enumerator
 # holds two 4^N x 2^N branch tables, 4 MiB each at N = 6, and each receiver
-# more is 8x that (the sampled run's 3N-qubit snapshots are 4 MiB at N = 6 too).
+# more is 8x that (so is each 3N-qubit snapshot of a sampled run, built only
+# when it is read).
 MAX_RECEIVERS = 6
 
 DENSE_STEPS = (
@@ -148,25 +149,48 @@ class ProtocolTranscript:
     ``steps`` holds ``(step_name, full-register snapshot)`` in execution
     order; ``intercepts`` maps ``(stage, subsystem labels)`` to the reduced
     density matrix an eavesdropper (or lone receiver) would hold there.
+
+    :meth:`record` appends a step with its snapshot or with a builder of it.
+    A builder is called when ``steps``, :meth:`step_state` or
+    ``to_dict(include_snapshots=True)`` first reads its step, and its
+    snapshot is kept; a builder recorded for several steps is called once
+    for all of them.  Names alone are read without building anything.
     """
 
     protocol: str
-    steps: list[tuple[str, StateVector]] = field(default_factory=list)
     intercepts: dict[tuple[str, tuple[str, ...]], DensityMatrix] = field(default_factory=dict)
     outcomes: dict = field(default_factory=dict)
     seed: int | None = None
+    _steps: list[tuple[str, StateVector | Callable[[], StateVector]]] = field(
+        default_factory=list, init=False, repr=False
+    )
+
+    def record(self, name: str, snapshot: StateVector | Callable[[], StateVector]) -> None:
+        """Append step ``name`` with its snapshot, or with a builder called on the first read."""
+        self._steps.append((name, snapshot))
+
+    def _snapshot(self, i: int) -> StateVector:
+        snapshot = self._steps[i][1]
+        if not isinstance(snapshot, StateVector):
+            builder, snapshot = snapshot, snapshot()
+            self._steps = [(n, snapshot if s is builder else s) for n, s in self._steps]
+        return snapshot
+
+    @property
+    def steps(self) -> list[tuple[str, StateVector]]:
+        return [(name, self._snapshot(i)) for i, (name, _) in enumerate(self._steps)]
 
     def step_state(self, name: str) -> StateVector:
-        for step_name, snapshot in self.steps:
+        for i, (step_name, _) in enumerate(self._steps):
             if step_name == name:
-                return snapshot
-        raise KeyError(f"no step named {name!r}; steps are {[s for s, _ in self.steps]}")
+                return self._snapshot(i)
+        raise KeyError(f"no step named {name!r}; steps are {[s for s, _ in self._steps]}")
 
     def to_dict(self, include_snapshots: bool = False) -> dict:
-        steps = [
-            {"name": name, "state": to_wire(snap)} if include_snapshots else {"name": name}
-            for name, snap in self.steps
-        ]
+        steps = [{"name": name} for name, _ in self._steps]
+        if include_snapshots:
+            for i, step in enumerate(steps):
+                step["state"] = to_wire(self._snapshot(i))
         intercepts = {
             f"{stage}/{','.join(labels)}": to_wire(rho)
             for (stage, labels), rho in self.intercepts.items()
@@ -210,28 +234,28 @@ def run_dense_coding_with_lock(
     t = ProtocolTranscript(
         protocol=f"dense_coding:{channel}:{lock_name}", seed=seed_val
     )
-    t.steps.append(("step0_init", state))
+    t.record("step0_init", state)
 
     # step 1: Alice encodes one message per receiver on her qubits
     state = apply(state, gates.pauli_encoder(bob_bits), ("A1",))
     state = apply(state, gates.pauli_encoder(charlie_bits), ("A2",))
-    t.steps.append(("step1_encode", state))
+    t.record("step1_encode", state)
 
     # step 2: joint lock on (A1, A2); the qubits are then in transit, so
     # record what each receiver's subsystem alone reveals
     state = apply(state, lock, ("A1", "A2"))
-    t.steps.append(("step2_lock_send", state))
+    t.record("step2_lock_send", state)
     for sub in (cfg["bob"], cfg["charlie"]):
         t.intercepts[("step2_lock_send", sub)] = partial_trace(state, sub)
 
     # step 3: the receivers jointly invert the lock
     state = apply(state, gates.adjoint(lock), ("A1", "A2"))
-    t.steps.append(("step3_unlock", state))
+    t.record("step3_unlock", state)
 
     # step 4: each receiver measures his subsystem in the channel family
     bob_out = measure_in_family(state, fam, cfg["bob"], rng)
     charlie_out = measure_in_family(bob_out.post_state, fam, cfg["charlie"], rng)
-    t.steps.append(("step4_measure", charlie_out.post_state))
+    t.record("step4_measure", charlie_out.post_state)
     t.outcomes = {"bob": bob_out.label, "charlie": charlie_out.label}
     return t
 
@@ -346,6 +370,25 @@ def _shared_pairs(lock: Unitary, a_labels, r_labels):
     return shared, locked, matrix
 
 
+def _with_payloads(payloads, t_labels, pairs: StateVector) -> StateVector:
+    """The payloads on ``T1..TN`` times ``pairs``: the register of steps 0 and 1."""
+    register = StateVector(payloads[0].amplitudes, (t_labels[0],))
+    for p, tl in zip(payloads[1:], t_labels[1:]):
+        register = tensor(register, StateVector(p.amplitudes, (tl,)))
+    return tensor(register, pairs)
+
+
+def _measured_register(pairs: np.ndarray, receivers: np.ndarray, order, labels) -> StateVector:
+    """The drawn Bell members ``pairs`` times the receiver amplitudes, in register order.
+
+    ``pairs`` runs over ``(A1, T1, .., AN, TN)``.  The amplitudes are a fresh
+    array, so the one-row table takes it over with the constructor's checks
+    and no copy.
+    """
+    amplitudes = _ungrouped_outer(pairs, receivers, order)
+    return _StateTable(amplitudes.reshape(1, -1), labels)[0]
+
+
 def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     """Run one teleportation protocol, sampling each Bell measurement.
 
@@ -361,9 +404,12 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     One row is drawn and kept, normalised, by :mod:`simulq.measurement`'s
     Born-rule draw, which also raises ``ProtocolViolation`` when the rows'
     weights fall short of 1.  The unlock, corrections and reduced states
-    then act on the ``2^N`` receiver register alone.  Each snapshot is the full ``3N``-qubit
-    register ``T1..TN A1 R1 .. AN RN``: the drawn Bell members on the
-    ``(Ai, Ti)`` pairs times the receiver register.
+    then act on the ``2^N`` receiver register alone.  Each snapshot is the
+    full ``3N``-qubit register ``T1..TN A1 R1 .. AN RN``: the payloads times
+    the shared pairs for steps 0 and 1, and the drawn Bell members on the
+    ``(Ai, Ti)`` pairs times the receiver register after that.  The
+    transcript records each as a builder of the arrays its step leaves, so a
+    snapshot is built only when it is read.
     """
     n = inp.n_receivers
     r_labels, lock = _teleport_layout(inp.scheme, n)
@@ -375,14 +421,10 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     shared, locked, rows = _shared_pairs(lock, a_labels, r_labels)
 
     t = ProtocolTranscript(protocol=f"teleportation:{inp.scheme}:n={n}", seed=seed_val)
-    payload = StateVector(inp.payloads[0].amplitudes, (t_labels[0],))
-    for p, tl in zip(inp.payloads[1:], t_labels[1:]):
-        payload = tensor(payload, StateVector(p.amplitudes, (tl,)))
-    init = tensor(payload, shared)
-    t.steps.append(("step0_init", init))
+    t.record("step0_init", functools.partial(_with_payloads, inp.payloads, t_labels, shared))
 
     # step 1: Alice locks her halves of the shared pairs
-    t.steps.append(("step1_lock", tensor(payload, locked)))
+    t.record("step1_lock", functools.partial(_with_payloads, inp.payloads, t_labels, locked))
 
     # step 2: Bell measurement on each (Ai, Ti) pair; ``rows`` runs over the
     # unmeasured sender qubits and ``pairs`` holds the drawn members so far
@@ -391,35 +433,34 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
         pick, _, rows = _born_draw(readout @ rows.reshape(2, -1), bell, (a, tl), rng)
         label, member = members[pick]
         results.append(gates.EncodedBits(*label))
-        pairs = np.kron(pairs, member.amplitudes)
+        pairs = np.multiply.outer(pairs, member.amplitudes).reshape(-1)
     received = StateVector(rows, r_labels)
 
     # snapshot rows run over (A1, T1, .., AN, TN) and columns over the receivers
-    order = [init.axis_of(q) for at in zip(a_labels, t_labels) for q in at]
-    order += [init.axis_of(r) for r in r_labels]
+    labels = t_labels + tuple(itertools.chain.from_iterable(zip(a_labels, r_labels)))
+    order = [labels.index(q) for at in zip(a_labels, t_labels) for q in at]
+    order += [labels.index(r) for r in r_labels]
 
-    def snapshot(receivers: StateVector) -> StateVector:
-        # the amplitudes are a fresh array, so the one-row table takes it
-        # over with the constructor's checks and no copy
-        amplitudes = _ungrouped_outer(pairs, receivers.amplitudes, order)
-        return _StateTable(amplitudes.reshape(1, -1), init.labels)[0]
+    def snapshot(receivers: StateVector):
+        # the arrays are bound as the step is recorded: ``received`` is rebound after it
+        return functools.partial(_measured_register, pairs, receivers.amplitudes, order, labels)
 
     measured = snapshot(received)
-    t.steps.append(("step2_bsm", measured))
+    t.record("step2_bsm", measured)
     for r in r_labels:
         t.intercepts[("step2_bsm", (r,))] = partial_trace(received, (r,))
 
     # step 3: the classical result bits travel to their receivers
-    t.steps.append(("step3_classical_send", measured))
+    t.record("step3_classical_send", measured)
 
     # step 4: joint unlock on the receiver register
     received = apply(received, _unlock(lock), r_labels)
-    t.steps.append(("step4_unlock", snapshot(received)))
+    t.record("step4_unlock", snapshot(received))
 
     # step 5: each receiver re-applies their own encoder
     for bits, r in zip(results, r_labels):
         received = apply(received, gates.pauli_encoder(bits), (r,))
-    t.steps.append(("step5_correct", snapshot(received)))
+    t.record("step5_correct", snapshot(received))
 
     recovered = {r: partial_trace(received, (r,)) for r in r_labels}
     t.outcomes = {

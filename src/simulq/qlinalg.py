@@ -206,11 +206,13 @@ class Unitary:
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product of two states on the register ``a.labels + b.labels``.
 
-    Label collisions are rejected.
+    Label collisions are rejected.  The product is one broadcast multiply,
+    with ``np.kron``'s products and none of its per-call overhead.
     """
     if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
         raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-    return StateVector(np.kron(a.amplitudes, b.amplitudes), a.labels + b.labels)
+    amplitudes = np.multiply.outer(a.amplitudes, b.amplitudes).reshape(-1)
+    return StateVector(amplitudes, a.labels + b.labels)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -382,6 +384,13 @@ def equal_up_to_global_phase(a: StateVector, b: StateVector) -> bool:
 
 def to_wire(obj: StateVector | DensityMatrix | Unitary) -> dict:
     """Serialize a state / density matrix / unitary to the JSON dump format."""
+    wire = _wire_arrays(obj)
+    wire["re"], wire["im"] = wire["re"].tolist(), wire["im"].tolist()
+    return wire
+
+
+def _wire_arrays(obj: StateVector | DensityMatrix | Unitary) -> dict:
+    """:func:`to_wire`'s dict with ``re`` and ``im`` as float64 array views, not lists."""
     if isinstance(obj, StateVector):
         mat = obj.amplitudes.reshape(-1, 1)
         labels = list(obj.labels)
@@ -396,8 +405,8 @@ def to_wire(obj: StateVector | DensityMatrix | Unitary) -> dict:
     return {
         "labels": labels,
         "shape": [int(mat.shape[0]), int(mat.shape[1])],
-        "re": mat.real.tolist(),
-        "im": mat.imag.tolist(),
+        "re": mat.real,
+        "im": mat.imag,
     }
 
 

@@ -85,11 +85,11 @@ def sample_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
 
     t = ProtocolTranscript(protocol=f"teleportation:{inp.scheme}:n={n}", seed=seed_val)
     state = _teleport_initial(inp.payloads, t_labels, a_labels, r_labels)
-    t.steps.append(("step0_init", state))
+    t.record("step0_init", state)
 
     # step 1: Alice locks her halves of the shared pairs
     state = apply(state, lock, a_labels)
-    t.steps.append(("step1_lock", state))
+    t.record("step1_lock", state)
 
     # step 2: Bell measurement on each (Ai, Ti) pair
     results = []
@@ -97,21 +97,21 @@ def sample_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
         out = measure_in_family(state, bell, (a, tl), rng)
         results.append(gates.as_bits(out.label))
         state = out.post_state
-    t.steps.append(("step2_bsm", state))
+    t.record("step2_bsm", state)
     for r in r_labels:
         t.intercepts[("step2_bsm", (r,))] = partial_trace(state, (r,))
 
     # step 3: the classical result bits travel to their receivers
-    t.steps.append(("step3_classical_send", state))
+    t.record("step3_classical_send", state)
 
     # step 4: joint unlock on the receiver register
     state = apply(state, _unlock(lock), r_labels)
-    t.steps.append(("step4_unlock", state))
+    t.record("step4_unlock", state)
 
     # step 5: each receiver re-applies their own encoder
     for bits, r in zip(results, r_labels):
         state = apply(state, gates.pauli_encoder(bits), (r,))
-    t.steps.append(("step5_correct", state))
+    t.record("step5_correct", state)
 
     recovered = {r: partial_trace(state, (r,)) for r in r_labels}
     t.outcomes = {

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gzip
+import hashlib
 import json
 import os
 import subprocess
@@ -12,9 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from simulq import cli, gates
+from simulq import cli, gates, protocols, qlinalg, states
 from simulq.cli import main
 from simulq.qlinalg import StateVector, to_wire
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -461,7 +466,14 @@ def test_dump_gate_help_states_the_cap(capsys):
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return json.dumps(obj, indent=2, sort_keys=True, default=_float_array_list)
+
+
+def _float_array_list(obj):
+    """json's ``default`` hook: a 2-D float64 array as its ``tolist()``, else json's refusal."""
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == np.float64:
+        return obj.tolist()
+    return json.JSONEncoder().default(obj)
 
 
 def test_json_output_is_what_json_dumps_writes(capsys, tmp_path):
@@ -486,26 +498,49 @@ _floats = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
 _keys = st.text() | st.sampled_from(_SPECIAL_KEYS)
 
 
-@st.composite
-def _float_matrices(draw):
-    """Lists of equal-length float lists, on both sides of the writer's size threshold."""
+def _draw_matrix(draw) -> np.ndarray:
+    """A float64 matrix, on both sides of the writer's size threshold."""
     shape = (draw(st.integers(1, 32)), draw(st.integers(1, 32)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         pool = np.array(draw(st.lists(_floats, min_size=1, max_size=6)))
-        values = rng.choice(pool, shape)
-    else:
-        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
-    rows = values.tolist()
+        return rng.choice(pool, shape)
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+
+
+@st.composite
+def _float_matrices(draw):
+    """Lists of equal-length float lists."""
+    rows = _draw_matrix(draw).tolist()
     if draw(st.booleans()):
         # one entry of another type takes the matrix off the fast path
-        row, col = draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))
+        row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows[0]) - 1))
         rows[row][col] = draw(st.sampled_from([None, 1, True, np.float64(0.5), "x", []]))
     return rows
 
 
+@st.composite
+def _float_arrays(draw):
+    """2-D float64 arrays, some strided: a transpose, or a complex array's real or imag part."""
+    values = _draw_matrix(draw)
+    view = draw(st.sampled_from(["contiguous", "transposed", "real", "imag"]))
+    if view == "contiguous":
+        return values
+    if view == "transposed":
+        return np.ascontiguousarray(values.T).T
+    cplx = np.empty(values.shape, dtype=complex)
+    setattr(cplx, view, values)
+    return getattr(cplx, view)
+
+
 _json_like = st.recursive(
-    st.none() | st.booleans() | st.integers() | _floats | _keys | _float_matrices(),
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | _floats
+    | _keys
+    | _float_matrices()
+    | _float_arrays(),
     lambda children: st.lists(children, max_size=5) | st.dictionaries(_keys, children, max_size=5),
     max_leaves=12,
 )
@@ -519,17 +554,104 @@ _json_like = st.recursive(
 @example([[], []])
 @example({"b": ({"z": 1, "a": (1.5, [])},), "a": {}})
 @example({1: "one", 0: [[0.5]]})
+@example({"re": np.zeros((0, 3)), "im": [np.zeros((3, 0))], "x": np.zeros((0, 0))})
 def test_json_writer_matches_json_dumps(obj):
     assert cli._json_text(obj) == _dumps(obj)
 
 
 def test_json_writer_rejects_what_json_rejects():
-    for obj in ({"k": np.int64(1)}, {"k": [object()]}, {1: "a", "b": 2}):
+    other_arrays = (np.zeros(3), np.zeros((2, 2), dtype=np.float32), np.zeros((2, 2, 2)))
+    for obj in ({"k": np.int64(1)}, {"k": [object()]}, {1: "a", "b": 2}, *other_arrays):
         with pytest.raises(TypeError) as want:
             _dumps(obj)
         with pytest.raises(TypeError) as got:
             cli._json_text(obj)
         assert str(got.value) == str(want.value)
+
+
+_SPECIAL_ROW = np.array([-0.0, 0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf, 0.1])
+
+
+@pytest.mark.parametrize("size", [cli._DISTINCT_MIN_ENTRIES + d for d in (-1, 0, 1)])
+@pytest.mark.parametrize("columns", [1, 3, "all"])
+def test_array_writer_special_values_around_the_threshold(size, columns):
+    values = np.resize(_SPECIAL_ROW, size)
+    if columns == "all":
+        shape = (1, size)
+    elif size % columns:
+        shape = (size, 1)
+    else:
+        shape = (size // columns, columns)
+    arr = values.reshape(shape)
+    assert cli._json_text(arr) == _dumps(arr)
+    # the same values as the real and the imaginary part of a complex array
+    cplx = np.empty(shape, dtype=complex)
+    cplx.real, cplx.imag = arr, arr[::-1]
+    for part in (cplx.real, cplx.imag):
+        assert not part.flags.contiguous
+        assert cli._json_text(part) == _dumps(part)
+
+
+def _golden_dumps() -> dict[str, str]:
+    return json.loads((GOLDEN / "dump_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(_golden_dumps()))
+def test_dump_output_is_byte_identical_to_the_list_writer(capsys, argv):
+    # digests of each call's stdout when both commands wrote to_wire's lists
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _golden_dumps()[argv]
+    command, name, *n = argv.split()
+    if command == "dump-gate":
+        obj = gates.named_gate(name, int(n[-1]) if n else None)
+    elif name in ("bell", "ghz", "w"):
+        obj = states.initial_state(name)
+    else:
+        obj = states.named_state(name)
+    assert out == _dumps(to_wire(obj)) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_run_without_snapshots_builds_no_payload_register(capsys, monkeypatch, fmt):
+    # every register holding a payload qubit (T..) raises; the shared pairs
+    # (A../B.. labels only) are still built, one pair at a time
+    tensor, built = qlinalg.tensor, []
+
+    def outer(*args):
+        raise AssertionError("a measured register was built")
+
+    def guarded(a, b):
+        built.append(a.labels + b.labels)
+        if any(label.startswith("T") for label in a.labels + b.labels):
+            raise AssertionError("a payload register was built")
+        return tensor(a, b)
+
+    monkeypatch.setattr(protocols, "_ungrouped_outer", outer)
+    monkeypatch.setattr(protocols, "tensor", guarded)
+    monkeypatch.setattr(qlinalg, "tensor", guarded)
+    code, out, err = run_cli(capsys, "run", "--teleport", "qft", "--n", "6", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert len(built) == 5
+    if fmt == "json":
+        assert out == (GOLDEN / "run_teleport_qft_n6.json").read_text()
+
+
+def test_run_with_snapshots_builds_each_register_once(capsys, monkeypatch):
+    built = []
+
+    def counted(rows, cols, order):
+        built.append(rows.size * cols.size)
+        return outer(rows, cols, order)
+
+    outer = protocols._ungrouped_outer
+    monkeypatch.setattr(protocols, "_ungrouped_outer", counted)
+    code, out, err = run_cli(capsys, "run", "--teleport", "qft", "--n", "3", "--snapshots")
+    assert (code, err) == (0, "")
+    # steps 2 and 3 share one register; steps 4 and 5 have one each
+    assert built == [512] * 3
+    with gzip.open(GOLDEN / "run_teleport_qft_n3_snapshots.json.gz", "rt") as fh:
+        assert out == fh.read()
 
 
 # Earlier calls run the parser's error, help and non-default paths, so the

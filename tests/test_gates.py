@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from simulq import gates, protocols
-from tests.qft_oracle import qft_per_entry
+from tests.qft_oracle import qft_outer_exp, qft_per_entry
 
 QFT2_LITERAL = 0.5 * np.array(
     [
@@ -105,6 +105,15 @@ def test_qft_matches_per_entry_oracle_bitwise(n):
     # float64 views, so a -0.0 where the oracle has 0.0 fails too
     got = gates.qft(n).entries.view(np.float64)
     want = qft_per_entry(n).entries.view(np.float64)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", range(1, gates.MAX_GATE_QUBITS + 1))
+def test_qft_root_table_matches_one_exp_per_entry_bitwise(n):
+    # the 2^n scaled roots, gathered, give the bits of the 4^n-entry exp
+    got = gates.qft(n).entries
+    want = qft_outer_exp(n)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 

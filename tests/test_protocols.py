@@ -701,6 +701,8 @@ class TestSampledRunAgainstOracle:
         payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(3))
         inp = TeleportInput("qftN", payloads, 3)
         got = run_teleportation(inp, seed=5)
+        # built now, before the patches: each snapshot is built when it is read
+        got_steps = got.steps
         monkeypatch.setattr(
             protocols,
             "_ungrouped_outer",
@@ -710,7 +712,7 @@ class TestSampledRunAgainstOracle:
             protocols, "_StateTable", lambda table, labels: [StateVector(table[0], labels)]
         )
         want = run_teleportation(inp, seed=5)
-        for (name, g), (_, w) in zip(got.steps, want.steps):
+        for (name, g), (_, w) in zip(got_steps, want.steps):
             assert not g.amplitudes.flags.writeable, name
             assert g.labels == w.labels
             assert g.amplitudes.tobytes() == w.amplitudes.tobytes(), name
@@ -719,6 +721,77 @@ class TestSampledRunAgainstOracle:
         rng = np.random.default_rng(2009)
         payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(6))
         self.assert_same_run(TeleportInput("qftN", payloads, 6), 2009)
+
+
+class TestLazySnapshots:
+    """A sampled teleportation run builds each 3N-qubit snapshot when it is read, once."""
+
+    @staticmethod
+    def run(n, seed=8):
+        rng = np.random.default_rng(seed)
+        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n))
+        return run_teleportation(TeleportInput("qftN", payloads, n), seed=seed)
+
+    def test_names_intercepts_and_outcomes_build_no_snapshot(self, monkeypatch):
+        t = self.run(6)
+
+        def refuse(*args):
+            raise AssertionError("a snapshot was built")
+
+        monkeypatch.setattr(protocols, "_ungrouped_outer", refuse)
+        monkeypatch.setattr(protocols, "tensor", refuse)
+        data = t.to_dict()
+        assert [step["name"] for step in data["steps"]] == list(TELEPORT_STEPS)
+        assert len(data["intercepts"]) == 6
+        with pytest.raises(AssertionError, match="a snapshot was built"):
+            t.step_state("step0_init")
+        with pytest.raises(KeyError, match="steps are \\['step0_init'"):
+            t.step_state("step9_profit")
+
+    def test_repeated_reads_return_the_same_read_only_snapshots(self):
+        t = self.run(3)
+        first = t.steps
+        again = t.steps
+        assert [name for name, _ in first] == list(TELEPORT_STEPS)
+        for (name, snap), (_, same) in zip(first, again):
+            assert snap is same, name
+            assert t.step_state(name) is snap
+            assert not snap.amplitudes.flags.writeable, name
+        # the classical send changes no qubit: steps 2 and 3 share one snapshot
+        assert t.step_state("step2_bsm") is t.step_state("step3_classical_send")
+
+    def test_each_builder_runs_once(self, monkeypatch):
+        t = self.run(3)
+        built = []
+        outer = protocols._ungrouped_outer
+        monkeypatch.setattr(
+            protocols, "_ungrouped_outer", lambda *args: built.append(1) or outer(*args)
+        )
+        for name in reversed(TELEPORT_STEPS):
+            t.step_state(name)
+        t.steps
+        t.to_dict(include_snapshots=True)
+        assert len(built) == 3
+
+    @pytest.mark.parametrize("scheme, n", [("qftN", 1), ("qftN", 3), ("qftN", 4), ("ulock2", 2)])
+    def test_snapshots_read_last_first_match_the_full_register_sampler(self, scheme, n):
+        # each builder binds its step's arrays as the step is recorded, so
+        # reading the last step first still gives every step its own register
+        rng = np.random.default_rng(100 + n)
+        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n))
+        inp = TeleportInput(scheme, payloads, n)
+        got = run_teleportation(inp, seed=n)
+        want = sample_teleportation(inp, seed=n)
+        for name in reversed(TELEPORT_STEPS):
+            g, w = got.step_state(name), want.step_state(name)
+            assert g.labels == w.labels, name
+            assert_allclose(g.amplitudes, w.amplitudes, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_dense_coding_records_its_registers_built(self):
+        # the dense registers are the computation itself, so none is deferred
+        t = run_dense_coding_with_lock("w", (1, 0), (0, 1), gates.qft(2), seed=3)
+        assert [name for name, _ in t._steps] == list(DENSE_STEPS)
+        assert all(isinstance(snap, StateVector) for _, snap in t._steps)
 
 
 _SQRT_HALF = 1 / np.sqrt(2)

@@ -106,6 +106,17 @@ class TestTensor:
         assert joint.labels == ("a", "b")
         assert_allclose(joint.amplitudes, [0.0, 0.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("n_left", range(1, 7))
+    @pytest.mark.parametrize("n_right", range(1, 7))
+    def test_amplitudes_are_np_kron_bytewise(self, rng, n_left, n_right):
+        left = random_state(rng, n_left, tuple(f"a{i}" for i in range(n_left)))
+        right = random_state(rng, n_right, tuple(f"b{i}" for i in range(n_right)))
+        joint = tensor(left, right)
+        assert joint.labels == left.labels + right.labels
+        assert joint.amplitudes.shape == (1 << (n_left + n_right),)
+        assert joint.amplitudes.tobytes() == np.kron(left.amplitudes, right.amplitudes).tobytes()
+        assert not joint.amplitudes.flags.writeable
+
     def test_label_collision(self):
         with pytest.raises(ValueError):
             tensor(StateVector(KET0, ("a",)), StateVector(KET0, ("a",)))
