@@ -23,11 +23,7 @@ import numpy as np
 
 from . import gates, states
 from .measurement import _born_weights, resolve_rng, sample_projective, support_distinguisher
-from .protocols import (
-    _require_unitary,
-    enumerate_teleportation_with_lock,
-    run_dense_coding_with_lock,
-)
+from .protocols import _require_unitary, enumerate_teleportation_with_lock
 from .qlinalg import ATOL, ATOL_STRICT, StateVector, Unitary, _grouped, _jsonable
 
 BIT_NAMES = ("b1", "b2", "c1", "c2")
@@ -214,29 +210,6 @@ def _subsystem_report(stack: np.ndarray, closed_form: np.ndarray | None) -> Subs
     )
 
 
-def _protocol_sweep(channel: str, lock: Unitary):
-    """Run all 16 encodings through the protocol.
-
-    Returns each receiver's intercepted views (each transcript's validated
-    ``DensityMatrix``, in ``_ENCODINGS`` order) and whether every message
-    decoded.  A transcript intercepts Bob's subsystem, then Charlie's.
-    """
-    views = {}
-    decode_ok = True
-    for bits in _ENCODINGS:
-        bob, charlie = bits[:2], bits[2:]
-        t = run_dense_coding_with_lock(channel, bob, charlie, lock, seed=0)
-        for (_, sub), rho in t.intercepts.items():
-            views.setdefault("".join(sub), []).append(rho)
-        decode_ok = decode_ok and t.outcomes["bob"] == bob and t.outcomes["charlie"] == charlie
-    return views, decode_ok
-
-
-def _stacked(views: dict) -> dict:
-    """Each receiver's list of intercepted views as one ``(16, d, d)`` stack."""
-    return {name: np.array([rho.entries for rho in rhos]) for name, rhos in views.items()}
-
-
 # Alice's operator for each encoding, pauli_encoder(b1 b2) (x) pauli_encoder(c1 c2),
 # in _ENCODINGS order.  Each is a signed permutation, so a lock times one is exact.
 _ENCODER_PRODUCTS = _read_only(
@@ -345,15 +318,15 @@ def _dense_report(
 def verify_theorem(channel: str) -> LockingReport:
     """Verify the locked dense coding guarantee for one channel type.
 
-    Runs all 16 encodings through the protocol under the Fourier lock and
-    checks that each receiver's intercepted view is encoding-independent and
-    equal to its closed form, and that the receivers still decode every
+    Sweeps all 16 encodings under the Fourier lock (see :func:`_stacked_sweep`)
+    and checks that each receiver's intercepted view is encoding-independent
+    and equal to its closed form, and that the receivers still decode every
     message exactly.  Encoding-independence is the security claim; maximal
     mixedness holds for the Bell channel only and is reported without being
     required.
     """
-    views, decode_ok = _protocol_sweep(channel, gates.qft(2))
-    return _dense_report(channel, _stacked(views), decode_ok, "qft", theorem=True)
+    stacks, decode_ok = _stacked_sweep(channel, gates.qft(2))
+    return _dense_report(channel, stacks, decode_ok, "qft", theorem=True)
 
 
 def verify_counterexample(seed=1789) -> LockingReport:
@@ -363,13 +336,12 @@ def verify_counterexample(seed=1789) -> LockingReport:
     first bit, with the two conditional matrices orthogonal in support, so a
     support measurement reads the bit with certainty; by the same analysis
     Charlie's view depends on (exactly) his second bit.  Both leaks are
-    established by brute force over all 16 protocol runs, and the
-    distinguishing measurement is simulated: ``SUPPORT_SHOTS`` shots on each
-    of the 32 intercepted views, each view's drawn at once from the one
-    generator that ``seed`` gives.
+    established exhaustively, from the sweep over all 16 encodings (see
+    :func:`_stacked_sweep`), and the distinguishing measurement is simulated:
+    ``SUPPORT_SHOTS`` shots on each of the 32 intercepted views, each view's
+    drawn at once from the one generator that ``seed`` gives.
     """
-    views, decode_ok = _protocol_sweep("bell", gates.lock_operator())
-    stacks = _stacked(views)
+    stacks, decode_ok = _stacked_sweep("bell", gates.lock_operator())
     report = LockingReport(
         protocol="dense_coding:bell",
         lock_used="ulock",
@@ -408,7 +380,7 @@ def verify_counterexample(seed=1789) -> LockingReport:
             analysis.overlap <= ATOL_STRICT
         )
         correct = total = 0
-        for bits, rho in zip(_ENCODINGS, views[name]):
+        for bits, rho in zip(_ENCODINGS, stacks[name]):
             # a shot inside the support reads the bit as 0
             inside = sample_projective(rho, analysis.projector, SUPPORT_SHOTS, rng)
             correct += int(np.count_nonzero(inside == (bits[bit_idx] == 0)))

@@ -145,8 +145,8 @@ def identity(n_qubits: int = 1) -> Unitary:
 def adjoint(u: Unitary) -> Unitary:
     """The Hermitian adjoint (inverse) of a unitary.
 
-    It is built once per ``u`` and kept on it, so the 16 protocol runs of the
-    dense theorem, and every repeat of a dense lock verdict, share one inverse.
+    It is built once per ``u`` and kept on it, so every dense coding run and
+    every repeat of a dense lock verdict under one lock share one inverse.
     A ``Unitary`` cannot change after its check, so the kept inverse stays
     valid for as long as ``u`` lives.
     """

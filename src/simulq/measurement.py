@@ -179,9 +179,12 @@ def support_distinguisher(rho0, rho1) -> SupportAnalysis:
     return SupportAnalysis(overlap <= ATOL, support_projector(m0), overlap)
 
 
-def sample_projective(rho: DensityMatrix, projector: np.ndarray, shots: int, seed) -> np.ndarray:
+def sample_projective(
+    rho: DensityMatrix | np.ndarray, projector: np.ndarray, shots: int, seed
+) -> np.ndarray:
     """``shots`` shots of the two-outcome measurement ``{P, I-P}`` on ``rho``.
 
+    ``rho`` is a ``DensityMatrix`` or a bare ``d x d`` array of its entries.
     Returns a boolean array, True where the ``P`` outcome fires.  Every shot
     fires with the same probability ``p = tr(P rho)``, so ``p`` is taken once
     and the shots are drawn together as ``rng.random(shots) < p``.  A PCG64
@@ -193,12 +196,11 @@ def sample_projective(rho: DensityMatrix, projector: np.ndarray, shots: int, see
     finite or lies outside ``[-ATOL, 1 + ATOL]``, raise ``ValueError``;
     rounding inside that band is clamped to ``[0, 1]``.
     """
+    mat = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
     projector = np.asarray(projector)
-    if projector.shape != rho.entries.shape:
-        raise ValueError(
-            f"projector has shape {projector.shape}, rho has shape {rho.entries.shape}"
-        )
-    p = float((projector @ rho.entries).trace().real)
+    if projector.shape != mat.shape:
+        raise ValueError(f"projector has shape {projector.shape}, rho has shape {mat.shape}")
+    p = float((projector @ mat).trace().real)
     if not -ATOL <= p <= 1.0 + ATOL:
         raise ValueError(f"tr(P rho) = {p!r} is not a probability: bound [-{ATOL:g}, 1 + {ATOL:g}]")
     return resolve_rng(seed).random(shots) < min(max(p, 0.0), 1.0)

@@ -1,10 +1,14 @@
-"""Test-only references for the lock classifiers.
+"""Test-only references for the lock classifiers and the claim checks.
 
-``classify_dense_per_run`` is the dense coding classifier that
-``simulq.analysis`` used before its sweep was stacked: it runs all 16
-encodings through ``run_dense_coding_with_lock`` (one full transcript with
-validated snapshots per encoding), keeps each intercepted view as a
-``DensityMatrix``, and builds the per-subsystem report one matrix at a time.
+``simulq.analysis`` reads every dense coding view, the claim checks'
+included, from one stacked sweep (``_stacked_sweep``).  The references here
+run the protocol instead.  ``dense_views_per_run`` runs all 16 encodings
+through ``run_dense_coding_with_lock`` (one full transcript with validated
+snapshots per encoding) and keeps each intercepted view as a
+``DensityMatrix``.  ``classify_dense_per_run`` builds the per-subsystem
+report from those views one matrix at a time: without ``theorem`` it is the
+dense coding classifier, with it and the Fourier lock it is
+``verify_theorem``.
 
 ``classify_teleportation_per_branch`` is the classifier that
 ``simulq.analysis._classify_teleportation`` used before its views were
@@ -16,11 +20,12 @@ Python, and compares the views pair by pair with ``max_pairwise_diff_loop``.
 It is slow but follows the definition step by step, so the differential
 tests compare the classifier against it.
 
-``counterexample_shot_by_shot`` is ``verify_counterexample`` as it ran before
-each intercepted view's support-measurement shots were drawn at once: its
-per-receiver reports are ``classify_dense_per_run``'s, and its measurement is
-800 one-shot calls (``sample_one_shot``, 25 per view), each of which
-recomputes ``tr(P rho)`` and draws one ``rng.random()``.
+``counterexample_shot_by_shot`` is ``verify_counterexample`` from the 16
+protocol runs, as it ran before each intercepted view's support-measurement
+shots were drawn at once: its per-receiver reports are built as
+``classify_dense_per_run`` builds them, and its measurement is 800 one-shot
+calls (``sample_one_shot``, 25 per view), each of which recomputes
+``tr(P rho)`` and draws one ``rng.random()``.
 """
 
 from __future__ import annotations

@@ -612,6 +612,18 @@ def test_dump_output_is_byte_identical_to_the_list_writer(capsys, argv):
     assert out == _dumps(to_wire(obj)) + "\n"
 
 
+def _golden_verifies() -> dict[str, str]:
+    return json.loads((GOLDEN / "verify_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(_golden_verifies()))
+def test_claim_check_output_is_byte_identical_to_the_protocol_runs(capsys, argv):
+    # digests of each call's stdout when both claim checks ran 16 protocol transcripts
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _golden_verifies()[argv]
+
+
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_run_without_snapshots_builds_no_payload_register(capsys, monkeypatch, fmt):
     # every register holding a payload qubit (T..) raises; the shared pairs

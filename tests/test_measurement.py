@@ -207,9 +207,11 @@ def _random_projector(rng, n_qubits: int) -> np.ndarray:
 @pytest.mark.parametrize("seed", [0, 5, 1789, 20240817, 2**31 - 1])
 def test_sample_projective_draws_what_the_one_shot_loop_draws(seed):
     # a view's shots drawn at once are the one-shot draws, and leave the
-    # generator where the one-shot loop leaves it
+    # generator where the one-shot loop leaves it; a bare entries array draws
+    # what its DensityMatrix draws
     setup = np.random.default_rng([seed, 3])
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    array_rng = np.random.default_rng(seed)
     for n_qubits, shots in ((1, 25), (2, 1), (2, 40), (3, 0), (3, 25)):
         rho = random_density(setup, n_qubits)
         proj = _random_projector(setup, n_qubits)
@@ -217,6 +219,9 @@ def test_sample_projective_draws_what_the_one_shot_loop_draws(seed):
         want = [sample_one_shot(rho, proj, want_rng) for _ in range(shots)]
         assert got.dtype == bool and got.tolist() == want
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        from_array = sample_projective(rho.entries, proj, shots, array_rng)
+        assert from_array.dtype == bool and from_array.tolist() == want
+        assert array_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestSampleProjectiveInputs:
@@ -224,8 +229,9 @@ class TestSampleProjectiveInputs:
 
     def test_refuses_a_projector_of_another_shape(self):
         shapes = "projector has shape (2, 2), rho has shape (4, 4)"
-        with pytest.raises(ValueError, match=re.escape(shapes)):
-            sample_projective(self.VIEW, np.eye(2), 5, 0)
+        for rho in (self.VIEW, self.VIEW.entries):
+            with pytest.raises(ValueError, match=re.escape(shapes)):
+                sample_projective(rho, np.eye(2), 5, 0)
 
     @pytest.mark.parametrize(
         "projector, value",
@@ -233,8 +239,9 @@ class TestSampleProjectiveInputs:
     )
     def test_refuses_a_probability_outside_the_band(self, projector, value):
         message = f"tr(P rho) = {value} is not a probability: bound [-1e-10, 1 + 1e-10]"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            sample_projective(self.VIEW, projector, 5, 0)
+        for rho in (self.VIEW, self.VIEW.entries):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sample_projective(rho, projector, 5, 0)
 
     def test_clamps_rounding_inside_the_band(self):
         assert sample_projective(self.VIEW, (1 + 1e-11) * np.eye(4), 100, 1).all()
