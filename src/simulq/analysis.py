@@ -16,6 +16,7 @@ the full scheme still recovers every payload after the joint unlock.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import asdict, dataclass, field
 
@@ -128,10 +129,24 @@ class LockingReport:
         return _jsonable(asdict(self))
 
 
+# The encodings' bits as a read-only (16, 4) array, in _ENCODINGS order.
+_ENCODING_BITS = _read_only(np.array(_ENCODINGS))
+
 # Row i marks the pairs of encodings, in ``_pair_diffs`` order, that agree on bit i.
 _SAME_BIT = _read_only(
     np.array([np.equal(a, b) for a, b in itertools.combinations(_ENCODINGS, 2)]).T
 )
+
+# Entry [i, v] lists the eight encodings whose bit i is v, in _ENCODINGS order.
+_BIT_CLASSES = _read_only(
+    np.array([[np.flatnonzero(_ENCODING_BITS[:, i] == v) for v in (0, 1)] for i in range(4)])
+)
+
+
+@functools.lru_cache(maxsize=8)
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(k, 1)``, made read-only and kept: building it costs more than using it."""
+    return tuple(_read_only(idx) for idx in np.triu_indices(k, 1))
 
 
 def _pair_diffs(stack: np.ndarray) -> np.ndarray:
@@ -139,25 +154,24 @@ def _pair_diffs(stack: np.ndarray) -> np.ndarray:
 
     Pairs are taken once each, in ``np.triu_indices(k, 1)`` order, since
     ``|a - b|`` and ``|b - a|`` are the same float; fewer than two matrices
-    make no pair and an empty array.  Matrix ``i`` is compared with the ones
-    after it in one step, so no temporary holds more than ``k - 1`` matrices.
+    make no pair and an empty array.  All ``k (k - 1) / 2`` differences come
+    from one gather of both sides of every pair.
     """
-    diffs = [np.abs(stack[i + 1:] - stack[i]).max(axis=(1, 2)) for i in range(len(stack) - 1)]
-    return np.concatenate(diffs) if diffs else np.empty(0)
+    first, second = _pairs(len(stack))
+    if not len(first):
+        return np.empty(0)
+    return np.abs(stack[second] - stack[first]).max(axis=(1, 2))
 
 
 def _bit_averages(stack: np.ndarray) -> np.ndarray:
     """Average a sweep's ``(16, d, d)`` stack of views over each encoded bit.
 
-    The stack is in ``_ENCODINGS`` order, so it reshapes to one axis per
-    bit.  Entry ``[i, v]`` of the ``(4, 2, d, d)`` result is the mean of the
-    eight views whose bit ``i`` is ``v``.
+    Entry ``[i, v]`` of the ``(4, 2, d, d)`` result is the mean of the eight
+    views whose bit ``i`` is ``v``, gathered at once through ``_BIT_CLASSES``.
+    The mean runs over an axis that is not the innermost, so numpy adds the
+    eight views one after another, in ``_ENCODINGS`` order.
     """
-    d = stack.shape[-1]
-    per_bit = stack.reshape(2, 2, 2, 2, d, d)
-    return np.array(
-        [np.moveaxis(per_bit, i, 0).reshape(2, 8, d, d).mean(axis=1) for i in range(4)]
-    )
+    return stack[_BIT_CLASSES].mean(axis=2)
 
 
 def _bit_scan(stack: np.ndarray, pair_diffs: np.ndarray) -> dict:
@@ -168,12 +182,13 @@ def _bit_scan(stack: np.ndarray, pair_diffs: np.ndarray) -> dict:
     is recoverable with certainty by a support measurement; distinct but
     non-orthogonal averages mean partial information (leaky).  ``pair_diffs``
     is the stack's :func:`_pair_diffs`; a bit's within-class spread is its
-    largest entry over the pairs that agree on the bit.
+    largest entry over the pairs that agree on the bit, all four in one
+    masked maximum over ``_SAME_BIT``.
     """
     avg = _bit_averages(stack)
     overlaps = np.trace(avg[:, 0] @ avg[:, 1], axis1=1, axis2=2).real
     distances = 0.5 * np.abs(np.linalg.eigvalsh(avg[:, 0] - avg[:, 1])).sum(axis=1)
-    within = [float(pair_diffs[same].max()) for same in _SAME_BIT]
+    within = np.where(_SAME_BIT, pair_diffs, -np.inf).max(axis=1)
     return {
         bit: {
             "certain": overlap <= ATOL,
@@ -182,7 +197,7 @@ def _bit_scan(stack: np.ndarray, pair_diffs: np.ndarray) -> dict:
             "within_class_max_diff": diff,
         }
         for bit, overlap, distance, diff in zip(
-            BIT_NAMES, overlaps.tolist(), distances.tolist(), within
+            BIT_NAMES, overlaps.tolist(), distances.tolist(), within.tolist()
         )
     }
 
@@ -221,6 +236,11 @@ _ENCODER_PRODUCTS = _read_only(
     )
 )
 
+# Each receiver's message per encoding, (x, y) = (b1, b2) for Bob and (c1, c2)
+# for Charlie, as its member's row 2x + y: a read-only (2, 16, 1) index into
+# the receivers' (2, 16, 4) Born weights.
+_SENT_ROWS = _read_only((2 * _ENCODING_BITS[:, 0::2] + _ENCODING_BITS[:, 1::2]).T[..., None])
+
 
 def _stacked_sweep(channel: str, lock: Unitary):
     """All 16 encodings under ``lock`` at once, with no protocol run.
@@ -235,10 +255,19 @@ def _stacked_sweep(channel: str, lock: Unitary):
     the other sender qubit and the other receiver's qubits.  After the
     unlock ``gates.adjoint(lock)``, the conjugated family members times the
     same grouping are the receiver's four residuals, as ``qlinalg.contract``
-    forms them, and each encoding's go through ``measurement._born_weights``:
-    the span check the protocol's measurement makes.  A message decodes when
-    its member's weight is at least ``1 - ATOL``: the outcome the protocol's
-    draw then takes with certainty.
+    forms them, and each receiver's ``(16, 4, rest)`` stack of them goes
+    through ``measurement._born_weights`` in one call: the span check the
+    protocol's measurement makes.  A message decodes when its member's
+    weight is at least ``1 - ATOL``: the outcome the protocol's draw then
+    takes with certainty; one index reads every sent member's weight.
+
+    The lock, the encodings and the unlock act on the sender qubits only,
+    on which every family spans all of the space, so a receiver's weight
+    outside the span is set by the initial state: up to rounding it is the
+    same for all 16 encodings.  An out-of-span receiver is then short from
+    the first encoding on, and checking Bob's whole stack before Charlie's
+    names the first offender of the encoding-by-encoding order, Bob before
+    Charlie.
     """
     state = states.initial_state(channel)
     layout = states.DENSE_CHANNELS[channel]
@@ -264,14 +293,11 @@ def _stacked_sweep(channel: str, lock: Unitary):
 
     unlocked = by_receiver(gates.adjoint(lock).entries @ locked)
     bras = fam.bras.conj()
-    residuals = [bras @ psi for psi in unlocked]  # (16, 4, rest) per receiver
-    # members run (0,0), (0,1), (1,0), (1,1), so message (x, y) is row 2x + y
-    decode_ok = True
-    for k, bits in enumerate(_ENCODINGS):
-        for rows, who, (x, y) in zip(residuals, ("bob", "charlie"), (bits[:2], bits[2:])):
-            weights = _born_weights(rows[k], fam, layout[who])
-            decode_ok = decode_ok and weights[2 * x + y] >= 1.0 - ATOL
-    return views, bool(decode_ok)
+    weights = np.array(
+        [_born_weights(bras @ psi, fam, targets) for psi, targets in zip(unlocked, layout.values())]
+    )
+    sent = np.take_along_axis(weights, _SENT_ROWS, axis=-1)
+    return views, bool((sent >= 1.0 - ATOL).all())
 
 
 def _judged(report: LockingReport) -> LockingReport:
@@ -363,9 +389,9 @@ def verify_counterexample(seed=1789) -> LockingReport:
 
     # Bob's side: conditional views match their closed forms and are
     # invariant within each class (no dependence on b2, c1, c2).
-    report.checks["bob_conditional_closed_forms"] = all(
-        float(np.max(np.abs(m - LOCKED_VIEW_BOB[bits[0]]))) <= ATOL
-        for bits, m in zip(_ENCODINGS, stacks[bob])
+    closed_forms = np.array([LOCKED_VIEW_BOB[0], LOCKED_VIEW_BOB[1]])[_ENCODING_BITS[:, 0]]
+    report.checks["bob_conditional_closed_forms"] = bool(
+        np.abs(stacks[bob] - closed_forms).max() <= ATOL
     )
     b1 = report.per_subsystem[bob].bit_evidence["b1"]
     report.checks["bob_view_invariant_in_other_bits"] = b1["within_class_max_diff"] < ATOL

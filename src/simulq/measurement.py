@@ -47,14 +47,18 @@ def resolve_rng(seed) -> np.random.Generator:
 def _born_weights(rows: np.ndarray, family: BasisFamily, targets: tuple) -> np.ndarray:
     """Born weights of a ``(4, m)`` table of unnormalised outcome rows, in member order.
 
-    Raises :class:`ProtocolViolation` when they fall short of 1 by more than
-    ``ATOL``: the state then has weight outside the family's span on ``targets``.
+    A ``(..., 4, m)`` stack of tables gives each table's weights, in one
+    ``(..., 4)`` array.  Raises :class:`ProtocolViolation` when a table's
+    weights fall short of 1 by more than ``ATOL``: its state then has weight
+    outside the family's span on ``targets``.  The message gives the first
+    such table's shortfall, in the stack's C order.
     """
-    probs = (np.abs(rows) ** 2).sum(axis=1)
-    shortfall = 1.0 - probs.sum()
-    if shortfall > ATOL:
+    probs = (np.abs(rows) ** 2).sum(axis=-1)
+    shortfall = 1.0 - probs.sum(axis=-1)
+    short = shortfall > ATOL
+    if short.any():
         raise ProtocolViolation(
-            f"state has weight {shortfall:.3e} outside the span of the"
+            f"state has weight {np.extract(short, shortfall)[0]:.3e} outside the span of the"
             f" {family.name!r} family on {targets}"
         )
     return probs

@@ -20,6 +20,13 @@ Python, and compares the views pair by pair with ``max_pairwise_diff_loop``.
 It is slow but follows the definition step by step, so the differential
 tests compare the classifier against it.
 
+``bit_averages_loop``, ``within_class_max_loop`` and ``born_weights_per_row``
+are the loop forms that ``simulq.analysis`` ran before its dense sweep and
+report worked on whole ``(16, ...)`` stacks: one ``moveaxis`` and ``mean``
+per encoded bit, one boolean-mask maximum per bit, and one
+``measurement._born_weights`` call per encoding and receiver.  The
+differential tests require the stacked forms to give the same bits.
+
 ``counterexample_shot_by_shot`` is ``verify_counterexample`` from the 16
 protocol runs, as it ran before each intercepted view's support-measurement
 shots were drawn at once: its per-receiver reports are built as
@@ -44,7 +51,7 @@ from simulq.analysis import (
     SubsystemReport,
     _expected_view,
 )
-from simulq.measurement import resolve_rng, support_distinguisher
+from simulq.measurement import _born_weights, resolve_rng, support_distinguisher
 from simulq.protocols import enumerate_teleportation_with_lock, run_dense_coding_with_lock
 from simulq.qlinalg import ATOL, ATOL_STRICT, StateVector, Unitary, partial_trace
 
@@ -73,6 +80,37 @@ def max_pairwise_diff_loop(mats) -> float:
         for j in range(i + 1, len(mats)):
             worst = max(worst, float(np.max(np.abs(mats[i] - mats[j]))))
     return worst
+
+
+def bit_averages_loop(stack: np.ndarray) -> np.ndarray:
+    """``analysis._bit_averages`` one bit at a time: the ``(16, d, d)`` stack
+    reshaped to one axis per bit, each bit's axis moved to the front and the
+    other eight views averaged."""
+    d = stack.shape[-1]
+    per_bit = stack.reshape(2, 2, 2, 2, d, d)
+    return np.array(
+        [np.moveaxis(per_bit, i, 0).reshape(2, 8, d, d).mean(axis=1) for i in range(4)]
+    )
+
+
+def within_class_max_loop(pair_diffs: np.ndarray, same_bit: np.ndarray) -> list[float]:
+    """Each bit's within-class spread: the largest pair difference under that bit's mask."""
+    return [float(pair_diffs[same].max()) for same in same_bit]
+
+
+def born_weights_per_row(residuals, family, targets) -> np.ndarray:
+    """The receivers' ``(2, 16, 4)`` Born weights, one ``_born_weights`` call per row.
+
+    ``residuals`` and ``targets`` hold Bob's then Charlie's ``(16, 4, m)``
+    residual stack and measured qubits.  The calls run encoding by encoding,
+    Bob before Charlie, so a state outside the span raises for the first
+    offender in that order.
+    """
+    weights = [
+        [_born_weights(rows[k], family, t) for rows, t in zip(residuals, targets)]
+        for k in range(len(residuals[0]))
+    ]
+    return np.array(weights).swapaxes(0, 1)
 
 
 def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:

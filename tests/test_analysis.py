@@ -3,26 +3,31 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from simulq import analysis, gates, protocols, states
+from simulq import analysis, gates, protocols, qlinalg, states
 from simulq.analysis import (
     _pair_diffs,
     classify_locking_unitary,
     verify_counterexample,
     verify_theorem,
 )
-from simulq.qlinalg import ATOL, ATOL_STRICT, Unitary
+from simulq.measurement import ProtocolViolation, _born_weights
+from simulq.qlinalg import ATOL, ATOL_STRICT, StateVector, Unitary
 from tests.classify_oracle import (
+    bit_averages_loop,
+    born_weights_per_row,
     classify_dense_per_run,
     classify_teleportation_per_branch,
     counterexample_shot_by_shot,
     dense_views_per_run,
     max_pairwise_diff_loop,
+    within_class_max_loop,
 )
 from tests.conftest import random_unitary
 
@@ -314,6 +319,60 @@ def test_max_pairwise_diff_matches_the_pairwise_loop(k, dim):
         assert float(diffs.max()) == max_pairwise_diff_loop(mats)  # bitwise, not approx
 
 
+def _random_stack(seed: int, shape: tuple) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def test_same_bit_pairs_are_the_triu_pairs():
+    # _pair_diffs takes its pairs in np.triu_indices(16, 1) order, and _bit_scan
+    # masks them with _SAME_BIT's columns, so both must list the pairs alike
+    first, second = np.triu_indices(16, 1)
+    bits = np.array(analysis._ENCODINGS)
+    assert np.array_equal(analysis._SAME_BIT, (bits[first] == bits[second]).T)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("d", [4, 8])
+def test_bit_averages_match_the_per_bit_loop(seed, d):
+    stack = _random_stack(seed, (16, d, d))
+    assert np.array_equal(analysis._bit_averages(stack), bit_averages_loop(stack))  # bitwise
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("d", [4, 8])
+def test_within_class_maxima_match_the_mask_loop(seed, d):
+    stack = _random_stack(seed, (16, d, d))
+    pair_diffs = _pair_diffs(stack)
+    evidence = analysis._bit_scan(stack, pair_diffs)
+    got = [evidence[bit]["within_class_max_diff"] for bit in analysis.BIT_NAMES]
+    assert got == within_class_max_loop(pair_diffs, analysis._SAME_BIT)  # bitwise
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("m", [4, 8])
+def test_born_weights_of_a_stack_match_the_per_row_calls(seed, m):
+    fam = states.family("ghz")
+    targets = tuple(states.DENSE_CHANNELS["ghz"].values())
+    rows = _random_stack(seed, (2, 16, 4, m))
+    rows /= np.sqrt((np.abs(rows) ** 2).sum(axis=(2, 3), keepdims=True))
+    got = np.array([_born_weights(r, fam, t) for r, t in zip(rows, targets)])
+    assert np.array_equal(got, born_weights_per_row(rows, fam, targets))  # bitwise
+    # tables from a random first one on fall short by 0.01 (k + 1): a stack
+    # names its first short table, as the per-row calls do
+    first = int(np.random.default_rng(seed).integers(16))
+    scale = np.sqrt(1.0 - 0.01 * (np.arange(16) + 1) * (np.arange(16) >= first))
+    short = rows[0] * scale[:, None, None]
+    message = re.escape(
+        f"state has weight {0.01 * (first + 1):.3e} outside the span of the 'ghz' family"
+        f" on {targets[0]}"
+    )
+    with pytest.raises(ProtocolViolation, match=f"^{message}$"):
+        _born_weights(short, fam, targets[0])
+    with pytest.raises(ProtocolViolation, match=f"^{message}$"):
+        born_weights_per_row((short,), fam, targets[:1])
+
+
 @pytest.fixture
 def unitary_validations(monkeypatch):
     """A counter of ``Unitary`` validations: call it with a verdict to count its own."""
@@ -583,6 +642,59 @@ def test_stacked_decode_fails_when_the_unlock_does_nothing(verdict, channel, mon
     assert report.end_to_end_correct is False
     assert not report.valid_lock
     assert report.passed is False
+
+
+def _ghz_channel_with_leaks(bob: float, charlie: float) -> StateVector:
+    """The GHZ channel's initial state with weight ``bob`` (``charlie``) of the
+    receiver's copy moved to ``|0 01>``, outside the GHZ family's span."""
+
+    def copy(leak: float, labels: tuple) -> StateVector:
+        amps = np.sqrt(1.0 - leak) * states.ghz(0, 0).amplitudes
+        amps[1] = np.sqrt(leak)
+        return StateVector(amps, labels)
+
+    layout = states.DENSE_CHANNELS["ghz"]
+    return qlinalg.tensor(copy(bob, layout["bob"]), copy(charlie, layout["charlie"]))
+
+
+@pytest.mark.parametrize(
+    "leaks, who, weight",
+    [
+        ((0.0, 0.25), "charlie", "2.500e-01"),
+        ((0.25, 0.5), "bob", "2.500e-01"),
+        ((0.5, 0.25), "bob", "5.000e-01"),
+    ],
+)
+def test_stacked_decode_names_the_first_out_of_span_receiver(leaks, who, weight, monkeypatch):
+    # a receiver's weight outside the span is the same for all 16 encodings, so
+    # the first offender is the first encoding's: Bob's if he is out of span
+    state = _ghz_channel_with_leaks(*leaks)
+    monkeypatch.setattr(states, "initial_state", lambda channel: state)
+    targets = states.DENSE_CHANNELS["ghz"][who]
+    message = "^" + re.escape(
+        f"state has weight {weight} outside the span of the 'ghz' family on {targets}"
+    ) + "$"
+    for verdict in (
+        lambda: verify_theorem("ghz"),
+        lambda: classify_locking_unitary(gates.lock_operator(), "dense_coding", "ghz"),
+    ):
+        with pytest.raises(ProtocolViolation, match=message):
+            verdict()
+    # the protocol run of the first encoding, 0000, raises the same message
+    with pytest.raises(ProtocolViolation, match=message):
+        protocols.run_dense_coding_with_lock("ghz", (0, 0), (0, 0), gates.qft(2), seed=0)
+    # and so do the per-row calls, encoding by encoding, on the sweep's own residuals
+    calls = []
+    monkeypatch.setattr(
+        analysis,
+        "_born_weights",
+        lambda rows, fam, t: calls.append((rows, fam, t)) or np.zeros(rows.shape[:-1]),
+    )
+    analysis._stacked_sweep("ghz", gates.qft(2))
+    (bob_rows, fam, bob), (charlie_rows, _, charlie) = calls
+    assert bob_rows.shape == charlie_rows.shape == (16, 4, 8)
+    with pytest.raises(ProtocolViolation, match=message):
+        born_weights_per_row((bob_rows, charlie_rows), fam, (bob, charlie))
 
 
 # the locks the single end-to-end run must reject once the unlock is wrong

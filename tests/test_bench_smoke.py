@@ -6,7 +6,8 @@ sweep, the site-block teleportation classifier, the theorem and the
 counterexample), the batched branch enumerator, the sampled teleportation
 run and the CLI's JSON writer.  A wrong verdict, branch count, probability,
 fidelity, exit code or output on these fast paths then fails here, in the
-ordinary test run, and not only in a benchmark run.
+ordinary test run, and not only in a benchmark run.  Every claim check and
+three CLI ops also run twice in one process and must repeat their fingerprint.
 """
 
 from __future__ import annotations
@@ -59,6 +60,14 @@ def _ops(workload: str, prefix: str, workdir: Path):
 def test_pinned_ops_pass_their_checks(workload, prefix, tmp_path):
     for op in _ops(workload, prefix, tmp_path):
         op.check(op.call())
+
+
+@pytest.mark.parametrize("prefix", ["dense:", "teleport:", "theorem:", "counterexample"])
+def test_claim_ops_repeat_their_fingerprint(prefix, tmp_path):
+    # every verdict run twice in one process, so the indices the dense sweep and
+    # its report keep between calls must give the same verdict on a repeat
+    for op in _ops("verify_claims", prefix, tmp_path):
+        assert op.check(op.call()) == op.check(op.call()), op.label
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 
 from simulq import cli, gates, protocols, qlinalg, states
 from simulq.cli import main
-from simulq.qlinalg import StateVector, to_wire
+from simulq.qlinalg import ATOL, StateVector, to_wire
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -622,6 +622,29 @@ def test_claim_check_output_is_byte_identical_to_the_protocol_runs(capsys, argv)
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == _golden_verifies()[argv]
+
+
+def _golden_locks() -> dict[str, dict]:
+    return json.loads((GOLDEN / "lock_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(_golden_locks()))
+def test_lock_verdict_output_is_byte_identical_to_the_per_encoding_loops(capsys, argv):
+    # exit codes and stdout digests of each call when the dense sweep checked the
+    # span one encoding at a time and its report averaged, differenced and took
+    # maxima one bit or one pair at a time; the matrices are under golden/locks
+    args = [str(GOLDEN / "locks" / a) if a.endswith(".json") else a for a in argv.split()]
+    code, out, err = run_cli(capsys, *args)
+    want = _golden_locks()[argv]
+    assert (code, err) == (want["exit"], "")
+    assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
+    if argv.startswith("verify lock --matrix haar") and "--format" not in argv:
+        # the Haar locks leak both of a receiver's bits partly, so their digests
+        # pin trace distances strictly between 0 and 1
+        for sub in json.loads(out)["per_subsystem"].values():
+            assert len(sub["leaky_bits"]) == 2
+            distances = [sub["bit_evidence"][b]["avg_trace_distance"] for b in sub["leaky_bits"]]
+            assert all(ATOL < d < 1.0 for d in distances)
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
