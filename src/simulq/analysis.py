@@ -16,7 +16,6 @@ the full scheme still recovers every payload after the joint unlock.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import asdict, dataclass, field
 
@@ -132,10 +131,11 @@ class LockingReport:
 # The encodings' bits as a read-only (16, 4) array, in _ENCODINGS order.
 _ENCODING_BITS = _read_only(np.array(_ENCODINGS))
 
-# Row i marks the pairs of encodings, in ``_pair_diffs`` order, that agree on bit i.
-_SAME_BIT = _read_only(
-    np.array([np.equal(a, b) for a, b in itertools.combinations(_ENCODINGS, 2)]).T
-)
+# The 120 pairs of encodings, each once, as read-only ``np.triu_indices(16, 1)``.
+_PAIRS = tuple(_read_only(idx) for idx in np.triu_indices(16, 1))
+
+# Row i marks the pairs of encodings, in _PAIRS order, that agree on bit i.
+_SAME_BIT = _read_only((_ENCODING_BITS[_PAIRS[0]] == _ENCODING_BITS[_PAIRS[1]]).T)
 
 # Entry [i, v] lists the eight encodings whose bit i is v, in _ENCODINGS order.
 _BIT_CLASSES = _read_only(
@@ -143,23 +143,14 @@ _BIT_CLASSES = _read_only(
 )
 
 
-@functools.lru_cache(maxsize=8)
-def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(k, 1)``, made read-only and kept: building it costs more than using it."""
-    return tuple(_read_only(idx) for idx in np.triu_indices(k, 1))
-
-
 def _pair_diffs(stack: np.ndarray) -> np.ndarray:
-    """Largest entrywise ``|a - b|`` of each pair ``a, b`` in a ``(k, d, d)`` stack.
+    """Largest entrywise ``|a - b|`` of each pair ``a, b`` in a sweep's ``(16, d, d)`` stack.
 
-    Pairs are taken once each, in ``np.triu_indices(k, 1)`` order, since
-    ``|a - b|`` and ``|b - a|`` are the same float; fewer than two matrices
-    make no pair and an empty array.  All ``k (k - 1) / 2`` differences come
-    from one gather of both sides of every pair.
+    Pairs are taken once each, in ``_PAIRS`` order, since ``|a - b|`` and
+    ``|b - a|`` are the same float.  All 120 differences come from one
+    gather of both sides of every pair.
     """
-    first, second = _pairs(len(stack))
-    if not len(first):
-        return np.empty(0)
+    first, second = _PAIRS
     return np.abs(stack[second] - stack[first]).max(axis=(1, 2))
 
 
@@ -174,18 +165,18 @@ def _bit_averages(stack: np.ndarray) -> np.ndarray:
     return stack[_BIT_CLASSES].mean(axis=2)
 
 
-def _bit_scan(stack: np.ndarray, pair_diffs: np.ndarray) -> dict:
+def _bit_scan(avg: np.ndarray, pair_diffs: np.ndarray) -> dict:
     """Per-bit leak analysis of a sweep's ``(16, d, d)`` stack of views.
 
-    For each encoded bit: average the views with the bit 0 and with the bit 1.
-    Orthogonal supports of the two averages (trace overlap ~ 0) mean the bit
-    is recoverable with certainty by a support measurement; distinct but
+    ``avg`` is the stack's :func:`_bit_averages`: for each encoded bit, the
+    average of the views with the bit 0 and with the bit 1.  Orthogonal
+    supports of the two averages (trace overlap ~ 0) mean the bit is
+    recoverable with certainty by a support measurement; distinct but
     non-orthogonal averages mean partial information (leaky).  ``pair_diffs``
     is the stack's :func:`_pair_diffs`; a bit's within-class spread is its
     largest entry over the pairs that agree on the bit, all four in one
     masked maximum over ``_SAME_BIT``.
     """
-    avg = _bit_averages(stack)
     overlaps = np.trace(avg[:, 0] @ avg[:, 1], axis1=1, axis2=2).real
     distances = 0.5 * np.abs(np.linalg.eigvalsh(avg[:, 0] - avg[:, 1])).sum(axis=1)
     within = np.where(_SAME_BIT, pair_diffs, -np.inf).max(axis=1)
@@ -202,12 +193,15 @@ def _bit_scan(stack: np.ndarray, pair_diffs: np.ndarray) -> dict:
     }
 
 
-def _subsystem_report(stack: np.ndarray, closed_form: np.ndarray | None) -> SubsystemReport:
-    """What one receiver's ``(16, d, d)`` stack of views, in ``_ENCODINGS`` order, reveals."""
+def _subsystem_report(
+    stack: np.ndarray, avg: np.ndarray, closed_form: np.ndarray | None
+) -> SubsystemReport:
+    """What one receiver's ``(16, d, d)`` stack of views, in ``_ENCODINGS`` order, reveals,
+    given its :func:`_bit_averages` ``avg`` and its ``closed_form`` view or None."""
     pair_diffs = _pair_diffs(stack)
     max_diff = float(pair_diffs.max())
     dim = stack.shape[-1]
-    evidence = _bit_scan(stack, pair_diffs)
+    evidence = _bit_scan(avg, pair_diffs)
     revealed = [b for b in BIT_NAMES if evidence[b]["avg_trace_distance"] > ATOL]
     recoverable = [b for b in revealed if evidence[b]["certain"]]
     leaky = [b for b in revealed if not evidence[b]["certain"]]
@@ -226,14 +220,14 @@ def _subsystem_report(stack: np.ndarray, closed_form: np.ndarray | None) -> Subs
 
 
 # Alice's operator for each encoding, pauli_encoder(b1 b2) (x) pauli_encoder(c1 c2),
-# in _ENCODINGS order.  Each is a signed permutation, so a lock times one is exact.
+# in _ENCODINGS order: np.kron of the four encoders as a (4, 1, 2, 2) and a
+# (1, 4, 2, 2) stack is every pair's product, entry [i, j] E_i (x) E_j.  Each is a
+# signed permutation, so a lock times one is exact.
+_MESSAGE_ENCODERS = np.array(
+    [gates.pauli_encoder(m).entries for m in itertools.product((0, 1), repeat=2)]
+)
 _ENCODER_PRODUCTS = _read_only(
-    np.array(
-        [
-            np.kron(gates.pauli_encoder(bits[:2]).entries, gates.pauli_encoder(bits[2:]).entries)
-            for bits in _ENCODINGS
-        ]
-    )
+    np.kron(_MESSAGE_ENCODERS[:, None], _MESSAGE_ENCODERS[None, :]).reshape(16, 4, 4)
 )
 
 # Each receiver's message per encoding, (x, y) = (b1, b2) for Bob and (c1, c2)
@@ -323,7 +317,8 @@ def _dense_report(
         protocol=f"dense_coding:{channel}",
         lock_used=lock_used,
         per_subsystem={
-            name: _subsystem_report(v, _expected_view(channel)) for name, v in stacks.items()
+            name: _subsystem_report(v, _bit_averages(v), _expected_view(channel))
+            for name, v in stacks.items()
         },
         end_to_end_correct=decode_ok,
     )
@@ -364,14 +359,19 @@ def verify_counterexample(seed=1789) -> LockingReport:
     Charlie's view depends on (exactly) his second bit.  Both leaks are
     established exhaustively, from the sweep over all 16 encodings (see
     :func:`_stacked_sweep`), and the distinguishing measurement is simulated:
-    ``SUPPORT_SHOTS`` shots on each of the 32 intercepted views, each view's
-    drawn at once from the one generator that ``seed`` gives.
+    ``SUPPORT_SHOTS`` shots on each of the 32 intercepted views, each
+    receiver's 16 views drawn in one call, from the one generator that
+    ``seed`` gives.  The support projector comes from the same bit averages
+    the receiver's report judged.
     """
     stacks, decode_ok = _stacked_sweep("bell", gates.lock_operator())
+    averages = {name: _bit_averages(v) for name, v in stacks.items()}
     report = LockingReport(
         protocol="dense_coding:bell",
         lock_used="ulock",
-        per_subsystem={name: _subsystem_report(v, None) for name, v in stacks.items()},
+        per_subsystem={
+            name: _subsystem_report(stacks[name], avg, None) for name, avg in averages.items()
+        },
         end_to_end_correct=decode_ok,
     )
     discovered = {
@@ -382,10 +382,9 @@ def verify_counterexample(seed=1789) -> LockingReport:
     report.checks["lock_rejected"] = not all(
         s.independent_of_encoding for s in report.per_subsystem.values()
     )
-    layout = states.DENSE_CHANNELS["bell"]
-    bob, charlie = ("".join(layout[who]) for who in ("bob", "charlie"))
-    report.checks["bob_view_reveals_exactly_b1"] = discovered.get(bob) == ["b1"]
-    report.checks["charlie_view_reveals_exactly_c2"] = discovered.get(charlie) == ["c2"]
+    bob, charlie = stacks
+    report.checks["bob_view_reveals_exactly_b1"] = discovered[bob] == ["b1"]
+    report.checks["charlie_view_reveals_exactly_c2"] = discovered[charlie] == ["c2"]
 
     # Bob's side: conditional views match their closed forms and are
     # invariant within each class (no dependence on b2, c1, c2).
@@ -396,26 +395,18 @@ def verify_counterexample(seed=1789) -> LockingReport:
     b1 = report.per_subsystem[bob].bit_evidence["b1"]
     report.checks["bob_view_invariant_in_other_bits"] = b1["within_class_max_diff"] < ATOL
 
-    # The support measurement itself: each view's shots drawn at once, from one stream.
+    # The support measurement itself: each receiver's 16 views sampled at once, from one stream.
     rng = resolve_rng(seed)
     accuracy = {}
     for name, bit_idx, bit in ((bob, 0, "b1"), (charlie, 3, "c2")):
-        avg = _bit_averages(stacks[name])[bit_idx]
-        analysis = support_distinguisher(avg[0], avg[1])
-        report.per_subsystem[name].bit_evidence[bit]["support_overlap_strict"] = (
-            analysis.overlap <= ATOL_STRICT
-        )
-        correct = total = 0
-        for bits, rho in zip(_ENCODINGS, stacks[name]):
-            # a shot inside the support reads the bit as 0
-            inside = sample_projective(rho, analysis.projector, SUPPORT_SHOTS, rng)
-            correct += int(np.count_nonzero(inside == (bits[bit_idx] == 0)))
-            total += inside.size
-        accuracy[bit] = correct / total
-        report.per_subsystem[name].bit_evidence[bit]["measurement_accuracy"] = accuracy[bit]
-        report.checks[f"{bit}_support_overlap_below_strict_tol"] = bool(
-            analysis.overlap <= ATOL_STRICT
-        )
+        analysis = support_distinguisher(*averages[name][bit_idx])
+        evidence = report.per_subsystem[name].bit_evidence[bit]
+        strict = evidence["support_overlap_strict"] = analysis.overlap <= ATOL_STRICT
+        inside = sample_projective(stacks[name], analysis.projector, SUPPORT_SHOTS, rng)
+        # a shot inside the support reads the bit as 0, so it is right where it differs from the bit
+        correct = np.count_nonzero(inside != _ENCODING_BITS[:, bit_idx, None])
+        accuracy[bit] = evidence["measurement_accuracy"] = correct / inside.size
+        report.checks[f"{bit}_support_overlap_below_strict_tol"] = strict
         report.checks[f"{bit}_measurement_accuracy_1"] = accuracy[bit] == 1.0
     report.notes["measurement_accuracy"] = accuracy
     return _judged(report)

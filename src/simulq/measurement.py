@@ -188,23 +188,29 @@ def sample_projective(
 ) -> np.ndarray:
     """``shots`` shots of the two-outcome measurement ``{P, I-P}`` on ``rho``.
 
-    ``rho`` is a ``DensityMatrix`` or a bare ``d x d`` array of its entries.
-    Returns a boolean array, True where the ``P`` outcome fires.  Every shot
-    fires with the same probability ``p = tr(P rho)``, so ``p`` is taken once
-    and the shots are drawn together as ``rng.random(shots) < p``.  A PCG64
-    generator gives ``rng.random(k)`` the values of ``k`` calls to
-    ``rng.random()``, so the shots and the generator's end state are those of
-    drawing them one by one.
+    ``rho`` is a ``DensityMatrix``, a bare ``d x d`` array of its entries or
+    a ``(..., d, d)`` stack of them.  Returns a boolean ``(..., shots)``
+    array, True where the ``P`` outcome fires.  Every shot of a view fires
+    with the same probability ``p = tr(P rho)``, so each ``p`` is taken once
+    and all shots are drawn together as ``rng.random(p.shape + (shots,))``.
+    A PCG64 generator gives ``rng.random(k)`` the values of ``k`` calls to
+    ``rng.random()``, so the shots and the generator's end state are those
+    of drawing them one by one, view after view in C order.
 
-    A projector whose shape differs from ``rho``'s, and a ``p`` that is not
-    finite or lies outside ``[-ATOL, 1 + ATOL]``, raise ``ValueError``;
-    rounding inside that band is clamped to ``[0, 1]``.
+    A projector whose shape differs from a view's, and a ``p`` that is not
+    finite or lies outside ``[-ATOL, 1 + ATOL]``, raise ``ValueError``; the
+    message gives the first such ``p`` in C order.  Rounding inside that
+    band is clamped to ``[0, 1]``.
     """
     mat = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
     projector = np.asarray(projector)
-    if projector.shape != mat.shape:
+    if projector.shape != mat.shape[-2:]:
         raise ValueError(f"projector has shape {projector.shape}, rho has shape {mat.shape}")
-    p = float((projector @ mat).trace().real)
-    if not -ATOL <= p <= 1.0 + ATOL:
-        raise ValueError(f"tr(P rho) = {p!r} is not a probability: bound [-{ATOL:g}, 1 + {ATOL:g}]")
-    return resolve_rng(seed).random(shots) < min(max(p, 0.0), 1.0)
+    p = (projector @ mat).trace(axis1=-2, axis2=-1).real
+    bad = ~((p >= -ATOL) & (p <= 1.0 + ATOL))
+    if bad.any():
+        raise ValueError(
+            f"tr(P rho) = {float(np.extract(bad, p)[0])!r} is not a probability:"
+            f" bound [-{ATOL:g}, 1 + {ATOL:g}]"
+        )
+    return resolve_rng(seed).random(p.shape + (shots,)) < np.clip(p, 0.0, 1.0)[..., None]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 
@@ -122,8 +123,8 @@ class TestCounterexample:
             assert ev[bit]["avg_trace_distance"] < 1e-10
 
     def test_sampled_views_live_on_the_channel_subsystems(self, monkeypatch):
-        # the 32 sampled views, in order, are Bob's 16 protocol intercepts on A1 B,
-        # then Charlie's on A2 C, bit for bit
+        # the two sampled stacks, in order, are Bob's 16 protocol intercepts on
+        # A1 B, then Charlie's on A2 C, bit for bit
         seen = []
         sample = analysis.sample_projective
 
@@ -135,8 +136,8 @@ class TestCounterexample:
         verify_counterexample(seed=3)
         views, _ = dense_views_per_run("bell", gates.lock_operator())
         assert list(views) == ["A1B", "A2C"]
-        want = [rho.entries for sub in views.values() for rho in sub.values()]
-        assert len(seen) == len(want) == 32
+        want = [np.array([rho.entries for rho in sub.values()]) for sub in views.values()]
+        assert len(seen) == len(want) == 2
         assert all(np.array_equal(got, w) for got, w in zip(seen, want))
 
 
@@ -308,15 +309,14 @@ class TestTeleportClassifierAgainstPerBranch:
         assert got.notes["min_fidelity"] == pytest.approx(want.notes["min_fidelity"], abs=1e-12)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 5, 16])
-@pytest.mark.parametrize("dim", [2, 4])
-def test_max_pairwise_diff_matches_the_pairwise_loop(k, dim):
-    rng = np.random.default_rng(100 * k + dim)
-    mats = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(k)]
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_max_pairwise_diff_matches_the_pairwise_loop(seed, dim):
+    rng = np.random.default_rng([seed, dim])
+    mats = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(16)]
     diffs = _pair_diffs(np.asarray(mats))
-    assert diffs.shape == (k * (k - 1) // 2,)
-    if k >= 2:
-        assert float(diffs.max()) == max_pairwise_diff_loop(mats)  # bitwise, not approx
+    assert diffs.shape == (120,)
+    assert float(diffs.max()) == max_pairwise_diff_loop(mats)  # bitwise, not approx
 
 
 def _random_stack(seed: int, shape: tuple) -> np.ndarray:
@@ -325,11 +325,26 @@ def _random_stack(seed: int, shape: tuple) -> np.ndarray:
 
 
 def test_same_bit_pairs_are_the_triu_pairs():
-    # _pair_diffs takes its pairs in np.triu_indices(16, 1) order, and _bit_scan
-    # masks them with _SAME_BIT's columns, so both must list the pairs alike
-    first, second = np.triu_indices(16, 1)
-    bits = np.array(analysis._ENCODINGS)
-    assert np.array_equal(analysis._SAME_BIT, (bits[first] == bits[second]).T)
+    # _pair_diffs takes its pairs in _PAIRS order, and _bit_scan masks them with
+    # _SAME_BIT's columns, so both must list the pairs as itertools.combinations
+    # lists the encodings' pairs: np.triu_indices(16, 1) order
+    encodings = analysis._ENCODINGS
+    pairs = list(itertools.combinations(encodings, 2))
+    want = np.array([np.equal(a, b) for a, b in pairs]).T
+    assert np.array_equal(analysis._SAME_BIT, want)
+    first, second = analysis._PAIRS
+    assert [(encodings[i], encodings[j]) for i, j in zip(first, second)] == pairs
+    assert not any(a.flags.writeable for a in (first, second, analysis._SAME_BIT))
+
+
+def test_encoder_products_are_the_per_encoding_krons():
+    want = [
+        np.kron(gates.pauli_encoder(bits[:2]).entries, gates.pauli_encoder(bits[2:]).entries)
+        for bits in analysis._ENCODINGS
+    ]
+    got = analysis._ENCODER_PRODUCTS
+    assert got.tobytes() == np.array(want).tobytes()  # bitwise, signed zeros too
+    assert got.shape == (16, 4, 4) and not got.flags.writeable
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -344,7 +359,7 @@ def test_bit_averages_match_the_per_bit_loop(seed, d):
 def test_within_class_maxima_match_the_mask_loop(seed, d):
     stack = _random_stack(seed, (16, d, d))
     pair_diffs = _pair_diffs(stack)
-    evidence = analysis._bit_scan(stack, pair_diffs)
+    evidence = analysis._bit_scan(analysis._bit_averages(stack), pair_diffs)
     got = [evidence[bit]["within_class_max_diff"] for bit in analysis.BIT_NAMES]
     assert got == within_class_max_loop(pair_diffs, analysis._SAME_BIT)  # bitwise
 
@@ -498,14 +513,18 @@ def test_verdicts_run_no_protocol_transcript(monkeypatch):
 
 
 def test_claim_checks_sample_once_per_view(monkeypatch):
-    # the theorem samples nothing; the counterexample draws each of its 32 views'
-    # shots in one call
+    # the theorem samples nothing; the counterexample draws the shots of each
+    # receiver's 16 views in one call, and averages each receiver's views once
     samples = _count_calls(monkeypatch, "sample_projective")
+    averages = _count_calls(monkeypatch, "_bit_averages")
     verify_theorem("ghz")
     assert samples == []
+    del averages[:]
     verify_counterexample()
-    assert len(samples) == 32
-    assert all(shots == analysis.SUPPORT_SHOTS for _, _, shots, _ in samples)
+    assert len(samples) == len(averages) == 2
+    assert all(
+        rho.shape == (16, 4, 4) and shots == analysis.SUPPORT_SHOTS for rho, _, shots, _ in samples
+    )
 
 
 @pytest.mark.parametrize("seed", [0, 7, 1789, 20240817, 2**31 - 1])

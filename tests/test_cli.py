@@ -625,7 +625,12 @@ def test_claim_check_output_is_byte_identical_to_the_protocol_runs(capsys, argv)
 
 
 def _golden_locks() -> dict[str, dict]:
-    return json.loads((GOLDEN / "lock_sha256.json").read_text())
+    # lock_teleportation_sha256.json holds the teleportation verdicts of the same
+    # five matrices, recorded from the tree before the counterexample sampled stacks
+    return {
+        **json.loads((GOLDEN / "lock_sha256.json").read_text()),
+        **json.loads((GOLDEN / "lock_teleportation_sha256.json").read_text()),
+    }
 
 
 @pytest.mark.parametrize("argv", sorted(_golden_locks()))
@@ -638,13 +643,30 @@ def test_lock_verdict_output_is_byte_identical_to_the_per_encoding_loops(capsys,
     want = _golden_locks()[argv]
     assert (code, err) == (want["exit"], "")
     assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
-    if argv.startswith("verify lock --matrix haar") and "--format" not in argv:
-        # the Haar locks leak both of a receiver's bits partly, so their digests
-        # pin trace distances strictly between 0 and 1
+    dense_json = "dense_coding" in argv and "--format" not in argv
+    if argv.startswith("verify lock --matrix haar") and dense_json:
+        # the Haar locks leak both of a receiver's dense coding bits partly, so
+        # their digests pin trace distances strictly between 0 and 1
         for sub in json.loads(out)["per_subsystem"].values():
             assert len(sub["leaky_bits"]) == 2
             distances = [sub["bit_evidence"][b]["avg_trace_distance"] for b in sub["leaky_bits"]]
             assert all(ATOL < d < 1.0 for d in distances)
+
+
+def _golden_runs() -> dict[str, dict]:
+    return json.loads((GOLDEN / "run_dense_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(_golden_runs()))
+def test_dense_run_output_is_byte_identical_to_the_recorded_runs(capsys, argv):
+    # exit codes and stdout and stderr digests of dense runs under both locks, with
+    # and without snapshots: they pin the residuals contract forms, the outcome
+    # measure_in_family draws and every intercepted view
+    code, out, err = run_cli(capsys, *argv.split())
+    want = _golden_runs()[argv]
+    assert code == want["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
+    assert hashlib.sha256(err.encode()).hexdigest() == want["stderr_sha256"]
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

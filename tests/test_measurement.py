@@ -224,6 +224,25 @@ def test_sample_projective_draws_what_the_one_shot_loop_draws(seed):
         assert array_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("seed", [0, 5, 1789, 2**31 - 1])
+@pytest.mark.parametrize(
+    "views, n_qubits", [((1,), 1), ((3,), 1), ((16,), 2), ((5,), 3), ((2, 4), 2)]
+)
+def test_a_stack_draws_what_its_views_draw_one_by_one(seed, views, n_qubits):
+    # one call on a stack gives each view's shots, in C order, and leaves the
+    # generator where one call per view leaves it
+    setup = np.random.default_rng([seed, n_qubits, *views])
+    rhos = [random_density(setup, n_qubits).entries for _ in range(int(np.prod(views)))]
+    stack = np.array(rhos).reshape(*views, *rhos[0].shape)
+    proj = _random_projector(setup, n_qubits)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_projective(stack, proj, 25, got_rng)
+    want = [sample_projective(rho, proj, 25, want_rng) for rho in rhos]
+    assert got.dtype == bool and got.shape == (*views, 25)
+    assert np.array_equal(got.reshape(-1, 25), want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestSampleProjectiveInputs:
     VIEW = DensityMatrix(np.eye(4) / 4, ("A1", "B"))
 
@@ -242,6 +261,23 @@ class TestSampleProjectiveInputs:
         for rho in (self.VIEW, self.VIEW.entries):
             with pytest.raises(ValueError, match=re.escape(message)):
                 sample_projective(rho, projector, 5, 0)
+
+    @pytest.mark.parametrize("first, later", [(5.0, -1.0), (-1.0, 5.0)])
+    def test_a_stack_names_its_first_bad_view(self, first, later):
+        # views [0, 2] and [1, 0] of a (2, 3) stack leave the band; the message
+        # names [0, 2], the first in C order, and no shot is drawn
+        stack = np.array([self.VIEW.entries] * 6).reshape(2, 3, 4, 4)
+        stack[0, 2] *= first
+        stack[1, 0] *= later
+        message = f"tr(P rho) = {first} is not a probability: bound [-1e-10, 1 + 1e-10]"
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_projective(stack, np.eye(4), 5, rng)
+        assert rng.bit_generator.state == state
+        shapes = "projector has shape (2, 2), rho has shape (2, 3, 4, 4)"
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            sample_projective(stack, np.eye(2), 5, rng)
 
     def test_clamps_rounding_inside_the_band(self):
         assert sample_projective(self.VIEW, (1 + 1e-11) * np.eye(4), 100, 1).all()
