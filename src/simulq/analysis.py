@@ -223,11 +223,8 @@ def _subsystem_report(
 # in _ENCODINGS order: np.kron of the four encoders as a (4, 1, 2, 2) and a
 # (1, 4, 2, 2) stack is every pair's product, entry [i, j] E_i (x) E_j.  Each is a
 # signed permutation, so a lock times one is exact.
-_MESSAGE_ENCODERS = np.array(
-    [gates.pauli_encoder(m).entries for m in itertools.product((0, 1), repeat=2)]
-)
 _ENCODER_PRODUCTS = _read_only(
-    np.kron(_MESSAGE_ENCODERS[:, None], _MESSAGE_ENCODERS[None, :]).reshape(16, 4, 4)
+    np.kron(gates._ENCODER_STACK[:, None], gates._ENCODER_STACK[None, :]).reshape(16, 4, 4)
 )
 
 # Each receiver's message per encoding, (x, y) = (b1, b2) for Bob and (c1, c2)

@@ -48,6 +48,10 @@ _ENCODERS = {
     EncodedBits(1, 1): Unitary(_SIGMA_Z @ _SIGMA_X),  # [[0, 1], [-1, 0]]
 }
 
+# The Pauli frame: the encoders' entries as one read-only (4, 2, 2) stack, in message order
+_ENCODER_STACK = np.array([u.entries for u in _ENCODERS.values()])
+_ENCODER_STACK.setflags(write=False)
+
 
 def pauli_encoder(bits) -> Unitary:
     """The single-qubit encoder carrying the message ``(x, y)``.

@@ -147,14 +147,18 @@ def enumerate_branches(
     ]
 
 
+def _entries(rho: DensityMatrix | np.ndarray) -> np.ndarray:
+    """A ``DensityMatrix``'s entries, or an array (or a stack) of them as given."""
+    return rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
+
+
 def support_projector(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the support of a density matrix.
 
     The support is spanned by eigenvectors with eigenvalue above
     ``SUPPORT_EIGENVALUE_CUTOFF``.
     """
-    mat = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    vals, vecs = np.linalg.eigh(mat)
+    vals, vecs = np.linalg.eigh(_entries(rho))
     cols = vecs[:, vals > SUPPORT_EIGENVALUE_CUTOFF]
     return cols @ cols.conj().T
 
@@ -175,8 +179,7 @@ class SupportAnalysis:
 
 def support_distinguisher(rho0, rho1) -> SupportAnalysis:
     """Decide whether two density matrices have orthogonal supports."""
-    m0 = rho0.entries if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
-    m1 = rho1.entries if isinstance(rho1, DensityMatrix) else np.asarray(rho1)
+    m0, m1 = _entries(rho0), _entries(rho1)
     if m0.shape != m1.shape:
         raise ValueError(f"shape mismatch: {m0.shape} vs {m1.shape}")
     overlap = float(np.real(np.trace(m0 @ m1)))
@@ -202,7 +205,7 @@ def sample_projective(
     message gives the first such ``p`` in C order.  Rounding inside that
     band is clamped to ``[0, 1]``.
     """
-    mat = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    mat = _entries(rho)
     projector = np.asarray(projector)
     if projector.shape != mat.shape[-2:]:
         raise ValueError(f"projector has shape {projector.shape}, rho has shape {mat.shape}")

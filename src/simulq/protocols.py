@@ -22,9 +22,10 @@ matrices, and the measured / decoded outcomes.
 
 Both teleportation engines use that a Bell measurement is a basis rotation
 followed by a computational readout, and that the payloads are a product
-state: they lock only the shared pairs ``A1 R1 .. AN RN``, read them as a
-``2^N x 2^N`` matrix (sender rows, receiver columns) and fold each payload
-into its pair's 4x2 Bell readout (:func:`_readouts`).  The sampled run
+state: they start from the locked shared pairs ``A1 R1 .. AN RN`` alone, as
+a ``2^N x 2^N`` matrix (sender rows, receiver columns) read off the lock
+with no register built (:func:`_locked_pairs`), and fold each payload into
+its pair's 4x2 Bell readout (:func:`_readouts`).  The sampled run
 maps one sender axis at a time to four candidate rows, draws one with
 ``measurement``'s Born-rule draw and keeps it, so it measures nothing larger
 than the shared pairs and applies the unlock and corrections to the ``2^N``
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -49,9 +51,9 @@ from .qlinalg import (
     DensityMatrix,
     StateVector,
     Unitary,
-    _grouped,
     _jsonable,
     _StateTable,
+    _ungrouped,
     _ungrouped_outer,
     apply,
     fidelity,
@@ -332,12 +334,9 @@ def _unlock(lock: Unitary) -> Unitary:
     return Unitary(lock.entries.conj())
 
 
-@functools.cache
-def _bell_readout() -> np.ndarray:
-    """The conjugated Bell members as a read-only 4x2x2 array, in member order."""
-    readout = states.family("bell").bras.conj().reshape(4, 2, 2)
-    readout.setflags(write=False)
-    return readout
+# The conjugated Bell members as a read-only 4x2x2 array, in member order
+_BELL_READOUT = states.family("bell").bras.conj().reshape(4, 2, 2)
+_BELL_READOUT.setflags(write=False)
 
 
 def _readouts(payloads) -> list[np.ndarray]:
@@ -350,32 +349,40 @@ def _readouts(payloads) -> list[np.ndarray]:
     unitary because :class:`~simulq.states.BasisFamily` has checked that its
     four members are orthonormal.
     """
-    readout = _bell_readout()
-    return [readout @ p.amplitudes for p in payloads]
+    return [_BELL_READOUT @ p.amplitudes for p in payloads]
 
 
-def _shared_pairs(lock: Unitary, a_labels, r_labels):
-    """The shared pairs both teleportation engines start from.
+# The nonzero amplitude of N = 1..MAX_RECEIVERS pairs Phi(0,0): its 1/sqrt(2) taken
+# N times, left to right as ``tensor`` joins pairs (two give 0.4999999999999999)
+_PAIR_SCALES = tuple(
+    itertools.accumulate([states.phi(0, 0).amplitudes[0].real] * MAX_RECEIVERS, operator.mul)
+)
 
-    Returns the shared pairs ``A1 R1 .. AN RN`` (each ``Phi(0,0)``) before
-    and after ``lock`` acts on ``A1..AN``, and the locked pairs as a
-    ``2^N x 2^N`` matrix, sender qubits on the rows and receivers on the
-    columns.
+
+def _locked_pairs(n: int, lock: Unitary | None = None) -> np.ndarray:
+    """The pairs ``A1 R1 .. AN RN`` (each ``Phi(0,0)``) after ``lock`` on ``A1..AN``, or unlocked.
+
+    A fresh ``2^N x 2^N`` matrix with sender rows and receiver columns: read so, the
+    pairs are ``I / sqrt(2^N)`` and the locked pairs the lock over ``sqrt(2^N)``.
     """
-    shared = states.phi(0, 0, (a_labels[0], r_labels[0]))
-    for a, r in zip(a_labels[1:], r_labels[1:]):
-        shared = tensor(shared, states.phi(0, 0, (a, r)))
-    locked = apply(shared, lock, a_labels)
-    matrix = _grouped(locked.amplitudes, [locked.axis_of(a) for a in a_labels])[0]
-    return shared, locked, matrix
+    entries = np.eye(1 << n, dtype=np.complex128) if lock is None else lock.entries
+    return entries * _PAIR_SCALES[n - 1]
 
 
-def _with_payloads(payloads, t_labels, pairs: StateVector) -> StateVector:
-    """The payloads on ``T1..TN`` times ``pairs``: the register of steps 0 and 1."""
+def _pair_register(matrix: np.ndarray, a_labels, r_labels) -> StateVector:
+    """The pair matrix of :func:`_locked_pairs` as the register ``A1 R1 .. AN RN``."""
+    n = len(a_labels)
+    order = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+    labels = tuple(itertools.chain.from_iterable(zip(a_labels, r_labels)))
+    return StateVector(_ungrouped(matrix, order), labels)
+
+
+def _with_payloads(payloads, t_labels, a_labels, r_labels, pairs: np.ndarray) -> StateVector:
+    """The payloads on ``T1..TN`` times the pair matrix ``pairs``: the register of steps 0 and 1."""
     register = StateVector(payloads[0].amplitudes, (t_labels[0],))
     for p, tl in zip(payloads[1:], t_labels[1:]):
         register = tensor(register, StateVector(p.amplitudes, (tl,)))
-    return tensor(register, pairs)
+    return tensor(register, _pair_register(pairs, a_labels, r_labels))
 
 
 def _measured_register(pairs: np.ndarray, receivers: np.ndarray, order, labels) -> StateVector:
@@ -406,10 +413,9 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     weights fall short of 1.  The unlock, corrections and reduced states
     then act on the ``2^N`` receiver register alone.  Each snapshot is the
     full ``3N``-qubit register ``T1..TN A1 R1 .. AN RN``: the payloads times
-    the shared pairs for steps 0 and 1, and the drawn Bell members on the
-    ``(Ai, Ti)`` pairs times the receiver register after that.  The
-    transcript records each as a builder of the arrays its step leaves, so a
-    snapshot is built only when it is read.
+    the pair matrix of :func:`_locked_pairs` for steps 0 and 1, and the drawn
+    Bell members on the ``(Ai, Ti)`` pairs times the receiver register after
+    that.  Each is recorded as a builder, so it is built only when read.
     """
     n = inp.n_receivers
     r_labels, lock = _teleport_layout(inp.scheme, n)
@@ -418,13 +424,14 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     seed_val = seed if isinstance(seed, int) else None
     bell = states.family("bell")
     members = list(bell.members.items())
-    shared, locked, rows = _shared_pairs(lock, a_labels, r_labels)
+    rows = _locked_pairs(n, lock)
+    with_payloads = functools.partial(_with_payloads, inp.payloads, t_labels, a_labels, r_labels)
 
     t = ProtocolTranscript(protocol=f"teleportation:{inp.scheme}:n={n}", seed=seed_val)
-    t.record("step0_init", functools.partial(_with_payloads, inp.payloads, t_labels, shared))
+    t.record("step0_init", lambda: with_payloads(_locked_pairs(n)))
 
     # step 1: Alice locks her halves of the shared pairs
-    t.record("step1_lock", functools.partial(_with_payloads, inp.payloads, t_labels, locked))
+    t.record("step1_lock", functools.partial(with_payloads, rows))
 
     # step 2: Bell measurement on each (Ai, Ti) pair; ``rows`` runs over the
     # unmeasured sender qubits and ``pairs`` holds the drawn members so far
@@ -473,52 +480,38 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     return t
 
 
-# The per-digit tables of ``_corrected``, keyed by the encoders' entries.  The
-# enumerator passes the four Pauli encoders alone, so there is one entry.
-_DIGIT_TABLES: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+# Each Pauli encoder as a source row and a sign row, in member order: encoder
+# ``d`` sends entry ``c`` of a receiver's two amplitudes to
+# ``_DIGIT_SIGN[d, c] * amplitude[_DIGIT_SOURCE[d, c]]``.  The encoders are
+# signed permutations with +-1 entries (a test pins this), so each row's one
+# nonzero entry is its sum and the rows fit ``uint8`` and ``int8``.
+_DIGIT_SOURCE = np.abs(gates._ENCODER_STACK).argmax(axis=2).astype(np.uint8)
+_DIGIT_SIGN = gates._ENCODER_STACK.real.sum(axis=2).astype(np.int8)
+_DIGIT_SOURCE.setflags(write=False)
+_DIGIT_SIGN.setflags(write=False)
 
 
-def _digit_table(encoders) -> tuple[np.ndarray, np.ndarray]:
-    """Each encoder as a source row and a sign row, derived once per set of encoders.
-
-    Encoder ``d`` sends entry ``c`` of a receiver's two amplitudes to
-    ``sign[d, c] * amplitude[src[d, c]]``.  Each encoder must be a signed
-    permutation with +-1 entries, so the rows fit ``uint8`` and ``int8``.
-    """
-    key = b"".join(enc.tobytes() for enc in encoders)
-    if key not in _DIGIT_TABLES:
-        src = np.array([np.argmax(np.abs(enc), axis=1) for enc in encoders], dtype=np.uint8)
-        picked = np.array([enc[np.arange(2), s] for enc, s in zip(encoders, src)])
-        sign = picked.real.astype(np.int8)
-        if not np.array_equal(picked, sign):
-            raise ValueError("corrections must be signed permutations with +-1 entries")
-        src.setflags(write=False)
-        sign.setflags(write=False)
-        _DIGIT_TABLES[key] = src, sign
-    return _DIGIT_TABLES[key]
-
-
-def _corrected(unlocked: np.ndarray, encoders) -> np.ndarray:
+def _corrected(unlocked: np.ndarray) -> np.ndarray:
     """Every receiver's Pauli correction applied to the rows of ``unlocked``.
 
     Row ``b`` of the ``4^n x 2^n`` table is branch ``b``; receiver ``i``
-    re-applies ``encoders[d]``, where ``d`` is base-4 digit ``i`` of ``b``
-    (most significant first).  Each encoder is a signed permutation of the
-    receiver's two amplitudes, so all ``n`` corrections together are one
-    signed gather: entry ``(b, c)`` becomes ``sign[b, c] * unlocked[b, col[b, c]]``.
-    The column and sign tables are expanded from the per-digit table on each
-    call, as ``uint8`` and ``int8`` (256 KiB each at n = 6).
+    re-applies the Pauli encoder of member ``d``, where ``d`` is base-4 digit
+    ``i`` of ``b`` (most significant first).  Each encoder is a signed
+    permutation of the receiver's two amplitudes, so all ``n`` corrections
+    together are one signed gather: entry ``(b, c)`` becomes
+    ``sign[b, c] * unlocked[b, col[b, c]]``.  The column and sign tables are
+    expanded from the per-digit rows on each call, as ``uint8`` and ``int8``
+    (256 KiB each at n = 6).
     """
     n = unlocked.shape[1].bit_length() - 1
-    src, sign = _digit_table(encoders)
     cols = np.zeros((1, 1), dtype=np.uint8)
     signs = np.ones((1, 1), dtype=np.int8)
     for i in range(n):
         # prepend a receiver as the most significant digit and column bit, so
         # the long axes of the broadcast stay innermost
         shape = (4 ** (i + 1), 2 ** (i + 1))
-        cols = ((src << i)[:, None, :, None] + cols[None, :, None, :]).reshape(shape)
-        signs = (sign[:, None, :, None] * signs[None, :, None, :]).reshape(shape)
+        cols = ((_DIGIT_SOURCE << i)[:, None, :, None] + cols[None, :, None, :]).reshape(shape)
+        signs = (_DIGIT_SIGN[:, None, :, None] * signs[None, :, None, :]).reshape(shape)
     # row b starts at flat offset b * 2^n
     corrected = unlocked.reshape(-1).take(cols + (np.arange(4**n)[:, None] << n))
     corrected *= signs
@@ -580,21 +573,20 @@ def enumerate_teleportation_with_lock(
     significant base-4 digit and members run ``(0,0), (0,1), (1,0), (1,1)``.
     A Bell measurement of ``(Ai, Ti)`` is a rotation into the Bell basis
     followed by a computational readout, and the payloads are a product
-    state, so the table is built from the locked shared pairs alone: read as
-    a ``2^N x 2^N`` matrix (sender rows, receiver columns) by
-    :func:`_shared_pairs`, each sender row axis is mapped to its four
-    outcomes by the 4x2 readout of pair ``i`` folded with payload ``i``.
-    Row norms squared are the branch probabilities (each exactly ``4^-N``,
-    since the sender halves are maximally mixed), the unlock is one matrix
-    product on the normalised rows and the per-receiver corrections are one
-    signed gather.  The fidelities are one more product, into the payloads'
-    basis (:func:`_payload_basis`): payload ``i``'s fidelity is a row's
-    squared weight on the columns whose bit ``i`` is 0.  The
-    normalised table and the corrected one are each validated once, as a
-    whole, and every branch is a :class:`TeleportBranch` record pointing at
-    its row of both.  Between 1 and
-    ``MAX_RECEIVERS`` receivers are accepted, the lock must be a
-    :class:`~simulq.qlinalg.Unitary` and every payload a single-qubit state.
+    state, so the table is built from the locked shared pairs alone: the
+    ``2^N x 2^N`` matrix that :func:`_locked_pairs` reads off the lock, each
+    sender row axis mapped to its four outcomes by the 4x2 readout of pair
+    ``i`` folded with payload ``i``.  Row norms squared are the branch
+    probabilities (each exactly ``4^-N``, since the sender halves are
+    maximally mixed), the unlock is one matrix product on the normalised
+    rows and the per-receiver corrections are one signed gather.  The
+    fidelities are one more product, into the payloads' basis
+    (:func:`_payload_basis`): payload ``i``'s fidelity is a row's squared
+    weight on the columns whose bit ``i`` is 0.  The normalised table and
+    the corrected one are each validated once, as a whole, and every branch
+    is a :class:`TeleportBranch` record pointing at its row of both.
+    Between 1 and ``MAX_RECEIVERS`` receivers are accepted, the lock must be
+    a :class:`~simulq.qlinalg.Unitary` and every payload a single-qubit state.
     """
     payloads = tuple(payloads)
     n = len(payloads)
@@ -608,8 +600,7 @@ def enumerate_teleportation_with_lock(
     _check_payloads(payloads)
     r_labels = _teleport_labels(n, receiver_labels)[2]
 
-    # the matrix depends on the lock alone; the default labels only name its axes
-    table = _shared_pairs(lock, *_teleport_labels(n)[1:])[2]
+    table = _locked_pairs(n, lock)
     # pair i maps each row's first sender axis to its four outcomes
     for i, readout in enumerate(_readouts(payloads)):
         table = np.matmul(readout, table.reshape(4**i, 2, -1)).reshape(-1, 1 << n)
@@ -618,8 +609,7 @@ def enumerate_teleportation_with_lock(
     flat /= np.sqrt(probabilities)[:, None]
 
     unlocked = table @ _unlock(lock).entries.T
-    encoders = [gates.pauli_encoder(bits).entries for (bits,) in _branch_results(1)]
-    corrected = _corrected(unlocked, encoders)
+    corrected = _corrected(unlocked)
     # the payload-basis amplitudes reuse the unlocked buffer, which the gather has read
     basis, sq_norms = _payload_basis(payloads)
     weights = np.abs(np.matmul(corrected, basis.T, out=unlocked))

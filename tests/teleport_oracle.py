@@ -14,6 +14,10 @@ measurement on it with ``measure_in_family``, drawing from the same random
 stream, so it must give the same results and, to rounding, the same
 transcript.
 
+``shared_pairs`` is how both engines built the shared pairs before they read
+them off the lock: ``N`` ``phi`` pairs joined by ``tensor``, then the lock
+applied to the sender halves with ``apply``.
+
 ``strided_fidelities`` is the fidelity step the batched enumerator took
 before it read every fidelity from one change into the payloads' basis: one
 strided two-term sum per payload over the corrected table.
@@ -38,6 +42,7 @@ from simulq.qlinalg import (
     ATOL,
     StateVector,
     Unitary,
+    _grouped,
     apply,
     contract,
     fidelity,
@@ -176,6 +181,21 @@ def walk_teleportation_with_lock(
         )
         branches.append(WalkBranch(results, prob, pre_unlock, corrected, fids))
     return branches
+
+
+def shared_pairs(lock: Unitary, a_labels, r_labels):
+    """The shared pairs ``A1 R1 .. AN RN`` (each ``Phi(0,0)``), built one pair at a time.
+
+    Returns the pairs before and after ``lock`` acts on ``A1..AN``, and the
+    locked pairs as a ``2^N x 2^N`` matrix, sender qubits on the rows and
+    receivers on the columns.
+    """
+    shared = states.phi(0, 0, (a_labels[0], r_labels[0]))
+    for a, r in zip(a_labels[1:], r_labels[1:]):
+        shared = tensor(shared, states.phi(0, 0, (a, r)))
+    locked = apply(shared, lock, a_labels)
+    matrix = _grouped(locked.amplitudes, [locked.axis_of(a) for a in a_labels])[0]
+    return shared, locked, matrix
 
 
 def strided_fidelities(corrected: np.ndarray, payloads) -> np.ndarray:

@@ -541,14 +541,14 @@ def test_a_teleportation_verdict_builds_the_locked_pairs_once(monkeypatch):
     # each verdict, repeated or not, makes one enumeration, which builds the pairs once
     enumerations = _count_calls(monkeypatch, "enumerate_teleportation_with_lock")
     builds = []
-    build = protocols._shared_pairs
-    monkeypatch.setattr(protocols, "_shared_pairs", lambda *a: builds.append(a) or build(*a))
+    build = protocols._locked_pairs
+    monkeypatch.setattr(protocols, "_locked_pairs", lambda *a: builds.append(a) or build(*a))
     locks = (gates.qft(2), gates.lock_operator(), random_unitary(np.random.default_rng(3), 2))
     for lock in locks + locks:
         before = (len(enumerations), len(builds))
         classify_locking_unitary(lock, "teleportation")
         assert (len(enumerations), len(builds)) == (before[0] + 1, before[1] + 1)
-        assert builds[-1][0] is lock
+        assert builds[-1][0] == 2 and builds[-1][1] is lock
         assert enumerations[-1] == (analysis._PROBE_PAIR, lock)
 
 

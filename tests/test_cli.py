@@ -137,13 +137,36 @@ def test_payloads_with_subnormal_parts_are_divided_by_their_norm_once(tmp_path):
     [
         ([[0, [0, 0]], [1, 0]], "payload 1 is the zero vector"),
         ([[1, 0], [{"re": 0}, 0.0]], "payload 2 is the zero vector"),
+        ([[[1, 2, 3], 0], [1, 0]], "amplitude must be [re] or [re, im], got [1, 2, 3]"),
+        ([[1, 0]], "--states file must hold a list of 2 single-qubit states"),
+        ({"T1": [1, 0], "T2": [1, 0]}, "--states file must hold a list of 2 single-qubit states"),
+        ([[1, 0, 0], [1, 0]], "payload 1 needs exactly 2 amplitudes"),
+        ([[1, 0], 1], "payload 2 needs exactly 2 amplitudes"),
     ],
 )
-def test_run_teleport_rejects_zero_payloads(capsys, tmp_path, states, message):
+def test_run_teleport_names_what_is_wrong_with_a_states_file(capsys, tmp_path, states, message):
     f = tmp_path / "p.json"
     f.write_text(json.dumps(states))
     code, out, err = run_cli(capsys, "run", "--teleport", "qft", "--n", "2", "--states", str(f))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [("run", "--protocol", "ghz", "--bits", "0110"), ("verify", "theorem", "--protocol", "ghz")]
+)
+def test_a_protocol_violation_exits_1(capsys, monkeypatch, argv):
+    # Bob's copy of the GHZ channel with a quarter of its weight moved to |001>,
+    # outside the GHZ family's span
+    layout = states.DENSE_CHANNELS["ghz"]
+    leaky = np.sqrt(0.75) * states.ghz(0, 0).amplitudes
+    leaky[1] = 0.5
+    channel = qlinalg.tensor(
+        StateVector(leaky, layout["bob"]), states.ghz(0, 0, layout["charlie"])
+    )
+    monkeypatch.setattr(states, "initial_state", lambda name: channel)
+    code, out, err = run_cli(capsys, *argv)
+    message = f"state has weight 2.500e-01 outside the span of the 'ghz' family on {layout['bob']}"
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_run_usage_errors(capsys):
@@ -281,6 +304,7 @@ def test_argparse_usage_exits_2(capsys):
         (["run", "--protocol", "bell", "--bits", "0000", "--seed", "-3"], "--seed", "'-3'"),
         (["run", "--teleport", "qft", "--seed", "-3"], "--seed", "'-3'"),
         (["verify", "counterexample", "--seed", "-3"], "--seed", "'-3'"),
+        (["run", "--teleport", "qft", "--seed", "abc"], "--seed", "'abc'"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -624,6 +648,20 @@ def test_claim_check_output_is_byte_identical_to_the_protocol_runs(capsys, argv)
     assert hashlib.sha256(out.encode()).hexdigest() == _golden_verifies()[argv]
 
 
+@pytest.mark.parametrize(
+    "argv", ["verify theorem --protocol bell", "verify theorem --protocol bell --format table"]
+)
+def test_the_module_entry_point_prints_the_golden_output(argv):
+    # ``python -m simulq.cli`` in a fresh interpreter runs the module's ``__main__`` line
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "simulq.cli", *argv.split()],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == _golden_verifies()[argv]
+
+
 def _golden_locks() -> dict[str, dict]:
     # lock_teleportation_sha256.json holds the teleportation verdicts of the same
     # five matrices, recorded from the tree before the counterexample sampled stacks
@@ -672,7 +710,7 @@ def test_dense_run_output_is_byte_identical_to_the_recorded_runs(capsys, argv):
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_run_without_snapshots_builds_no_payload_register(capsys, monkeypatch, fmt):
     # every register holding a payload qubit (T..) raises; the shared pairs
-    # (A../B.. labels only) are still built, one pair at a time
+    # are read off the lock as a matrix, so nothing is tensored at all
     tensor, built = qlinalg.tensor, []
 
     def outer(*args):
@@ -689,7 +727,7 @@ def test_run_without_snapshots_builds_no_payload_register(capsys, monkeypatch, f
     monkeypatch.setattr(qlinalg, "tensor", guarded)
     code, out, err = run_cli(capsys, "run", "--teleport", "qft", "--n", "6", "--format", fmt)
     assert (code, err) == (0, "")
-    assert len(built) == 5
+    assert built == []
     if fmt == "json":
         assert out == (GOLDEN / "run_teleport_qft_n6.json").read_text()
 
@@ -769,8 +807,9 @@ json.dump(outputs, sys.stdout)
 
 def test_first_verdicts_of_a_process_match_warm_ones(tmp_path):
     # the first verdicts of a fresh interpreter run on constants built at
-    # import and fill the enumerator's correction cache; the repeats reuse
-    # every cached object and must print the same
+    # import and fill the per-size caches (branch results, payload masks,
+    # register layouts); the repeats reuse every cached object and must print
+    # the same
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_AND_WARM, str(tmp_path / "qft2.json")],

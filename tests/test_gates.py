@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -59,6 +61,12 @@ def test_encoder_rejects_bad_bits():
 )
 def test_bits_must_be_integers_0_or_1(bits):
     with pytest.raises(ValueError, match=r"bits must be 0 or 1, got "):
+        gates.as_bits(bits)
+
+
+@pytest.mark.parametrize("bits", [5, (0,), (0, 1, 1), None])
+def test_bits_must_be_a_pair(bits):
+    with pytest.raises(ValueError, match=f"^expected a pair of bits, got {re.escape(repr(bits))}$"):
         gates.as_bits(bits)
 
 

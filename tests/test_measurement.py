@@ -115,6 +115,18 @@ def test_out_of_span_weight_raises():
             measure_in_family(psi, fam, ("a", "b", "c"), seed=1)
 
 
+@pytest.mark.parametrize("name, targets", [("bell", ("a",)), ("ghz", ("a", "b")), ("w", ("a",))])
+def test_a_family_must_fit_its_targets(name, targets):
+    fam = states.family(name)
+    psi = StateVector(np.eye(8)[0], ("a", "b", "c"))
+    message = re.escape(
+        f"family {name!r} lives on {fam.ambient_dim} dimensions, got {len(targets)} target qubit(s)"
+    )
+    for measure in (enumerate_branches, lambda *a: measure_in_family(*a, seed=1)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            measure(psi, fam, targets)
+
+
 def test_collapse_leaves_rest_register_consistent(rng):
     fam = states.family("bell")
     psi = tensor(random_state(rng, 1, ("x",)), states.phi(0, 1))
@@ -171,6 +183,11 @@ class TestSupportTools:
         assert res.distinguishable
         assert res.overlap == pytest.approx(0.0, abs=1e-15)
         assert_allclose(res.projector, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-12)
+
+    def test_distinguisher_refuses_a_shape_mismatch(self):
+        rho0 = DensityMatrix(np.eye(2) / 2, ("a",))
+        with pytest.raises(ValueError, match=r"^shape mismatch: \(2, 2\) vs \(4, 4\)$"):
+            support_distinguisher(rho0, np.eye(4) / 4)
 
     def test_distinguisher_overlapping(self):
         rho0 = np.diag([0.5, 0.5, 0.0, 0.0])

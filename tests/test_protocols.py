@@ -35,6 +35,7 @@ from simulq.qlinalg import (
 from tests.conftest import random_state, random_unitary
 from tests.teleport_oracle import (
     sample_teleportation,
+    shared_pairs,
     strided_fidelities,
     walk_teleportation_with_lock,
 )
@@ -502,15 +503,20 @@ class TestBranchEngineAgainstWalk:
             assert br.probability == pytest.approx(4.0**-n, abs=1e-12)
 
 
-def test_correction_digit_table_is_derived_once(rng):
-    for n in (1, 2, 3):
-        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n))
-        enumerate_teleportation_with_lock(payloads, random_unitary(rng, n))
-    assert len(protocols._DIGIT_TABLES) == 1
-    src, sign = next(iter(protocols._DIGIT_TABLES.values()))
+def test_correction_digit_table_is_derived_once():
+    # the rows are read off the encoder stack at import; they are right only
+    # because every encoder is a signed permutation with +-1 entries
+    for bits, entries in zip(states.family("bell").members, gates._ENCODER_STACK):
+        encoder = gates.pauli_encoder(bits).entries
+        assert np.array_equal(entries, encoder)
+        assert set(encoder.ravel().tolist()) <= {0, 1, -1}
+        assert np.array_equal(abs(encoder) @ abs(encoder).T, np.eye(2))
+    src, sign = protocols._DIGIT_SOURCE, protocols._DIGIT_SIGN
     assert src.tolist() == [[0, 1], [0, 1], [1, 0], [1, 0]]
     assert sign.tolist() == [[1, 1], [1, -1], [1, 1], [1, -1]]
+    assert (src.dtype, sign.dtype) == (np.uint8, np.int8)
     assert not (src.flags.writeable or sign.flags.writeable)
+    assert not gates._ENCODER_STACK.flags.writeable
 
 
 def test_unlock_is_the_conjugate_not_the_adjoint(rng):
@@ -523,13 +529,54 @@ def test_unlock_is_the_conjugate_not_the_adjoint(rng):
     assert not np.allclose(adjoint.entries, unlock.entries)
 
 
-def test_shared_pairs_are_the_lock_over_root_dim(rng):
-    for n in (1, 2, 3):
-        lock = random_unitary(rng, n)
-        _, a_labels, r_labels = protocols._teleport_labels(n)
-        matrix = protocols._shared_pairs(lock, a_labels, r_labels)[2]
-        # Phi(0,0)^N is I / sqrt(2^N) with sender rows, so the locked pairs are U / sqrt(2^N)
-        assert_allclose(matrix, lock.entries / np.sqrt(2**n), rtol=0, atol=1e-15)
+# (lock, receivers) read off the lock against the phi/tensor/apply chain
+_PAIR_CASES = [
+    (name, n) for n in range(1, MAX_RECEIVERS + 1) for name in ("qft", "identity", "haar0", "haar1")
+]
+_PAIR_CASES += [("ulock", 2), ("cnot", 2)]
+
+
+@pytest.mark.parametrize("name,n", _PAIR_CASES)
+def test_locked_pairs_match_the_phi_tensor_apply_chain(name, n):
+    named = {"qft": gates.qft, "identity": gates.identity}
+    if name in named:
+        lock = named[name](n)
+    elif name.startswith("haar"):
+        lock = random_unitary(np.random.default_rng(100 * n + int(name[4:])), n)
+    else:
+        lock = {"ulock": gates.lock_operator, "cnot": gates.cnot}[name]()
+    _, a_labels, r_labels = protocols._teleport_labels(n)
+    shared, locked, matrix = shared_pairs(lock, a_labels, r_labels)
+    pairs = protocols._locked_pairs(n, lock)
+    assert pairs.tobytes() == np.ascontiguousarray(matrix).tobytes()
+    # the registers of steps 0 and 1, sign bits of the zeros included
+    for got, want in ((protocols._locked_pairs(n), shared), (pairs, locked)):
+        register = protocols._pair_register(got, a_labels, r_labels)
+        assert register.labels == want.labels
+        assert register.amplitudes.tobytes() == want.amplitudes.tobytes()
+    # Phi(0,0)^N is I / sqrt(2^N) with sender rows, so the locked pairs are U / sqrt(2^N)
+    assert_allclose(pairs, lock.entries / np.sqrt(2**n), rtol=0, atol=1e-15)
+
+
+def test_pair_scale_is_a_product_taken_in_order():
+    assert protocols._PAIR_SCALES[:2] == (1 / np.sqrt(2.0), 0.4999999999999999)
+
+
+def test_an_enumeration_builds_no_register(rng, monkeypatch):
+    n = 3
+    payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n))
+    lock = random_unitary(rng, n)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a register was built")
+
+    monkeypatch.setattr(StateVector, "__post_init__", refuse)
+    for module in (protocols, qlinalg):
+        monkeypatch.setattr(module, "tensor", refuse)
+        monkeypatch.setattr(module, "apply", refuse)
+    branches = enumerate_teleportation_with_lock(payloads, lock)
+    assert len(branches) == 4**n
+    assert branches[-1].corrected_state.labels == ("B1", "B2", "B3")
 
 
 def test_alternating_locks_enumerate_as_fresh_copies(rng):
@@ -549,8 +596,7 @@ def test_alternating_locks_enumerate_as_fresh_copies(rng):
 
 
 def test_bell_readout_is_built_once():
-    readout = protocols._bell_readout()
-    assert protocols._bell_readout() is readout
+    readout = protocols._BELL_READOUT
     members = [m.amplitudes.conj() for m in states.family("bell").members.values()]
     assert np.array_equal(readout, np.reshape(members, (4, 2, 2)))
     assert not readout.flags.writeable
@@ -560,6 +606,13 @@ def test_enumerator_refuses_an_empty_payload_tuple():
     message = r"^0 receivers requested; the enumerator takes 1\.\.6 receivers$"
     with pytest.raises(ValueError, match=message):
         enumerate_teleportation_with_lock((), gates.identity(1))
+
+
+@pytest.mark.parametrize("n_lock", [1, 3])
+def test_enumerator_refuses_a_lock_of_another_size(rng, n_lock):
+    payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(2))
+    with pytest.raises(ValueError, match="^2 receivers need a 4-dimensional lock$"):
+        enumerate_teleportation_with_lock(payloads, gates.qft(n_lock))
 
 
 # (lock name, receivers) for the fidelity-stage tests: qft and a Haar lock at

@@ -84,6 +84,9 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(m, ("a",))
 
+    def test_qubit_count(self):
+        assert DensityMatrix(np.eye(8) / 8, ("a", "b", "c")).n_qubits == 3
+
 
 class TestUnitary:
     def test_rejects_non_unitary(self):
@@ -156,6 +159,15 @@ class TestApply:
         with pytest.raises(ValueError):
             apply(psi, gates.hadamard(), ("a", "b"))
 
+    @pytest.mark.parametrize(
+        "targets, message",
+        [((), "no target qubits given"), (("a", "a"), "duplicate target labels: ('a', 'a')")],
+    )
+    def test_refuses_empty_or_duplicate_targets(self, targets, message):
+        psi = StateVector(np.eye(4)[0], ("a", "b"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply(psi, gates.cnot(), targets)
+
 
 class TestPartialTrace:
     def test_product_state_factors(self, rng):
@@ -181,6 +193,17 @@ class TestPartialTrace:
         with pytest.raises(TypeError, match="cannot take a partial trace of DensityMatrix"):
             partial_trace(random_density(rng, 2, ("a", "b")), ("b",))
 
+    @pytest.mark.parametrize(
+        "keep, message",
+        [
+            ((), "keep must name at least one qubit"),
+            (("a", "z"), "unknown qubit label(s) ['z']; register is ('a', 'b')"),
+        ],
+    )
+    def test_refuses_an_empty_or_unknown_keep(self, rng, keep, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            partial_trace(random_state(rng, 2, ("a", "b")), keep)
+
     def test_trace_preserved(self, rng):
         rho = partial_trace(random_state(rng, 4), ("q1", "q3"))
         assert abs(np.trace(rho.entries) - 1.0) < 1e-12
@@ -205,6 +228,15 @@ class TestComparisons:
         other = random_state(rng, 2)
         assert not equal_up_to_global_phase(psi, other)
 
+    def test_global_phase_equality_refuses_a_label_mismatch(self):
+        message = "^" + re.escape("label mismatch: ('a',) vs ('b',)") + "$"
+        with pytest.raises(ValueError, match=message):
+            equal_up_to_global_phase(StateVector(KET0, ("a",)), StateVector(KET0, ("b",)))
+
+    def test_fidelity_refuses_a_dimension_mismatch(self, rng):
+        with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 4$"):
+            fidelity(StateVector(KET0, ("a",)), random_density(rng, 2, ("a", "b")))
+
     def test_fidelity_pure_against_mixture(self, rng):
         psi = random_state(rng, 1, ("a",))
         assert fidelity(psi, pure_density(psi)) == pytest.approx(1.0, abs=1e-12)
@@ -223,6 +255,15 @@ class TestWireFormat:
     def test_malformed_payload(self):
         with pytest.raises(ValueError):
             unitary_from_wire({"re": [1.0]})
+
+    def test_refuses_a_shape_other_than_the_declared_one(self):
+        message = "^" + re.escape("payload shape (2, 2) does not match declared (4, 1)") + "$"
+        with pytest.raises(ValueError, match=message):
+            unitary_from_wire({"re": [[1, 0], [0, 1]], "shape": [4, 1]})
+
+    def test_serializes_only_states_densities_and_unitaries(self):
+        with pytest.raises(TypeError, match="^cannot serialize ndarray$"):
+            to_wire(np.eye(2))
 
 
 # A locked Bell-channel register, written out entry by entry: encoding the

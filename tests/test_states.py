@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from simulq import gates, states
-from simulq.qlinalg import apply, equal_up_to_global_phase, inner
+from simulq.qlinalg import StateVector, apply, equal_up_to_global_phase, inner
 
 SQ2 = np.sqrt(2.0)
 
@@ -155,3 +156,27 @@ def test_initial_state_is_built_once_and_read_only(channel):
     assert states.initial_state(channel) is state
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
+
+
+_KETS = [StateVector(np.eye(4)[i], ("a", "b")) for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: states.phi(2, 0), "x must be 0 or 1, got 2"),
+        (lambda: states.ghz(0, -1), "y must be 0 or 1, got -1"),
+        (
+            lambda: states.BasisFamily("kets", dict(zip(ALL_BITS[::-1], _KETS))),
+            f"family members must be keyed by {tuple(ALL_BITS)}",
+        ),
+        (
+            lambda: states.BasisFamily("kets", dict(zip(ALL_BITS, _KETS[:3] + _KETS[:1]))),
+            "family 'kets' is not orthonormal",
+        ),
+        (lambda: states.family("qutrit"), "unknown family 'qutrit'; known families: ['bell', 'ghz', 'w']"),
+    ],
+)
+def test_refusals_name_the_bad_value(build, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        build()
