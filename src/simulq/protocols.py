@@ -67,9 +67,10 @@ from .states import DENSE_CHANNELS
 _LOCKS = {"qft": lambda: gates.qft(2), "ulock": gates.lock_operator}
 
 # Most receivers a teleportation run or enumeration takes: the enumerator
-# holds two 4^N x 2^N branch tables, 4 MiB each at N = 6, and each receiver
-# more is 8x that (so is each 3N-qubit snapshot of a sampled run, built only
-# when it is read).
+# returns two 4^N x 2^N branch tables, 4 MiB each at N = 6, and works on the
+# second one in place, a block of rows at a time; each receiver more is 8x
+# that (so is each 3N-qubit snapshot of a sampled run, built only when it is
+# read).
 MAX_RECEIVERS = 6
 
 DENSE_STEPS = (
@@ -316,8 +317,13 @@ def _teleport_labels(n: int, receiver_labels=None):
     return _numbered("T", n), _numbered("A", n), r_labels
 
 
+@functools.cache
 def _teleport_layout(scheme: str, n: int):
-    """Receiver labels and lock of a named scheme."""
+    """Receiver labels and lock of a named scheme, built once per ``(scheme, n)``.
+
+    The lock is a read-only ``Unitary``, so every run and enumeration of the
+    scheme can share it, and the unlock kept on it (:func:`_unlock`).
+    """
     if scheme == "ulock2":
         return _TWO_RECEIVERS, gates.lock_operator()
     return _numbered("B", n), gates.qft(n)
@@ -330,8 +336,15 @@ def _unlock(lock: Unitary) -> Unitary:
     lock, so the inverse they must apply is its elementwise conjugate.  For
     the (real) Hadamard--CNOT lock that is the lock itself; for the
     (symmetric) Fourier lock it is the ordinary adjoint.
+
+    It is built once per ``lock`` and kept on it, as :func:`gates.adjoint`
+    keeps the inverse of a dense coding lock, so every enumeration and run
+    under one lock shares one unlock.
     """
-    return Unitary(lock.entries.conj())
+    kept = lock.__dict__.get("_unlock")
+    if kept is None:
+        kept = lock.__dict__["_unlock"] = Unitary(lock.entries.conj())
+    return kept
 
 
 # The conjugated Bell members as a read-only 4x2x2 array, in member order
@@ -491,31 +504,36 @@ _DIGIT_SOURCE.setflags(write=False)
 _DIGIT_SIGN.setflags(write=False)
 
 
-def _corrected(unlocked: np.ndarray) -> np.ndarray:
-    """Every receiver's Pauli correction applied to the rows of ``unlocked``.
+@functools.cache
+def _correction_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only ``(4^n, 2^n)`` column and sign tables of every branch's corrections.
 
-    Row ``b`` of the ``4^n x 2^n`` table is branch ``b``; receiver ``i``
-    re-applies the Pauli encoder of member ``d``, where ``d`` is base-4 digit
-    ``i`` of ``b`` (most significant first).  Each encoder is a signed
-    permutation of the receiver's two amplitudes, so all ``n`` corrections
-    together are one signed gather: entry ``(b, c)`` becomes
-    ``sign[b, c] * unlocked[b, col[b, c]]``.  The column and sign tables are
-    expanded from the per-digit rows on each call, as ``uint8`` and ``int8``
-    (256 KiB each at n = 6).
+    Row ``b`` of the table is branch ``b``; receiver ``i`` re-applies the
+    Pauli encoder of member ``d``, where ``d`` is base-4 digit ``i`` of ``b``
+    (most significant first).  Each encoder is a signed permutation of the
+    receiver's two amplitudes, so all ``n`` corrections together are one
+    signed gather: entry ``(b, c)`` of a corrected row is
+    ``sign[b, c] * row[col[b, c]]``.  The tables are ``uint8`` and ``int8``
+    (256 KiB each at n = 6), built once per receiver count from those of
+    ``n - 1`` receivers with receiver 1 prepended as the most significant
+    digit and column bit, so the long axes of the broadcast stay innermost.
     """
-    n = unlocked.shape[1].bit_length() - 1
-    cols = np.zeros((1, 1), dtype=np.uint8)
-    signs = np.ones((1, 1), dtype=np.int8)
-    for i in range(n):
-        # prepend a receiver as the most significant digit and column bit, so
-        # the long axes of the broadcast stay innermost
-        shape = (4 ** (i + 1), 2 ** (i + 1))
-        cols = ((_DIGIT_SOURCE << i)[:, None, :, None] + cols[None, :, None, :]).reshape(shape)
+    if n == 0:
+        cols, signs = np.zeros((1, 1), dtype=np.uint8), np.ones((1, 1), dtype=np.int8)
+    else:
+        cols, signs = _correction_tables(n - 1)
+        shape = (4**n, 2**n)
+        cols = ((_DIGIT_SOURCE << (n - 1))[:, None, :, None] + cols[None, :, None, :]).reshape(shape)
         signs = (_DIGIT_SIGN[:, None, :, None] * signs[None, :, None, :]).reshape(shape)
-    # row b starts at flat offset b * 2^n
-    corrected = unlocked.reshape(-1).take(cols + (np.arange(4**n)[:, None] << n))
-    corrected *= signs
-    return corrected
+    cols.setflags(write=False)
+    signs.setflags(write=False)
+    return cols, signs
+
+
+# Rows of the corrected table that the enumerator gathers, changes into the
+# payloads' basis and reads fidelities from at a time, a power of 4: at n = 6
+# a block's temporaries are 256 KiB or less, and n <= 4 is a single block
+_BLOCK_ROWS = 256
 
 
 def _payload_basis(payloads) -> tuple[np.ndarray, np.ndarray]:
@@ -578,13 +596,17 @@ def enumerate_teleportation_with_lock(
     sender row axis mapped to its four outcomes by the 4x2 readout of pair
     ``i`` folded with payload ``i``.  Row norms squared are the branch
     probabilities (each exactly ``4^-N``, since the sender halves are
-    maximally mixed), the unlock is one matrix product on the normalised
-    rows and the per-receiver corrections are one signed gather.  The
-    fidelities are one more product, into the payloads' basis
-    (:func:`_payload_basis`): payload ``i``'s fidelity is a row's squared
-    weight on the columns whose bit ``i`` is 0.  The normalised table and
-    the corrected one are each validated once, as a whole, and every branch
-    is a :class:`TeleportBranch` record pointing at its row of both.
+    maximally mixed) and the unlock is one matrix product on the normalised
+    rows, written into the array that becomes the corrected table.  That
+    table is then walked ``_BLOCK_ROWS`` rows at a time: the per-receiver
+    corrections are a signed gather through the tables kept per receiver
+    count (:func:`_correction_tables`), copied back into the block's rows,
+    and the fidelities one more product, into the payloads' basis
+    (:func:`_payload_basis`), in a buffer reused by every block: payload
+    ``i``'s fidelity is a row's squared weight on the columns whose bit
+    ``i`` is 0.  The normalised table and the corrected one are each
+    validated once, as a whole, and every branch is a
+    :class:`TeleportBranch` record pointing at its row of both.
     Between 1 and ``MAX_RECEIVERS`` receivers are accepted, the lock must be
     a :class:`~simulq.qlinalg.Unitary` and every payload a single-qubit state.
     """
@@ -608,20 +630,34 @@ def enumerate_teleportation_with_lock(
     probabilities = np.einsum("ij,ij->i", flat, flat)
     flat /= np.sqrt(probabilities)[:, None]
 
-    unlocked = table @ _unlock(lock).entries.T
-    corrected = _corrected(unlocked)
-    # the payload-basis amplitudes reuse the unlocked buffer, which the gather has read
+    # the unlock product becomes the corrected table, corrected in place below
+    corrected = table @ _unlock(lock).entries.T
+    cols, signs = _correction_tables(n)
     basis, sq_norms = _payload_basis(payloads)
-    weights = np.abs(np.matmul(corrected, basis.T, out=unlocked))
-    weights *= weights
-    fids = weights @ (_payload_mask(n) * sq_norms)
-    # free both before the records are built, so they do not raise the call's peak
-    del unlocked, weights
+    scaled_mask = _payload_mask(n) * sq_norms
+    fids = np.empty((4**n, n))
+    # _BLOCK_ROWS is a power of 4, so every block is full; row r of a block
+    # starts at flat offset r * 2^n of the block
+    step = min(4**n, _BLOCK_ROWS)
+    offsets = np.arange(step)[:, None] << n
+    amps = np.empty((step, 1 << n), dtype=np.complex128)
+    weights = np.empty(amps.shape)
+    for start in range(0, 4**n, step):
+        rows = slice(start, start + step)
+        block = corrected[rows]
+        gathered = block.reshape(-1).take(cols[rows] + offsets)
+        np.multiply(gathered, signs[rows], out=block)
+        np.matmul(block, basis.T, out=amps)
+        np.abs(amps, out=weights)
+        weights *= weights
+        np.matmul(weights, scaled_mask, out=fids[rows])
 
     tables = (_StateTable(table, r_labels), _StateTable(corrected, r_labels))
+    # tuple.__new__ builds each record as TeleportBranch._make does, without its Python frame
     return list(
         map(
-            TeleportBranch._make,
+            tuple.__new__,
+            itertools.repeat(TeleportBranch),
             zip(
                 _branch_results(n),
                 probabilities.tolist(),

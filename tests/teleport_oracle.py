@@ -21,6 +21,12 @@ applied to the sender halves with ``apply``.
 ``strided_fidelities`` is the fidelity step the batched enumerator took
 before it read every fidelity from one change into the payloads' basis: one
 strided two-term sum per payload over the corrected table.
+
+``expanded_corrections`` is how the enumerator built its correction column
+and sign tables before it kept them per receiver count: expanded from the
+per-digit rows on every call.  ``gathered_corrections`` is the correction
+step that used them, one signed gather over the whole unlocked table through
+a full-size flat index, into a fresh table.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ import numpy as np
 from simulq import gates, states
 from simulq.measurement import measure_in_family, resolve_rng
 from simulq.protocols import (
+    _DIGIT_SIGN,
+    _DIGIT_SOURCE,
     ProtocolTranscript,
     TeleportInput,
     _teleport_labels,
@@ -218,3 +226,31 @@ def strided_fidelities(corrected: np.ndarray, payloads) -> np.ndarray:
         weights *= weights
         fids[:, i] = np.sum(weights, axis=(1, 2))
     return fids
+
+
+def expanded_corrections(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(4^n, 2^n)`` correction column and sign tables, expanded from the per-digit rows.
+
+    Entry ``(b, c)`` of branch ``b``'s corrected row is
+    ``sign[b, c] * row[col[b, c]]``, receiver 1 the most significant base-4
+    digit of ``b`` and bit of ``c``.
+    """
+    cols = np.zeros((1, 1), dtype=np.uint8)
+    signs = np.ones((1, 1), dtype=np.int8)
+    for i in range(n):
+        # prepend a receiver as the most significant digit and column bit, so
+        # the long axes of the broadcast stay innermost
+        shape = (4 ** (i + 1), 2 ** (i + 1))
+        cols = ((_DIGIT_SOURCE << i)[:, None, :, None] + cols[None, :, None, :]).reshape(shape)
+        signs = (_DIGIT_SIGN[:, None, :, None] * signs[None, :, None, :]).reshape(shape)
+    return cols, signs
+
+
+def gathered_corrections(unlocked: np.ndarray) -> np.ndarray:
+    """Every receiver's Pauli correction applied to the rows of ``unlocked``, into a fresh table."""
+    n = unlocked.shape[1].bit_length() - 1
+    cols, signs = expanded_corrections(n)
+    # row b starts at flat offset b * 2^n
+    corrected = unlocked.reshape(-1).take(cols + (np.arange(4**n)[:, None] << n))
+    corrected *= signs
+    return corrected

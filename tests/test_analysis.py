@@ -415,9 +415,9 @@ def test_a_verdict_builds_each_inverse_once(unitary_validations):
     # a dense verdict keeps its one adjoint on the lock for every repeat
     assert unitary_validations(lambda: classify_locking_unitary(lock, "dense_coding")) <= 1
     assert unitary_validations(lambda: classify_locking_unitary(lock, "dense_coding")) == 0
-    # a teleportation verdict builds the one unlock of its one enumeration, each time
-    for _ in range(2):
-        assert unitary_validations(lambda: classify_locking_unitary(lock, "teleportation")) <= 1
+    # a teleportation verdict keeps the one unlock of its one enumeration on the lock
+    assert unitary_validations(lambda: classify_locking_unitary(lock, "teleportation")) <= 1
+    assert unitary_validations(lambda: classify_locking_unitary(lock, "teleportation")) == 0
 
 
 def _site_block_by_definition(u: Unitary, i: int) -> np.ndarray:

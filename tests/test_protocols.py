@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,8 @@ from simulq.qlinalg import (
 )
 from tests.conftest import random_state, random_unitary
 from tests.teleport_oracle import (
+    expanded_corrections,
+    gathered_corrections,
     sample_teleportation,
     shared_pairs,
     strided_fidelities,
@@ -503,6 +508,55 @@ class TestBranchEngineAgainstWalk:
             assert br.probability == pytest.approx(4.0**-n, abs=1e-12)
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden" / "enumerate_sha256.json"
+
+# The pinned enumerations, as ``lock:payloads:n=N``: every size under the Fourier
+# lock, the identity and one seeded Haar lock, each with seeded Haar payloads and
+# with basis-state payloads, whose exact zeros pin the sign bits of zero amplitudes
+_GOLDEN_CASES = [
+    f"{lock}:{kind}:n={n}"
+    for n in range(1, MAX_RECEIVERS + 1)
+    for lock in ("qft", "identity", "haar")
+    for kind in ("haar", "basis")
+]
+
+
+def enumeration_digests(case: str) -> dict[str, str]:
+    """The sha256 of each output of one pinned enumeration, by part name."""
+    lock_name, kind, size = case.split(":")
+    n = int(size.removeprefix("n="))
+    rng = np.random.default_rng(2600 + n)
+    lock = random_unitary(rng, n) if lock_name == "haar" else getattr(gates, lock_name)(n)
+    if kind == "haar":
+        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n))
+    else:
+        payloads = tuple(StateVector(np.eye(2)[i % 2], (f"p{i}",)) for i in range(n))
+    branches = enumerate_teleportation_with_lock(payloads, lock)
+    parts = {
+        "pre_unlock": branches[0].tables[0].amplitudes,
+        "corrected": branches[0].tables[1].amplitudes,
+        "probabilities": np.array([b.probability for b in branches]),
+        "fidelities": np.array([b.fidelities for b in branches]),
+        "rows": np.array([b.row for b in branches], dtype=np.int64),
+        "results": np.array([b.results for b in branches], dtype=np.int64),
+    }
+    return {name: hashlib.sha256(part.tobytes()).hexdigest() for name, part in parts.items()}
+
+
+def _golden_enumerations() -> dict[str, dict[str, str]]:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_the_golden_file_covers_every_pinned_enumeration():
+    assert sorted(_golden_enumerations()) == sorted(_GOLDEN_CASES)
+
+
+@pytest.mark.parametrize("case", _GOLDEN_CASES)
+def test_enumeration_outputs_match_their_golden_digests(case):
+    # both tables, every probability, fidelity, row and result, bit for bit
+    assert enumeration_digests(case) == _golden_enumerations()[case]
+
+
 def test_correction_digit_table_is_derived_once():
     # the rows are read off the encoder stack at import; they are right only
     # because every encoder is a signed permutation with +-1 entries
@@ -527,6 +581,117 @@ def test_unlock_is_the_conjugate_not_the_adjoint(rng):
     adjoint = gates.adjoint(lock)
     assert np.array_equal(adjoint.entries, lock.entries.conj().T)
     assert not np.allclose(adjoint.entries, unlock.entries)
+
+
+# the named schemes, one (scheme, receivers) layout each
+_NAMED_LAYOUTS = [("ulock2", 2)] + [("qftN", n) for n in range(1, MAX_RECEIVERS + 1)]
+
+
+@pytest.mark.parametrize("scheme,n", _NAMED_LAYOUTS)
+def test_a_named_layout_is_built_once_with_a_read_only_lock(scheme, n):
+    labels, lock = protocols._teleport_layout(scheme, n)
+    assert protocols._teleport_layout(scheme, n)[1] is lock
+    assert not lock.entries.flags.writeable
+    want = gates.lock_operator() if scheme == "ulock2" else gates.qft(n)
+    assert lock.entries.tobytes() == want.entries.tobytes()
+    assert labels == (("B", "C") if scheme == "ulock2" else tuple(f"B{i + 1}" for i in range(n)))
+
+
+def test_the_unlock_is_kept_on_its_lock(rng):
+    lock = random_unitary(rng, 3)
+    unlock = protocols._unlock(lock)
+    assert protocols._unlock(lock) is unlock
+    assert np.array_equal(unlock.entries, lock.entries.conj())
+    assert not unlock.entries.flags.writeable
+    # another lock with the same entries keeps its own
+    assert protocols._unlock(Unitary(lock.entries)) is not unlock
+
+
+@pytest.mark.parametrize("n", range(1, MAX_RECEIVERS + 1))
+def test_correction_tables_are_kept_read_only_and_match_the_expansion(n):
+    cols, signs = protocols._correction_tables(n)
+    again = protocols._correction_tables(n)
+    assert again[0] is cols and again[1] is signs
+    assert (cols.dtype, signs.dtype) == (np.uint8, np.int8)
+    assert not (cols.flags.writeable or signs.flags.writeable)
+    want_cols, want_signs = expanded_corrections(n)
+    assert np.array_equal(cols, want_cols)
+    assert np.array_equal(signs, want_signs)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_correction_tables_are_the_products_of_the_receivers_encoders(n):
+    # branch b's row of the tables is the signed permutation that its results'
+    # encoders, one per receiver, make together
+    cols, signs = protocols._correction_tables(n)
+    for b, results in enumerate(protocols._branch_results(n)):
+        product = np.eye(1)
+        for bits in results:
+            product = np.kron(product, gates.pauli_encoder(bits).entries)
+        want = np.zeros_like(product)
+        want[np.arange(1 << n), cols[b]] = signs[b]
+        assert np.array_equal(product, want)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_RECEIVERS + 1))
+def test_the_corrected_table_is_the_gather_of_the_unlock_product(n):
+    # corrected in place a block of rows at a time, bit for bit the one gather
+    # over the whole unlocked table
+    rng = np.random.default_rng(300 + n)
+    payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n))
+    lock = random_unitary(rng, n)
+    tables = enumerate_teleportation_with_lock(payloads, lock)[0].tables
+    pre, corrected = (t.amplitudes for t in tables)
+    want = gathered_corrections(pre @ lock.entries.conj().T)
+    assert corrected.tobytes() == want.tobytes()
+
+
+def test_records_are_teleport_branches_as_make_builds_them(rng):
+    assert protocols.TeleportBranch._fields == (
+        "results",
+        "probability",
+        "fidelities",
+        "row",
+        "tables",
+    )
+    branches = enumerate_teleportation_with_lock(
+        tuple(random_state(rng, 1, (f"p{i}",)) for i in range(3)), random_unitary(rng, 3)
+    )
+    for br in branches:
+        made = protocols.TeleportBranch._make(
+            (br.results, br.probability, br.fidelities, br.row, br.tables)
+        )
+        assert type(br) is protocols.TeleportBranch
+        assert br == made
+        assert repr(br) == repr(made)
+        assert br._asdict() == made._asdict()
+
+
+@pytest.mark.parametrize("scheme,n", [("ulock2", 2), ("qftN", 4)])
+def test_a_repeat_run_of_a_named_scheme_builds_no_gate(rng, monkeypatch, scheme, n):
+    inp = TeleportInput(scheme, tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n)), n)
+    first = enumerate_teleportation(inp)
+    run_teleportation(inp, seed=5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a gate was built")
+
+    monkeypatch.setattr(gates, "qft", refuse)
+    monkeypatch.setattr(gates, "lock_operator", refuse)
+    monkeypatch.setattr(Unitary, "__post_init__", refuse)
+    again = enumerate_teleportation(inp)
+    assert [(b.results, b.probability, b.fidelities) for b in again] == [
+        (b.results, b.probability, b.fidelities) for b in first
+    ]
+    assert run_teleportation(inp, seed=5).outcomes["results"]
+
+
+@pytest.mark.parametrize("scheme,n", [("ulock2", 2), ("qftN", 3), ("qftN", MAX_RECEIVERS)])
+def test_a_wrong_unlock_fails_after_the_right_one_is_kept(rng, monkeypatch, scheme, n):
+    inp = TeleportInput(scheme, tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n)), n)
+    assert min(min(b.fidelities) for b in enumerate_teleportation(inp)) >= 1 - ATOL
+    monkeypatch.setattr(protocols, "_unlock", lambda u: gates.identity(u.n_qubits))
+    assert min(min(b.fidelities) for b in enumerate_teleportation(inp)) < 1 - ATOL
 
 
 # (lock, receivers) read off the lock against the phi/tensor/apply chain
@@ -664,33 +829,28 @@ class TestFidelityBasisChange:
         assert mask.tolist() == [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
         assert not mask.flags.writeable
 
-    def test_the_fidelity_stage_holds_no_more_than_the_gather_stage(self, rng, monkeypatch):
-        # traced peaks above the call's entry: up to the end of the gather, and
-        # from there to the end of the call (fidelities and branch records)
+    def test_one_call_peaks_at_three_tables_and_keeps_two_and_its_records(self, rng):
+        # traced memory above the call's entry: the unlock product is corrected in
+        # place a block at a time, so the peak is the two returned tables and
+        # small temporaries, and what stays is the two tables and the records
         n = MAX_RECEIVERS
         payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(n))
         lock = gates.qft(n)
         enumerate_teleportation_with_lock(payloads, lock)
-        gather, peaks = protocols._corrected, []
-
-        def traced_gather(*args):
-            out = gather(*args)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.reset_peak()
-            return out
-
-        monkeypatch.setattr(protocols, "_corrected", traced_gather)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
             branches = enumerate_teleportation_with_lock(payloads, lock)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            retained, peak = (size - entry for size in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        gather_peak, after_peak = (peak - entry for peak in peaks)
-        # the gather holds both tables, the unlocked one and the flat index
-        assert gather_peak >= 2.5 * branches[0].tables[0].amplitudes.nbytes
-        assert after_peak <= gather_peak
+        table_bytes = branches[0].tables[0].amplitudes.nbytes
+        assert peak <= 3 * table_bytes
+        records = sys.getsizeof(branches) + sum(
+            sum(map(sys.getsizeof, (br, br.probability, br.fidelities, br.row, *br.fidelities)))
+            for br in branches
+        )
+        assert retained <= 2 * table_bytes + records
 
     @pytest.mark.parametrize("n", range(3, MAX_RECEIVERS + 1))
     def test_a_wrong_unlock_still_fails_at_the_benchmark_sizes(self, n, monkeypatch):
