@@ -24,7 +24,7 @@ import numpy as np
 from . import gates, states
 from .measurement import _born_weights, resolve_rng, sample_projective, support_distinguisher
 from .protocols import _require_unitary, enumerate_teleportation_with_lock
-from .qlinalg import ATOL, ATOL_STRICT, StateVector, Unitary, _grouped, _jsonable
+from .qlinalg import ATOL, ATOL_STRICT, StateVector, Unitary, _grouped, _jsonable, to_wire
 
 BIT_NAMES = ("b1", "b2", "c1", "c2")
 
@@ -125,7 +125,7 @@ class LockingReport:
     passed: bool = False
 
     def to_dict(self) -> dict:
-        return _jsonable(asdict(self))
+        return _jsonable(asdict(self), to_wire)
 
 
 # The encodings' bits as a read-only (16, 4) array, in _ENCODINGS order.

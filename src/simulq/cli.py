@@ -17,7 +17,6 @@ import functools
 import json
 import math
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -79,6 +78,9 @@ def _load_payloads(path: str, n: int) -> tuple[StateVector, ...]:
             raise ValueError(f"payload {i + 1} needs exactly 2 amplitudes")
         vec = np.array([_amplitude(a) for a in entry], dtype=complex)
         parts = vec.view(np.float64)
+        for part in parts.tolist():
+            if not math.isfinite(part):
+                raise ValueError(f"payload {i + 1} has a non-finite amplitude part: {part!r}")
         if not parts.any():
             raise ValueError(f"payload {i + 1} is the zero vector")
         with np.errstate(over="ignore"):
@@ -129,11 +131,13 @@ def _json_text(obj) -> str:
     """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, written faster.
 
     With ``indent`` set, json encodes in pure Python, one generator step and
-    one ``float.__repr__`` per value.  Here the wire format's ``re``/``im``
-    matrices (a 10-qubit gate holds 2**21 floats) are joined in bulk, and a
-    large one formats each distinct value once: gates and states repeat few
-    values many times.  A 2-D float64 ``ndarray`` is written as json writes
-    its ``tolist()``, straight from the array.
+    one ``float.__repr__`` per value.  Every command hands its matrices over
+    as the wire format's ``re``/``im`` float64 arrays (``_wire_arrays``), and
+    a 2-D float64 ``ndarray`` is written as json writes its ``tolist()``,
+    straight from the array: joined in bulk (a 10-qubit gate holds 2**21
+    floats), and when large with each distinct value formatted once, as
+    gates and states repeat few values many times.  Any other data, lists
+    of floats included, is written value by value as json writes it.
     """
     out: list[str] = []
     _write_json(obj, "\n", out)
@@ -162,9 +166,6 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
-            return
-        if _is_float_matrix(obj):
-            out.append(_matrix_text(np.array(obj), newline))
             return
         inner = newline + "  "
         sep = "[" + inner
@@ -195,16 +196,6 @@ def _float_text(value: float) -> str:
     if math.isfinite(value):
         return float.__repr__(value)
     return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
-
-
-def _is_float_matrix(rows) -> bool:
-    """Whether ``rows`` is a list of equal-length, non-empty lists of ``float``s."""
-    if any(type(row) is not list for row in rows):
-        return False
-    width = len(rows[0])
-    if width == 0 or any(len(row) != width for row in rows):
-        return False
-    return set(map(type, chain.from_iterable(rows))) == {float}
 
 
 def _matrix_text(matrix: np.ndarray, newline: str) -> str:
@@ -238,7 +229,7 @@ def _fmt_entry(re: float, im: float) -> str:
 
 def _matrix_rows(wire: dict) -> list[str]:
     rows = []
-    for re_row, im_row in zip(wire["re"], wire["im"]):
+    for re_row, im_row in zip(wire["re"].tolist(), wire["im"].tolist()):
         rows.append("  ".join(_fmt_entry(r, i) for r, i in zip(re_row, im_row)))
     width = max(len(r) for r in rows)
     return [f"    {r:<{width}}" for r in rows]
@@ -310,7 +301,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if scheme == "ulock2":
             print(_ULOCK_WARNING["teleportation"], file=sys.stderr)
         transcript = run_teleportation(inp, seed=args.seed)
-    payload = transcript.to_dict(include_snapshots=args.snapshots)
+    payload = transcript._data(_wire_arrays, args.snapshots)
     if args.format == "json":
         _emit_json(payload)
     else:

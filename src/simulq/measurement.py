@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qlinalg import ATOL, DensityMatrix, StateVector, _ungrouped, contract
+from .qlinalg import ATOL, DensityMatrix, StateVector, _ungrouped_outer, contract
 from .states import BasisFamily
 
 #: eigenvalues above this count towards the support of a density matrix
@@ -108,7 +108,7 @@ def _collapse(
     ``rest_labels``.
     """
     order = tuple(state.axis_of(q) for q in (*targets, *rest_labels))
-    return StateVector(_ungrouped(np.outer(member.amplitudes, row), order), state.labels)
+    return StateVector(_ungrouped_outer(member.amplitudes, row, order), state.labels)
 
 
 def measure_in_family(

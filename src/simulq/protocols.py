@@ -30,9 +30,10 @@ maps one sender axis at a time to four candidate rows, draws one with
 ``measurement``'s Born-rule draw and keeps it, so it measures nothing larger
 than the shared pairs and applies the unlock and corrections to the ``2^N``
 receiver register.  Its ``3N``-qubit snapshots are built only when they are
-read, those after the measurement from the drawn Bell members and that
-register.  The exhaustive enumerator keeps all four rows at every pair, and
-so reads every joint branch as one row of a ``4^N x 2^N`` table.
+read, each as one outer product: the payloads times the pair matrix before
+the measurement, the drawn Bell members times that register after it.  The
+exhaustive enumerator keeps all four rows at every pair, and so reads every
+joint branch as one row of a ``4^N x 2^N`` table.
 """
 
 from __future__ import annotations
@@ -53,12 +54,10 @@ from .qlinalg import (
     Unitary,
     _jsonable,
     _StateTable,
-    _ungrouped,
     _ungrouped_outer,
     apply,
     fidelity,
     partial_trace,
-    tensor,
     to_wire,
 )
 from .states import DENSE_CHANNELS
@@ -158,6 +157,11 @@ class ProtocolTranscript:
     ``to_dict(include_snapshots=True)`` first reads its step, and its
     snapshot is kept; a builder recorded for several steps is called once
     for all of them.  Names alone are read without building anything.
+
+    :meth:`to_dict` writes each matrix in the wire format with ``re`` and
+    ``im`` as nested lists (:func:`~simulq.qlinalg.to_wire`); ``simulq run``
+    prints the same data with them as the float64 arrays the command line's
+    JSON writer formats straight from (:func:`~simulq.qlinalg._wire_arrays`).
     """
 
     protocol: str
@@ -190,12 +194,16 @@ class ProtocolTranscript:
         raise KeyError(f"no step named {name!r}; steps are {[s for s, _ in self._steps]}")
 
     def to_dict(self, include_snapshots: bool = False) -> dict:
+        return self._data(to_wire, include_snapshots)
+
+    def _data(self, wire: Callable[..., dict], include_snapshots: bool) -> dict:
+        """:meth:`to_dict`'s data with every matrix written by ``wire``."""
         steps = [{"name": name} for name, _ in self._steps]
         if include_snapshots:
             for i, step in enumerate(steps):
-                step["state"] = to_wire(self._snapshot(i))
+                step["state"] = wire(self._snapshot(i))
         intercepts = {
-            f"{stage}/{','.join(labels)}": to_wire(rho)
+            f"{stage}/{','.join(labels)}": wire(rho)
             for (stage, labels), rho in self.intercepts.items()
         }
         return {
@@ -203,7 +211,7 @@ class ProtocolTranscript:
             "seed": self.seed,
             "steps": steps,
             "intercepts": intercepts,
-            "outcomes": _jsonable(self.outcomes),
+            "outcomes": _jsonable(self.outcomes, wire),
         }
 
 
@@ -232,10 +240,9 @@ def run_dense_coding_with_lock(
     cfg = DENSE_CHANNELS[channel]
     fam = states.family(channel)
     rng = resolve_rng(seed)
-    seed_val = seed if isinstance(seed, int) else None
 
     t = ProtocolTranscript(
-        protocol=f"dense_coding:{channel}:{lock_name}", seed=seed_val
+        protocol=f"dense_coding:{channel}:{lock_name}", seed=_recorded_seed(seed)
     )
     t.record("step0_init", state)
 
@@ -382,31 +389,21 @@ def _locked_pairs(n: int, lock: Unitary | None = None) -> np.ndarray:
     return entries * _PAIR_SCALES[n - 1]
 
 
-def _pair_register(matrix: np.ndarray, a_labels, r_labels) -> StateVector:
-    """The pair matrix of :func:`_locked_pairs` as the register ``A1 R1 .. AN RN``."""
-    n = len(a_labels)
-    order = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
-    labels = tuple(itertools.chain.from_iterable(zip(a_labels, r_labels)))
-    return StateVector(_ungrouped(matrix, order), labels)
+def _snapshot_register(rows: np.ndarray, cols: np.ndarray, order, labels) -> StateVector:
+    """The register ``rows (x) cols`` on ``labels``, rows and columns laid out by ``order``.
 
-
-def _with_payloads(payloads, t_labels, a_labels, r_labels, pairs: np.ndarray) -> StateVector:
-    """The payloads on ``T1..TN`` times the pair matrix ``pairs``: the register of steps 0 and 1."""
-    register = StateVector(payloads[0].amplitudes, (t_labels[0],))
-    for p, tl in zip(payloads[1:], t_labels[1:]):
-        register = tensor(register, StateVector(p.amplitudes, (tl,)))
-    return tensor(register, _pair_register(pairs, a_labels, r_labels))
-
-
-def _measured_register(pairs: np.ndarray, receivers: np.ndarray, order, labels) -> StateVector:
-    """The drawn Bell members ``pairs`` times the receiver amplitudes, in register order.
-
-    ``pairs`` runs over ``(A1, T1, .., AN, TN)``.  The amplitudes are a fresh
-    array, so the one-row table takes it over with the constructor's checks
-    and no copy.
+    ``order`` lists the register positions that ``rows`` runs over, then those
+    of ``cols``, as :func:`~simulq.qlinalg._grouped` lays out a register.  The
+    amplitudes are a fresh array, so the one-row table takes it over with the
+    constructor's checks and no copy.
     """
-    amplitudes = _ungrouped_outer(pairs, receivers, order)
+    amplitudes = _ungrouped_outer(rows, cols, order)
     return _StateTable(amplitudes.reshape(1, -1), labels)[0]
+
+
+def _recorded_seed(seed) -> int | None:
+    """The seed a run records: the integer it draws from, or ``None`` for a ready generator."""
+    return int(seed) if isinstance(seed, (int, np.integer)) else None
 
 
 def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
@@ -425,26 +422,41 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     Born-rule draw, which also raises ``ProtocolViolation`` when the rows'
     weights fall short of 1.  The unlock, corrections and reduced states
     then act on the ``2^N`` receiver register alone.  Each snapshot is the
-    full ``3N``-qubit register ``T1..TN A1 R1 .. AN RN``: the payloads times
-    the pair matrix of :func:`_locked_pairs` for steps 0 and 1, and the drawn
-    Bell members on the ``(Ai, Ti)`` pairs times the receiver register after
+    full ``3N``-qubit register ``T1..TN A1 R1 .. AN RN``, one outer product
+    built by :func:`_snapshot_register`: the payload product times the pair
+    matrix of :func:`_locked_pairs` for steps 0 and 1, and the drawn Bell
+    members on the ``(Ai, Ti)`` pairs times the receiver register after
     that.  Each is recorded as a builder, so it is built only when read.
+
+    The transcript records ``seed`` as the integer the run draws from
+    (``np.int64(5)`` as 5, ``True`` as 1), and a ready generator as ``None``.
     """
     n = inp.n_receivers
     r_labels, lock = _teleport_layout(inp.scheme, n)
     t_labels, a_labels, r_labels = _teleport_labels(n, r_labels)
     rng = resolve_rng(seed)
-    seed_val = seed if isinstance(seed, int) else None
     bell = states.family("bell")
     members = list(bell.members.items())
     rows = _locked_pairs(n, lock)
-    with_payloads = functools.partial(_with_payloads, inp.payloads, t_labels, a_labels, r_labels)
 
-    t = ProtocolTranscript(protocol=f"teleportation:{inp.scheme}:n={n}", seed=seed_val)
-    t.record("step0_init", lambda: with_payloads(_locked_pairs(n)))
+    # every snapshot is rows times columns on T1..TN A1 R1 .. AN RN: the
+    # payloads (T1..TN) times a pair matrix (A1..AN, R1..RN) for steps 0 and 1,
+    # the drawn members (A1, T1, .., AN, TN) times the receivers after that
+    labels = t_labels + tuple(itertools.chain.from_iterable(zip(a_labels, r_labels)))
+    unmeasured = [labels.index(q) for q in t_labels + a_labels + r_labels]
+    measured = [labels.index(q) for at in zip(a_labels, t_labels) for q in at]
+    measured += unmeasured[2 * n :]
+
+    def snapshot(rows: np.ndarray, cols: np.ndarray, order):
+        # the arrays are bound as the step is recorded: ``rows`` and ``received`` are rebound
+        return functools.partial(_snapshot_register, rows, cols, order, labels)
+
+    payloads = functools.reduce(np.multiply.outer, [p.amplitudes for p in inp.payloads])
+    t = ProtocolTranscript(protocol=f"teleportation:{inp.scheme}:n={n}", seed=_recorded_seed(seed))
+    t.record("step0_init", snapshot(payloads, _locked_pairs(n), unmeasured))
 
     # step 1: Alice locks her halves of the shared pairs
-    t.record("step1_lock", functools.partial(with_payloads, rows))
+    t.record("step1_lock", snapshot(payloads, rows, unmeasured))
 
     # step 2: Bell measurement on each (Ai, Ti) pair; ``rows`` runs over the
     # unmeasured sender qubits and ``pairs`` holds the drawn members so far
@@ -455,32 +467,22 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
         results.append(gates.EncodedBits(*label))
         pairs = np.multiply.outer(pairs, member.amplitudes).reshape(-1)
     received = StateVector(rows, r_labels)
-
-    # snapshot rows run over (A1, T1, .., AN, TN) and columns over the receivers
-    labels = t_labels + tuple(itertools.chain.from_iterable(zip(a_labels, r_labels)))
-    order = [labels.index(q) for at in zip(a_labels, t_labels) for q in at]
-    order += [labels.index(r) for r in r_labels]
-
-    def snapshot(receivers: StateVector):
-        # the arrays are bound as the step is recorded: ``received`` is rebound after it
-        return functools.partial(_measured_register, pairs, receivers.amplitudes, order, labels)
-
-    measured = snapshot(received)
-    t.record("step2_bsm", measured)
+    drawn = snapshot(pairs, received.amplitudes, measured)
+    t.record("step2_bsm", drawn)
     for r in r_labels:
         t.intercepts[("step2_bsm", (r,))] = partial_trace(received, (r,))
 
     # step 3: the classical result bits travel to their receivers
-    t.record("step3_classical_send", measured)
+    t.record("step3_classical_send", drawn)
 
     # step 4: joint unlock on the receiver register
     received = apply(received, _unlock(lock), r_labels)
-    t.record("step4_unlock", snapshot(received))
+    t.record("step4_unlock", snapshot(pairs, received.amplitudes, measured))
 
     # step 5: each receiver re-applies their own encoder
     for bits, r in zip(results, r_labels):
         received = apply(received, gates.pauli_encoder(bits), (r,))
-    t.record("step5_correct", snapshot(received))
+    t.record("step5_correct", snapshot(pairs, received.amplitudes, measured))
 
     recovered = {r: partial_trace(received, (r,)) for r in r_labels}
     t.outcomes = {

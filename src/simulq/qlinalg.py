@@ -410,15 +410,16 @@ def _wire_arrays(obj: StateVector | DensityMatrix | Unitary) -> dict:
     }
 
 
-def _jsonable(value):
+def _jsonable(value, wire):
     """A result value as plain JSON data: containers as dicts and lists, keys
-    as strings, numpy scalars as Python ones and matrices in the wire format."""
+    as strings, numpy scalars as Python ones and matrices as ``wire`` writes
+    them (:func:`to_wire`, or :func:`_wire_arrays` for the command line)."""
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): _jsonable(v, wire) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [_jsonable(v, wire) for v in value]
     if isinstance(value, (DensityMatrix, StateVector, Unitary)):
-        return to_wire(value)
+        return wire(value)
     if isinstance(value, (np.floating, float)):
         return float(value)
     if isinstance(value, (np.bool_, bool)):

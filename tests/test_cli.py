@@ -294,6 +294,31 @@ def test_malformed_input_exits_2_with_a_message(capsys, tmp_path, kind, data):
     assert err.startswith("error: ")
 
 
+# json reads NaN, Infinity and -Infinity; such a part is named, not taken for an overflow
+_PAYLOAD_REFUSALS = {
+    f"{part}-{value}": (
+        [[1, 0], [[value, 0.0] if part == "re" else [0.6, value], [0.8, 0]]],
+        f"payload 2 has a non-finite amplitude part: {value!r}",
+    )
+    for part in ("re", "im")
+    for value in (float("nan"), float("inf"), float("-inf"))
+}
+_PAYLOAD_REFUSALS["norm-overflows"] = (
+    [[[1e308, 1e308], [1, 0]], [1, 0]],
+    "payload 1 is too large to normalize: sum|amp|^2 overflows",
+)
+
+
+@pytest.mark.parametrize("case", sorted(_PAYLOAD_REFUSALS))
+def test_payload_refusals_name_the_value(capsys, tmp_path, case):
+    data, message = _PAYLOAD_REFUSALS[case]
+    f = tmp_path / "payloads.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "run", "--teleport", "ulock", "--states", str(f))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_argparse_usage_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--protocol", "qubitfoam", "--bits", "0000"])
@@ -709,25 +734,15 @@ def test_dense_run_output_is_byte_identical_to_the_recorded_runs(capsys, argv):
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_run_without_snapshots_builds_no_payload_register(capsys, monkeypatch, fmt):
-    # every register holding a payload qubit (T..) raises; the shared pairs
+    # every snapshot comes from one builder, which raises; the shared pairs
     # are read off the lock as a matrix, so nothing is tensored at all
-    tensor, built = qlinalg.tensor, []
+    def refuse(*args):
+        raise AssertionError("a register was built")
 
-    def outer(*args):
-        raise AssertionError("a measured register was built")
-
-    def guarded(a, b):
-        built.append(a.labels + b.labels)
-        if any(label.startswith("T") for label in a.labels + b.labels):
-            raise AssertionError("a payload register was built")
-        return tensor(a, b)
-
-    monkeypatch.setattr(protocols, "_ungrouped_outer", outer)
-    monkeypatch.setattr(protocols, "tensor", guarded)
-    monkeypatch.setattr(qlinalg, "tensor", guarded)
+    monkeypatch.setattr(protocols, "_snapshot_register", refuse)
+    monkeypatch.setattr(qlinalg, "tensor", refuse)
     code, out, err = run_cli(capsys, "run", "--teleport", "qft", "--n", "6", "--format", fmt)
     assert (code, err) == (0, "")
-    assert built == []
     if fmt == "json":
         assert out == (GOLDEN / "run_teleport_qft_n6.json").read_text()
 
@@ -743,10 +758,66 @@ def test_run_with_snapshots_builds_each_register_once(capsys, monkeypatch):
     monkeypatch.setattr(protocols, "_ungrouped_outer", counted)
     code, out, err = run_cli(capsys, "run", "--teleport", "qft", "--n", "3", "--snapshots")
     assert (code, err) == (0, "")
-    # steps 2 and 3 share one register; steps 4 and 5 have one each
-    assert built == [512] * 3
+    # steps 2 and 3 share one register; steps 0, 1, 4 and 5 have one each
+    assert built == [512] * 5
     with gzip.open(GOLDEN / "run_teleport_qft_n3_snapshots.json.gz", "rt") as fh:
         assert out == fh.read()
+
+
+def _golden_run_outputs() -> dict[str, dict]:
+    return json.loads((GOLDEN / "run_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(_golden_run_outputs()))
+def test_run_output_is_byte_identical_to_the_list_writer(capsys, argv):
+    # exit codes and stdout and stderr digests of tables and teleport snapshots
+    # when `run` printed to_dict's lists; the payload file is under golden/states
+    args = [str(GOLDEN / "states" / a) if a.endswith(".json") else a for a in argv.split()]
+    code, out, err = run_cli(capsys, *args)
+    want = _golden_run_outputs()[argv]
+    assert code == want["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
+    assert hashlib.sha256(err.encode()).hexdigest() == want["stderr_sha256"]
+
+
+def _dense_run(channel, lock):
+    argv = f"run --protocol {channel} --lock {lock} --bits 0110 --seed 4"
+    lock_gate = protocols._LOCKS[lock]()
+    return argv, lambda: protocols.run_dense_coding_with_lock(
+        channel, (0, 1), (1, 0), lock_gate, lock_name=lock, seed=4
+    )
+
+
+def _teleport_run(scheme, n, states_file=None):
+    argv = f"run --teleport {scheme} --n {n} --seed 4"
+    if states_file is None:
+        payloads = cli._default_payloads(n)
+    else:
+        argv += f" --states {GOLDEN / 'states' / states_file}"
+        payloads = cli._load_payloads(GOLDEN / "states" / states_file, n)
+    inp = protocols.TeleportInput("ulock2" if scheme == "ulock" else "qftN", payloads, n)
+    return argv, lambda: protocols.run_teleportation(inp, seed=4)
+
+
+_DIFFERENTIAL_RUNS = {
+    "bell-qft": _dense_run("bell", "qft"),
+    "w-ulock": _dense_run("w", "ulock"),
+    "teleport-qft-1": _teleport_run("qft", 1),
+    "teleport-ulock": _teleport_run("ulock", 2),
+    "teleport-qft-3-states": _teleport_run("qft", 3, "payloads3.json"),
+}
+
+
+@pytest.mark.parametrize("snapshots", [False, True])
+@pytest.mark.parametrize("case", sorted(_DIFFERENTIAL_RUNS))
+def test_run_prints_the_public_dict_as_json_dumps_writes_it(capsys, case, snapshots):
+    # `run` formats its matrices from arrays; to_dict gives them as lists
+    argv, transcript = _DIFFERENTIAL_RUNS[case]
+    args = argv.split() + ["--snapshots"] * snapshots
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    data = transcript().to_dict(include_snapshots=snapshots)
+    assert out == json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 # Earlier calls run the parser's error, help and non-default paths, so the

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -702,7 +703,7 @@ _PAIR_CASES += [("ulock", 2), ("cnot", 2)]
 
 
 @pytest.mark.parametrize("name,n", _PAIR_CASES)
-def test_locked_pairs_match_the_phi_tensor_apply_chain(name, n):
+def test_locked_pairs_match_the_phi_tensor_apply_chain(monkeypatch, name, n):
     named = {"qft": gates.qft, "identity": gates.identity}
     if name in named:
         lock = named[name](n)
@@ -714,11 +715,17 @@ def test_locked_pairs_match_the_phi_tensor_apply_chain(name, n):
     shared, locked, matrix = shared_pairs(lock, a_labels, r_labels)
     pairs = protocols._locked_pairs(n, lock)
     assert pairs.tobytes() == np.ascontiguousarray(matrix).tobytes()
-    # the registers of steps 0 and 1, sign bits of the zeros included
-    for got, want in ((protocols._locked_pairs(n), shared), (pairs, locked)):
-        register = protocols._pair_register(got, a_labels, r_labels)
-        assert register.labels == want.labels
-        assert register.amplitudes.tobytes() == want.amplitudes.tobytes()
+    # the snapshots of steps 0 and 1 are the payloads tensored with the chain's
+    # pairs, sign bits of the zeros included; any lock runs as a named layout
+    rng = np.random.default_rng(n)
+    payloads = tuple(random_state(rng, 1, (f"T{i + 1}",)) for i in range(n))
+    monkeypatch.setattr(protocols, "_teleport_layout", lambda scheme, k: (r_labels, lock))
+    t = run_teleportation(TeleportInput("qftN", payloads, n), seed=n)
+    product = functools.reduce(tensor, payloads)
+    for step, chain in (("step0_init", shared), ("step1_lock", locked)):
+        got, want = t.step_state(step), tensor(product, chain)
+        assert got.labels == want.labels
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
     # Phi(0,0)^N is I / sqrt(2^N) with sender rows, so the locked pairs are U / sqrt(2^N)
     assert_allclose(pairs, lock.entries / np.sqrt(2**n), rtol=0, atol=1e-15)
 
@@ -736,8 +743,9 @@ def test_an_enumeration_builds_no_register(rng, monkeypatch):
         raise AssertionError("a register was built")
 
     monkeypatch.setattr(StateVector, "__post_init__", refuse)
+    monkeypatch.setattr(protocols, "_snapshot_register", refuse)
+    monkeypatch.setattr(qlinalg, "tensor", refuse)
     for module in (protocols, qlinalg):
-        monkeypatch.setattr(module, "tensor", refuse)
         monkeypatch.setattr(module, "apply", refuse)
     branches = enumerate_teleportation_with_lock(payloads, lock)
     assert len(branches) == 4**n
@@ -936,6 +944,33 @@ class TestSampledRunAgainstOracle:
         self.assert_same_run(TeleportInput("qftN", payloads, 6), 2009)
 
 
+class TestRecordedSeed:
+    """A run records the integer seed it drew from, and ``None`` for a ready generator."""
+
+    @staticmethod
+    def runs(seed):
+        """A dense and a teleportation run, each given a fresh ``seed()``."""
+        payloads = tuple(random_state(np.random.default_rng(6), 1, (f"p{i}",)) for i in range(3))
+        return (
+            run_dense_coding_with_lock("bell", (1, 0), (0, 1), gates.qft(2), seed=seed()),
+            run_teleportation(TeleportInput("qftN", payloads, 3), seed=seed()),
+        )
+
+    @pytest.mark.parametrize(
+        "seed, drawn", [(np.int64(5), 5), (np.uint8(5), 5), (True, 1), (False, 0), (7, 7)]
+    )
+    def test_an_integer_seed_is_recorded_as_the_int_it_draws_from(self, seed, drawn):
+        for got, want in zip(self.runs(lambda: seed), self.runs(lambda: drawn)):
+            assert type(got.seed) is int
+            assert got.seed == drawn
+            assert got.to_dict(include_snapshots=True) == want.to_dict(include_snapshots=True)
+
+    def test_a_generator_is_recorded_as_null(self):
+        for got, want in zip(self.runs(lambda: np.random.default_rng(5)), self.runs(lambda: 5)):
+            assert got.seed is None
+            assert {**got.to_dict(), "seed": 5} == want.to_dict()
+
+
 class TestLazySnapshots:
     """A sampled teleportation run builds each 3N-qubit snapshot when it is read, once."""
 
@@ -946,13 +981,12 @@ class TestLazySnapshots:
         return run_teleportation(TeleportInput("qftN", payloads, n), seed=seed)
 
     def test_names_intercepts_and_outcomes_build_no_snapshot(self, monkeypatch):
-        t = self.run(6)
-
         def refuse(*args):
             raise AssertionError("a snapshot was built")
 
-        monkeypatch.setattr(protocols, "_ungrouped_outer", refuse)
-        monkeypatch.setattr(protocols, "tensor", refuse)
+        # every snapshot's builder is bound as its step is recorded
+        monkeypatch.setattr(protocols, "_snapshot_register", refuse)
+        t = self.run(6)
         data = t.to_dict()
         assert [step["name"] for step in data["steps"]] == list(TELEPORT_STEPS)
         assert len(data["intercepts"]) == 6
@@ -984,7 +1018,8 @@ class TestLazySnapshots:
             t.step_state(name)
         t.steps
         t.to_dict(include_snapshots=True)
-        assert len(built) == 3
+        # steps 2 and 3 share one register
+        assert len(built) == 5
 
     @pytest.mark.parametrize("scheme, n", [("qftN", 1), ("qftN", 3), ("qftN", 4), ("ulock2", 2)])
     def test_snapshots_read_last_first_match_the_full_register_sampler(self, scheme, n):
