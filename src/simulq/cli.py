@@ -26,9 +26,10 @@ from .analysis import classify_locking_unitary, verify_counterexample, verify_th
 from .measurement import ProtocolViolation
 from .protocols import (
     _LOCKS,
+    _SCHEMES,
     MAX_RECEIVERS,
     TeleportInput,
-    _check_receivers,
+    _teleport_layout,
     run_dense_coding_with_lock,
     run_teleportation,
 )
@@ -204,7 +205,7 @@ def _matrix_text(matrix: np.ndarray, newline: str) -> str:
     ``newline`` ends in the indent of the array's depth, as for
     :func:`_write_json`.  A large array formats each distinct value once,
     keyed by bit pattern, not by value, so ``-0.0`` and ``0.0`` keep their
-    own texts.  Each row is then one join.
+    own texts.  Each row is then one join, and the rows one more.
     """
     if matrix.size < _DISTINCT_MIN_ENTRIES:
         rows = [list(map(_float_text, row)) for row in matrix.tolist()]
@@ -214,8 +215,8 @@ def _matrix_text(matrix: np.ndarray, newline: str) -> str:
         rows = texts[inverse.reshape(matrix.shape)].tolist()
     inner = newline + "  "
     cell = inner + "  "
-    body = f",{inner}".join(f"[{cell}" + f",{cell}".join(row) + f"{inner}]" for row in rows)
-    return f"[{inner}{body}{newline}]"
+    body = f"{inner}],{inner}[{cell}".join(map(f",{cell}".join, rows))
+    return f"[{inner}[{cell}{body}{inner}]{newline}]"
 
 
 def _fmt_entry(re: float, im: float) -> str:
@@ -291,14 +292,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     else:
         n = 2 if args.n is None else args.n
-        scheme = "ulock2" if args.teleport == "ulock" else "qftN"
-        _check_receivers(scheme, n)
+        scheme = _SCHEMES[args.teleport]
+        _teleport_layout(scheme, n)
         if args.states is not None:
             payloads = _load_payloads(args.states, n)
         else:
             payloads = _default_payloads(n)
         inp = TeleportInput(scheme, payloads, n)
-        if scheme == "ulock2":
+        if args.teleport == "ulock":
             print(_ULOCK_WARNING["teleportation"], file=sys.stderr)
         transcript = run_teleportation(inp, seed=args.seed)
     payload = transcript._data(_wire_arrays, args.snapshots)
@@ -353,7 +354,7 @@ def _parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one protocol and print its transcript")
     which = run.add_mutually_exclusive_group(required=True)
     which.add_argument("--protocol", choices=channels, help="dense coding channel")
-    which.add_argument("--teleport", choices=("qft", "ulock"), help="teleportation scheme")
+    which.add_argument("--teleport", choices=tuple(_SCHEMES), help="teleportation scheme")
     run.add_argument("--bits", help="four message bits b1 b2 c1 c2, e.g. 1001 (dense coding)")
     run.add_argument("--lock", choices=tuple(_LOCKS), help="dense coding lock (default qft)")
     run.add_argument(

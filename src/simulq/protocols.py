@@ -65,6 +65,10 @@ from .states import DENSE_CHANNELS
 # The named dense coding locks, by their command-line ``--lock`` names.
 _LOCKS = {"qft": lambda: gates.qft(2), "ulock": gates.lock_operator}
 
+# The named teleportation schemes (:func:`_teleport_layout`), by their
+# command-line ``--teleport`` names.
+_SCHEMES = {"qft": "qftN", "ulock": "ulock2"}
+
 # Most receivers a teleportation run or enumeration takes: the enumerator
 # returns two 4^N x 2^N branch tables, 4 MiB each at N = 6, and works on the
 # second one in place, a block of rows at a time; each receiver more is 8x
@@ -95,8 +99,10 @@ class TeleportInput:
     """Configuration of one simultaneous teleportation run.
 
     ``scheme`` is ``ulock2`` (two receivers, Hadamard--CNOT lock) or ``qftN``
-    (1 to ``MAX_RECEIVERS`` receivers, Fourier lock).  ``payloads`` are the
-    single-qubit states to teleport, one per receiver.
+    (1 to ``MAX_RECEIVERS`` receivers, Fourier lock), as
+    :func:`_teleport_layout` checks.  ``payloads`` are the single-qubit
+    states to teleport, one per receiver.  ``n_receivers`` must be an
+    integer, not a ``bool``; a numpy integer is stored as ``int``.
     """
 
     scheme: str
@@ -104,31 +110,19 @@ class TeleportInput:
     n_receivers: int
 
     def __post_init__(self) -> None:
+        n = self.n_receivers
+        # the layout table is cached, so 2.0 or True would find the entry of
+        # the equal int and skip its refusals
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise ValueError(f"the receiver count must be an integer, got {n!r}")
+        n = int(n)
+        _teleport_layout(self.scheme, n)
         payloads = tuple(self.payloads)
-        _check_receivers(self.scheme, self.n_receivers)
-        if len(payloads) != self.n_receivers:
-            raise ValueError(
-                f"{self.n_receivers} receivers need {self.n_receivers} payloads,"
-                f" got {len(payloads)}"
-            )
+        if len(payloads) != n:
+            raise ValueError(f"{n} receivers need {n} payloads, got {len(payloads)}")
         _check_payloads(payloads)
+        object.__setattr__(self, "n_receivers", n)
         object.__setattr__(self, "payloads", payloads)
-
-
-def _check_receivers(scheme: str, n: int) -> None:
-    """Refuse an unknown scheme or a receiver count it does not support.
-
-    :class:`TeleportInput` checks this first, and the command line before it
-    builds any payload, so a huge count is refused without allocating.
-    """
-    if scheme == "ulock2":
-        if n != 2:
-            raise ValueError("the ulock2 scheme has exactly 2 receivers")
-    elif scheme == "qftN":
-        if not 1 <= n <= MAX_RECEIVERS:
-            raise ValueError(f"qftN supports 1..{MAX_RECEIVERS} receivers, got {n}")
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; expected ulock2 or qftN")
 
 
 def _require_unitary(lock) -> None:
@@ -314,26 +308,26 @@ def _numbered(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(n))
 
 
-def _teleport_labels(n: int, receiver_labels=None):
-    """``T1..``, ``A1..`` and receiver labels; receivers default to ``B, C`` or ``B1..BN``."""
-    if receiver_labels is None:
-        receiver_labels = _TWO_RECEIVERS if n == 2 else _numbered("B", n)
-    r_labels = tuple(receiver_labels)
-    if len(r_labels) != n:
-        raise ValueError(f"{n} receivers need {n} receiver labels, got {r_labels}")
-    return _numbered("T", n), _numbered("A", n), r_labels
-
-
 @functools.cache
 def _teleport_layout(scheme: str, n: int):
     """Receiver labels and lock of a named scheme, built once per ``(scheme, n)``.
 
-    The lock is a read-only ``Unitary``, so every run and enumeration of the
-    scheme can share it, and the unlock kept on it (:func:`_unlock`).
+    The one place that knows the named schemes: an unknown scheme or a
+    receiver count it does not support is refused before anything is built,
+    so :class:`TeleportInput` and the command line call it first and a huge
+    count costs no allocation.  A refusal is not cached.  The lock is a
+    read-only ``Unitary``, so every run and enumeration of the scheme can
+    share it, and the unlock kept on it (:func:`_unlock`).
     """
     if scheme == "ulock2":
+        if n != 2:
+            raise ValueError("the ulock2 scheme has exactly 2 receivers")
         return _TWO_RECEIVERS, gates.lock_operator()
-    return _numbered("B", n), gates.qft(n)
+    if scheme == "qftN":
+        if not 1 <= n <= MAX_RECEIVERS:
+            raise ValueError(f"qftN supports 1..{MAX_RECEIVERS} receivers, got {n}")
+        return _numbered("B", n), gates.qft(n)
+    raise ValueError(f"unknown scheme {scheme!r}; expected ulock2 or qftN")
 
 
 def _unlock(lock: Unitary) -> Unitary:
@@ -433,7 +427,7 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     """
     n = inp.n_receivers
     r_labels, lock = _teleport_layout(inp.scheme, n)
-    t_labels, a_labels, r_labels = _teleport_labels(n, r_labels)
+    t_labels, a_labels = _numbered("T", n), _numbered("A", n)
     rng = resolve_rng(seed)
     bell = states.family("bell")
     members = list(bell.members.items())
@@ -622,7 +616,11 @@ def enumerate_teleportation_with_lock(
     if lock.dim != 1 << n:
         raise ValueError(f"{n} receivers need a {1 << n}-dimensional lock")
     _check_payloads(payloads)
-    r_labels = _teleport_labels(n, receiver_labels)[2]
+    if receiver_labels is None:
+        receiver_labels = _TWO_RECEIVERS if n == 2 else _numbered("B", n)
+    r_labels = tuple(receiver_labels)
+    if len(r_labels) != n:
+        raise ValueError(f"{n} receivers need {n} receiver labels, got {r_labels}")
 
     table = _locked_pairs(n, lock)
     # pair i maps each row's first sender axis to its four outcomes

@@ -42,7 +42,6 @@ from simulq.protocols import (
     _DIGIT_SOURCE,
     ProtocolTranscript,
     TeleportInput,
-    _teleport_labels,
     _teleport_layout,
     _unlock,
 )
@@ -91,7 +90,8 @@ def sample_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     """
     n = inp.n_receivers
     r_labels, lock = _teleport_layout(inp.scheme, n)
-    t_labels, a_labels, r_labels = _teleport_labels(n, r_labels)
+    t_labels = tuple(f"T{i + 1}" for i in range(n))
+    a_labels = tuple(f"A{i + 1}" for i in range(n))
     rng = resolve_rng(seed)
     seed_val = seed if isinstance(seed, int) else None
     bell = states.family("bell")

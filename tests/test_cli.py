@@ -194,7 +194,9 @@ def test_run_usage_errors(capsys):
     [
         ("qft", "100000", "qftN supports 1..6 receivers, got 100000"),
         ("qft", "0", "qftN supports 1..6 receivers, got 0"),
+        ("qft", "7", "qftN supports 1..6 receivers, got 7"),
         ("ulock", "100000", "the ulock2 scheme has exactly 2 receivers"),
+        ("ulock", "3", "the ulock2 scheme has exactly 2 receivers"),
     ],
 )
 @pytest.mark.parametrize("with_states", [False, True])
@@ -204,6 +206,9 @@ def test_receiver_count_is_refused_before_any_payload_is_built(
     built = []
     check = StateVector.__post_init__
     monkeypatch.setattr(StateVector, "__post_init__", lambda self: built.append(1) or check(self))
+    # nor any lock
+    monkeypatch.setattr(gates, "qft", lambda n: built.append(("qft", n)))
+    monkeypatch.setattr(gates, "lock_operator", lambda: built.append("lock_operator"))
     argv = ["run", "--teleport", teleport, "--n", n]
     if with_states:
         # the count is checked before the file is read
@@ -621,7 +626,10 @@ def test_json_writer_rejects_what_json_rejects():
 _SPECIAL_ROW = np.array([-0.0, 0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf, 0.1])
 
 
-@pytest.mark.parametrize("size", [cli._DISTINCT_MIN_ENTRIES + d for d in (-1, 0, 1)])
+# around the threshold, and long single columns (a state's amplitudes) well past it
+@pytest.mark.parametrize(
+    "size", [cli._DISTINCT_MIN_ENTRIES + d for d in (-1, 0, 1)] + [4096, 4097]
+)
 @pytest.mark.parametrize("columns", [1, 3, "all"])
 def test_array_writer_special_values_around_the_threshold(size, columns):
     values = np.resize(_SPECIAL_ROW, size)

@@ -156,6 +156,33 @@ def test_protocol_violation_is_raised_by_the_measurement_module_only():
     assert constructors_of("ProtocolViolation", trees) == ["measurement.py"]
 
 
+def holders_of(values: set[str], trees: dict[str, ast.Module]) -> list[str]:
+    """The keys of ``trees`` whose module holds a string constant equal to one of ``values``."""
+    return sorted(
+        key
+        for key, tree in trees.items()
+        if any(
+            isinstance(node, ast.Constant) and node.value in values for node in ast.walk(tree)
+        )
+    )
+
+
+def test_checker_finds_string_constants():
+    trees = {
+        "a": ast.parse("if s == 'id':\n    pass\n"),
+        "b": ast.parse("T = {'name': 'id'}\n"),
+        "c": ast.parse("raise ValueError(f'id {s}')\n"),
+        "d": ast.parse("x = id\n"),
+    }
+    assert holders_of({"id"}, trees) == ["a", "b"]
+
+
+def test_scheme_ids_are_written_by_the_protocols_module_only():
+    # one table of named schemes (``_teleport_layout`` and ``_SCHEMES``)
+    trees = {p.name: _parsed_modules()[str(p)] for p in SRC_MODULES}
+    assert holders_of({"qftN", "ulock2"}, trees) == ["protocols.py"]
+
+
 def functions_setting(attrs: set[str], trees: dict[str, ast.Module]) -> list[str]:
     """``key:function`` for each function of ``trees`` that sets one of ``attrs``.
 

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import itertools
 import json
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -307,15 +308,42 @@ class TestTeleportQft:
         with pytest.raises(ValueError):
             TeleportInput("qftN", (two_qubit,), 1)
 
-    def test_receiver_count_is_capped(self, rng):
+    def test_receiver_count_is_capped(self, rng, monkeypatch):
         assert MAX_RECEIVERS == 6
         payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(7))
-        with pytest.raises(ValueError, match=r"^qftN supports 1\.\.6 receivers, got 7$"):
-            TeleportInput("qftN", payloads, 7)
         with pytest.raises(
             ValueError, match=r"^7 receivers requested; the enumerator takes 1\.\.6 receivers$"
         ):
             enumerate_teleportation_with_lock(payloads, gates.qft(7))
+        # each refusal comes before any lock is built; the layout table is
+        # cached, so a count that is not an int must be refused before it
+        built = []
+        monkeypatch.setattr(gates, "qft", lambda n: built.append(("qft", n)))
+        monkeypatch.setattr(gates, "lock_operator", lambda: built.append("lock_operator"))
+        refusals = [
+            ("bogus", 2, "unknown scheme 'bogus'; expected ulock2 or qftN"),
+            ("qftN", 0, "qftN supports 1..6 receivers, got 0"),
+            ("qftN", 7, "qftN supports 1..6 receivers, got 7"),
+            ("qftN", 100000, "qftN supports 1..6 receivers, got 100000"),
+            ("ulock2", 3, "the ulock2 scheme has exactly 2 receivers"),
+            ("qftN", 2.0, "the receiver count must be an integer, got 2.0"),
+            ("qftN", True, "the receiver count must be an integer, got True"),
+            ("qftN", "2", "the receiver count must be an integer, got '2'"),
+        ]
+        for scheme, n, message in refusals:
+            # as many payloads as the count asks for, where it asks for 1..7
+            k = n if type(n) is int and 1 <= n <= 7 else 2
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                TeleportInput(scheme, payloads[:k], n)
+        assert built == []
+
+    def test_a_numpy_receiver_count_is_stored_as_an_int(self, rng):
+        payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(2))
+        inp = TeleportInput("qftN", payloads, np.int64(2))
+        assert type(inp.n_receivers) is int and inp.n_receivers == 2
+        t = run_teleportation(inp, seed=0)
+        assert t.protocol == "teleportation:qftN:n=2"
+        assert all(f == pytest.approx(1.0, abs=1e-10) for f in t.outcomes["fidelities"].values())
 
     def test_receiver_label_override(self, rng):
         payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(2))
@@ -711,7 +739,8 @@ def test_locked_pairs_match_the_phi_tensor_apply_chain(monkeypatch, name, n):
         lock = random_unitary(np.random.default_rng(100 * n + int(name[4:])), n)
     else:
         lock = {"ulock": gates.lock_operator, "cnot": gates.cnot}[name]()
-    _, a_labels, r_labels = protocols._teleport_labels(n)
+    a_labels = tuple(f"A{i + 1}" for i in range(n))
+    r_labels = ("B", "C") if n == 2 else tuple(f"B{i + 1}" for i in range(n))
     shared, locked, matrix = shared_pairs(lock, a_labels, r_labels)
     pairs = protocols._locked_pairs(n, lock)
     assert pairs.tobytes() == np.ascontiguousarray(matrix).tobytes()
