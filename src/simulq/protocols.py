@@ -52,6 +52,7 @@ from .qlinalg import (
     DensityMatrix,
     StateVector,
     Unitary,
+    _check_labels,
     _jsonable,
     _StateTable,
     _ungrouped_outer,
@@ -70,8 +71,8 @@ _LOCKS = {"qft": lambda: gates.qft(2), "ulock": gates.lock_operator}
 _SCHEMES = {"qft": "qftN", "ulock": "ulock2"}
 
 # Most receivers a teleportation run or enumeration takes: the enumerator
-# returns two 4^N x 2^N branch tables, 4 MiB each at N = 6, and works on the
-# second one in place, a block of rows at a time; each receiver more is 8x
+# returns two 4^N x 2^N branch tables, one 8 MiB block at N = 6, and works on
+# the second one in place, a block of rows at a time; each receiver more is 8x
 # that (so is each 3N-qubit snapshot of a sampled run, built only when it is
 # read).
 MAX_RECEIVERS = 6
@@ -593,8 +594,12 @@ def enumerate_teleportation_with_lock(
     ``i`` folded with payload ``i``.  Row norms squared are the branch
     probabilities (each exactly ``4^-N``, since the sender halves are
     maximally mixed) and the unlock is one matrix product on the normalised
-    rows, written into the array that becomes the corrected table.  That
-    table is then walked ``_BLOCK_ROWS`` rows at a time: the per-receiver
+    rows, written into the corrected table.  Both tables are the halves of
+    one ``(2, 4^N, 2^N)`` block allocated first, and the table is built
+    inside it: the products before the last pair's, half the corrected table
+    at most, alternate between the halves of the corrected table, and the
+    last writes the table itself.  The corrected table is then walked
+    ``_BLOCK_ROWS`` rows at a time: the per-receiver
     corrections are a signed gather through the tables kept per receiver
     count (:func:`_correction_tables`), copied back into the block's rows,
     and the fidelities one more product, into the payloads' basis
@@ -621,17 +626,24 @@ def enumerate_teleportation_with_lock(
     r_labels = tuple(receiver_labels)
     if len(r_labels) != n:
         raise ValueError(f"{n} receivers need {n} receiver labels, got {r_labels}")
+    _check_labels(r_labels)
 
-    table = _locked_pairs(n, lock)
-    # pair i maps each row's first sender axis to its four outcomes
+    # both returned tables are the halves of one block: glibc's malloc then
+    # keeps that much memory in its heap, and a warm call faults in no pages
+    table, corrected = np.empty((2, 4**n, 1 << n), dtype=np.complex128)
+    halves = corrected.reshape(2, -1)
+    grown = _locked_pairs(n, lock)
+    # pair i maps each row's first sender axis to its four outcomes; the
+    # products before the last alternate between the halves of ``corrected``
     for i, readout in enumerate(_readouts(payloads)):
-        table = np.matmul(readout, table.reshape(4**i, 2, -1)).reshape(-1, 1 << n)
+        out = table if i == n - 1 else halves[i % 2][: 2 * grown.size]
+        grown = np.matmul(readout, grown.reshape(4**i, 2, -1), out=out.reshape(4**i, 4, -1))
     flat = table.view(np.float64)
     probabilities = np.einsum("ij,ij->i", flat, flat)
     flat /= np.sqrt(probabilities)[:, None]
 
-    # the unlock product becomes the corrected table, corrected in place below
-    corrected = table @ _unlock(lock).entries.T
+    # the unlock product fills the corrected table, corrected in place below
+    np.matmul(table, _unlock(lock).entries.T, out=corrected)
     cols, signs = _correction_tables(n)
     basis, sq_norms = _payload_basis(payloads)
     scaled_mask = _payload_mask(n) * sq_norms
