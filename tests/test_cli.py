@@ -660,6 +660,10 @@ def test_dump_output_is_byte_identical_to_the_list_writer(capsys, argv):
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == _golden_dumps()[argv]
     command, name, *n = argv.split()
+    if n and int(n[-1]) > 8:
+        # the 9- and 10-qubit digests were recorded from output that equalled
+        # json.dumps; re-encoding up to 2**21 floats in pure Python takes seconds
+        return
     if command == "dump-gate":
         obj = gates.named_gate(name, int(n[-1]) if n else None)
     elif name in ("bell", "ghz", "w"):
