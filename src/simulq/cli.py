@@ -56,6 +56,9 @@ def _parse_bits(text: str) -> tuple[int, int, int, int]:
 def _amplitude(value) -> complex:
     """An amplitude of JSON numbers: ``x``, ``[re]``, ``[re, im]`` or ``{"re": x, "im": y}``."""
     if isinstance(value, dict):
+        if unknown := sorted(value.keys() - {"re", "im"}):
+            got = ", ".join(map(repr, unknown))
+            raise ValueError(f"amplitude keys are 're' and 'im', got {got}")
         parts = (value.get("re", 0.0), value.get("im", 0.0))
     elif isinstance(value, list):
         if not 1 <= len(value) <= 2:
@@ -124,7 +127,9 @@ def _emit_json(payload: dict) -> None:
 
 
 # A numeric matrix with at least this many entries formats each distinct float
-# bit pattern once; below it, formatting every entry is faster than np.unique.
+# bit pattern once.  With ranks read by hash (one BLAS thread), that breaks even
+# with formatting every entry near 32-64 entries of a gate's few values and is
+# ~4x faster at 256; with every value distinct it is 5-15% slower at any size.
 _DISTINCT_MIN_ENTRIES = 256
 
 
@@ -137,8 +142,11 @@ def _json_text(obj) -> str:
     a 2-D float64 ``ndarray`` is written as json writes its ``tolist()``,
     straight from the array: joined in bulk (a 10-qubit gate holds 2**21
     floats), and when large with each distinct value formatted once, as
-    gates and states repeat few values many times.  Any other data, lists
-    of floats included, is written value by value as json writes it.
+    gates and states repeat few values many times; each entry's value is
+    then found by hash, not by sort (:func:`_distinct_ranks`).  A matrix's
+    text joins the output as three pieces, its body uncopied.  Any other
+    data, lists of floats included, is written value by value as json
+    writes it.
     """
     out: list[str] = []
     _write_json(obj, "\n", out)
@@ -161,7 +169,7 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         out.append(_float_text(obj))
     elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == np.float64:
         if obj.size:
-            out.append(_matrix_text(obj, newline))
+            out.extend(_matrix_text(obj, newline))
         else:
             _write_json(obj.tolist(), newline, out)
     elif isinstance(obj, (list, tuple)):
@@ -199,24 +207,66 @@ def _float_text(value: float) -> str:
     return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
 
 
-def _matrix_text(matrix: np.ndarray, newline: str) -> str:
-    """A non-empty 2-D float64 array as json writes its ``tolist()``.
+def _matrix_text(matrix: np.ndarray, newline: str) -> tuple[str, str, str]:
+    """A non-empty 2-D float64 array as json writes its ``tolist()``, in three pieces.
 
     ``newline`` ends in the indent of the array's depth, as for
     :func:`_write_json`.  A large array formats each distinct value once,
     keyed by bit pattern, not by value, so ``-0.0`` and ``0.0`` keep their
-    own texts.  Each row is then one join, and the rows one more.
+    own texts.  Each row is then one join, and the rows one more: the body.
+    The brackets around it are separate pieces, so the body is not copied.
     """
     if matrix.size < _DISTINCT_MIN_ENTRIES:
         rows = [list(map(_float_text, row)) for row in matrix.tolist()]
     else:
-        bits, inverse = np.unique(matrix.view(np.uint64), return_inverse=True)
+        bits, inverse = _distinct_ranks(matrix.view(np.uint64))
         texts = np.array(list(map(_float_text, bits.view(np.float64).tolist())), dtype=object)
-        rows = texts[inverse.reshape(matrix.shape)].tolist()
+        rows = texts[inverse].tolist()
     inner = newline + "  "
     cell = inner + "  "
     body = f"{inner}],{inner}[{cell}".join(map(f",{cell}".join, rows))
-    return f"[{inner}[{cell}{body}{inner}]{newline}]"
+    return f"[{inner}[{cell}", body, f"{inner}]{newline}]"
+
+
+# Odd 64-bit multipliers of the multiply-shift hash that ranks a large
+# matrix's entries, tried in order until one is injective on its distinct keys.
+_RANK_MULTIPLIERS = (
+    0x9E3779B97F4A7C15,
+    0xBF58476D1CE4E5B9,
+    0x94D049BB133111EB,
+    0xC2B2AE3D27D4EB4F,
+)
+
+
+def _distinct_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` for a 2-D ``uint64`` array, bit for bit.
+
+    The distinct keys come from one sort.  Each key's rank among them is then
+    read from a table indexed by a multiply-shift hash, once a multiplier
+    maps the ``k`` distinct keys to distinct slots: exact, since every key
+    is one of them.  The table has at least ``2 k**2`` slots, and is used
+    only while it holds at most two slots per entry; many distinct values,
+    or no injective multiplier, take ``np.unique``'s argsort.
+    """
+    buf = np.sort(keys, axis=None)
+    bits = buf[np.concatenate(([True], buf[1:] != buf[:-1]))]
+    k = bits.size
+    w = (2 * k * k - 1).bit_length()
+    if w <= keys.size.bit_length():
+        shift = np.uint64(64 - w)
+        ranks = np.arange(k, dtype=np.int32)
+        table = np.empty(1 << w, dtype=np.int32)
+        for m in map(np.uint64, _RANK_MULTIPLIERS):
+            slots = (bits * m) >> shift
+            table[slots] = ranks
+            if np.array_equal(table[slots], ranks):
+                hashed = buf.reshape(keys.shape)
+                np.multiply(keys, m, out=hashed)
+                np.right_shift(hashed, shift, out=hashed)
+                return bits, table[hashed]
+    del buf
+    bits, inverse = np.unique(keys, return_inverse=True)
+    return bits, inverse.reshape(keys.shape)
 
 
 def _fmt_entry(re: float, im: float) -> str:

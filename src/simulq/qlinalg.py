@@ -456,10 +456,12 @@ def unitary_from_wire(data: dict) -> Unitary:
     try:
         list(data.get("labels", ()))
         re = _number_array(data["re"])
-        mat = re + 1j * (_number_array(data["im"]) if "im" in data else np.zeros_like(re))
-        shape = tuple(int(v) for v in data.get("shape", mat.shape))
+        im = _number_array(data["im"]) if "im" in data else np.zeros_like(re)
+        shape = tuple(int(v) for v in data.get("shape", re.shape))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix payload: {exc}") from exc
-    if mat.shape != shape:
-        raise ValueError(f"payload shape {mat.shape} does not match declared {shape}")
-    return Unitary(mat)
+    if re.shape != im.shape:
+        raise ValueError(f"re has shape {re.shape} but im has shape {im.shape}")
+    if re.shape != shape:
+        raise ValueError(f"payload shape {re.shape} does not match declared {shape}")
+    return Unitary(re + 1j * im)

@@ -17,6 +17,7 @@ from numpy.testing import assert_allclose
 from simulq import cli, gates, protocols, qlinalg, states
 from simulq.cli import main
 from simulq.qlinalg import ATOL, StateVector, to_wire
+from tests.conftest import random_unitary
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -142,6 +143,11 @@ def test_payloads_with_subnormal_parts_are_divided_by_their_norm_once(tmp_path):
         ({"T1": [1, 0], "T2": [1, 0]}, "--states file must hold a list of 2 single-qubit states"),
         ([[1, 0, 0], [1, 0]], "payload 1 needs exactly 2 amplitudes"),
         ([[1, 0], 1], "payload 2 needs exactly 2 amplitudes"),
+        ([[{"re": 1, "img": 0.5}, 0], [0, 1]], "amplitude keys are 're' and 'im', got 'img'"),
+        (
+            [[1, 0], [{"x": 0, "im": 1, "RE": 2}, 0]],
+            "amplitude keys are 're' and 'im', got 'RE', 'x'",
+        ),
     ],
 )
 def test_run_teleport_names_what_is_wrong_with_a_states_file(capsys, tmp_path, states, message):
@@ -149,6 +155,12 @@ def test_run_teleport_names_what_is_wrong_with_a_states_file(capsys, tmp_path, s
     f.write_text(json.dumps(states))
     code, out, err = run_cli(capsys, "run", "--teleport", "qft", "--n", "2", "--states", str(f))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_an_amplitude_object_reads_a_missing_part_as_zero():
+    cases = (({"re": 0.6}, 0.6), ({"im": -0.8}, -0.8j), ({}, 0), ({"im": 1, "re": 2}, 2 + 1j))
+    for value, want in cases:
+        assert cli._amplitude(value) == want
 
 
 @pytest.mark.parametrize(
@@ -448,6 +460,15 @@ def test_verify_lock_plain_nested_matrix(capsys, tmp_path):
     assert json.loads(report)["lock_used"] == "custom"
 
 
+def test_verify_lock_names_both_parts_when_their_shapes_differ(capsys, tmp_path):
+    f = tmp_path / "mismatch.json"
+    f.write_text(json.dumps({"re": np.eye(4).tolist(), "im": np.zeros((2, 2)).tolist()}))
+    code, out, err = run_cli(
+        capsys, "verify", "lock", "--matrix", str(f), "--task", "dense_coding"
+    )
+    assert (code, out, err) == (2, "", "error: re has shape (4, 4) but im has shape (2, 2)\n")
+
+
 def test_verify_lock_non_unitary_is_usage_error(capsys, tmp_path):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({"re": [[1, 1], [0, 1]]}))
@@ -600,8 +621,29 @@ _json_like = st.recursive(
 )
 
 
+_SPECIAL_ROW = np.array([-0.0, 0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf, 0.1])
+# NaNs with other payload bits than np.nan's: distinct keys that all print NaN
+_OTHER_NANS = np.array(
+    [0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF],
+    dtype=np.uint64,
+).view(np.float64)
+# Matrices that cli._distinct_ranks ranks on each of its paths, with the index of
+# the multiplier that does, or None for np.unique: a Haar unitary's 256 distinct
+# values in 256 entries would need a table of 2 * 256**2 slots.
+_RANKED = {
+    "special values": (np.resize(np.concatenate((_SPECIAL_ROW, _OTHER_NANS)), (16, 16)), 0),
+    "small integers": (np.resize(np.arange(5.0), (16, 16)), 1),
+    "qft(5) real part": (qlinalg._wire_arrays(gates.qft(5))["re"], 2),
+    "Haar real part": (random_unitary(np.random.default_rng(7), 4).entries.real, None),
+}
+
+
 @settings(max_examples=80, deadline=None)
 @given(_json_like)
+@example(_RANKED["special values"][0])
+@example(_RANKED["small integers"][0])
+@example(_RANKED["qft(5) real part"][0])
+@example(_RANKED["Haar real part"][0])
 @example([[-0.0, 0.0], [0.0, -0.0]])
 @example({"re": [[0.0] * 300, [-0.0] * 300], "im": [[5e-324] * 300, [float("nan")] * 300]})
 @example(to_wire(gates.qft(8)))
@@ -621,9 +663,6 @@ def test_json_writer_rejects_what_json_rejects():
         with pytest.raises(TypeError) as got:
             cli._json_text(obj)
         assert str(got.value) == str(want.value)
-
-
-_SPECIAL_ROW = np.array([-0.0, 0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf, 0.1])
 
 
 # around the threshold, and long single columns (a state's amplitudes) well past it
@@ -647,6 +686,46 @@ def test_array_writer_special_values_around_the_threshold(size, columns):
     for part in (cplx.real, cplx.imag):
         assert not part.flags.contiguous
         assert cli._json_text(part) == _dumps(part)
+
+
+def _ranked_with(monkeypatch, matrix, multipliers):
+    """``cli._distinct_ranks`` of ``matrix``'s keys with these multipliers and the
+    matrix's text, and whether they called ``np.unique``."""
+    unique, calls = np.unique, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_RANK_MULTIPLIERS", multipliers)
+        patch.setattr(np, "unique", spy)
+        ranked = cli._distinct_ranks(matrix.view(np.uint64))
+        text = cli._json_text(matrix)
+    return ranked, text, bool(calls)
+
+
+@pytest.mark.parametrize("name", list(_RANKED))
+def test_distinct_ranks_are_np_uniques_on_every_path(monkeypatch, name):
+    matrix, path = _RANKED[name]
+    keys = matrix.view(np.uint64)
+    bits, inverse = np.unique(keys, return_inverse=True)
+    multipliers = cli._RANK_MULTIPLIERS
+    # no multiplier before the one that ranks the matrix is injective on its keys
+    for i in range(len(multipliers)):
+        assert _ranked_with(monkeypatch, matrix, multipliers[: i + 1])[2] == (path is None or i < path)
+    # a multiplier of 0 sends every key to one slot, so the next one ranks them
+    for tried in (multipliers, (0, *multipliers)):
+        (got_bits, got_inverse), text, fell_back = _ranked_with(monkeypatch, matrix, tried)
+        assert fell_back == (path is None)
+        assert np.array_equal(got_bits, bits)
+        assert np.array_equal(got_inverse, inverse.reshape(keys.shape))
+        assert text == _dumps(matrix)
+
+
+def test_distinct_ranks_keep_every_nan_payload():
+    bits, _ = cli._distinct_ranks(_RANKED["special values"][0].view(np.uint64))
+    assert len(bits) == len(_SPECIAL_ROW) + len(_OTHER_NANS) == 12
 
 
 def _golden_dumps() -> dict[str, str]:

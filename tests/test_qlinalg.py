@@ -261,6 +261,15 @@ class TestWireFormat:
         with pytest.raises(ValueError, match=message):
             unitary_from_wire({"re": [[1, 0], [0, 1]], "shape": [4, 1]})
 
+    @pytest.mark.parametrize(
+        "im, shapes",
+        [([[1, 0], [0, 1]], "(4, 4) but im has shape (2, 2)"), (0, "(4, 4) but im has shape ()")],
+    )
+    def test_names_both_shapes_when_re_and_im_differ(self, im, shapes):
+        message = "^" + re.escape(f"re has shape {shapes}") + "$"
+        with pytest.raises(ValueError, match=message):
+            unitary_from_wire({"re": np.eye(4).tolist(), "im": im})
+
     def test_serializes_only_states_densities_and_unitaries(self):
         with pytest.raises(TypeError, match="^cannot serialize ndarray$"):
             to_wire(np.eye(2))
