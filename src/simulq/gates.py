@@ -71,14 +71,74 @@ MAX_GATE_QUBITS = 10
 _AXIS_ROOTS = np.array((1.0, 1.0j, -1.0, -1.0j))
 
 
-def _gate_dim(n_qubits: int) -> int:
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    if n_qubits > MAX_GATE_QUBITS:
+def _gate_qubits(n_qubits) -> int:
+    """A sized gate's qubit count as an ``int``: an integer in 1..MAX_GATE_QUBITS.
+
+    A ``bool``, a float or a string is refused before any lookup: the gate
+    table is keyed by equality, so ``True`` or ``2.0`` would find the gate of
+    ``1`` or ``2``.  A numpy integer is accepted and keyed as an ``int``.
+    """
+    if not isinstance(n_qubits, (int, np.integer)) or isinstance(n_qubits, bool):
+        raise ValueError(f"the qubit count must be an integer, got {n_qubits!r}")
+    n = int(n_qubits)
+    if n < 1:
+        raise ValueError(f"n_qubits must be >= 1, got {n}")
+    if n > MAX_GATE_QUBITS:
         raise ValueError(
-            f"{n_qubits} qubits requested; qft and identity are capped at {MAX_GATE_QUBITS} qubits"
+            f"{n} qubits requested; qft and identity are capped at {MAX_GATE_QUBITS} qubits"
         )
-    return 1 << n_qubits
+    return n
+
+
+def _fourier(dim: int) -> np.ndarray:
+    """The Fourier matrix of dimension ``dim``, its entries gathered from ``dim`` scaled roots."""
+    k = np.arange(dim)
+    roots = np.exp(2j * np.pi * k / dim)
+    quarter, rem = np.divmod(4 * k, dim)
+    on_axis = rem == 0
+    roots[on_axis] = _AXIS_ROOTS[quarter[on_axis]]
+    roots /= np.sqrt(dim)
+    return roots[np.outer(k, k) % dim]
+
+
+# name -> the entries of that gate at a given dimension; ``_gate`` builds each
+# (name, qubits) once
+_ENTRIES = {
+    "qft": _fourier,
+    "identity": np.eye,
+    "hadamard": lambda dim: np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0),
+    "cnot": lambda dim: np.array(
+        [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ]
+    ),
+    "ulock": lambda dim: np.array(
+        [
+            [1.0, 0.0, 0.0, 1.0],
+            [0.0, 1.0, 1.0, 0.0],
+            [1.0, 0.0, 0.0, -1.0],
+            [0.0, 1.0, -1.0, 0.0],
+        ]
+    )
+    / np.sqrt(2.0),
+}
+
+# (name, qubits) -> the named gate, built and checked by ``Unitary`` on its
+# first request in a process; a Unitary's entries are read-only, so every
+# caller can share it, and the inverses kept on it (``adjoint``,
+# ``protocols._unlock``) with it.  Only requested sizes are built.
+_GATES: dict[tuple[str, int], Unitary] = {}
+
+
+def _gate(name: str, n_qubits: int) -> Unitary:
+    """The gate ``name`` on ``n_qubits`` qubits (an ``int`` already checked), built once."""
+    gate = _GATES.get((name, n_qubits))
+    if gate is None:
+        gate = _GATES[name, n_qubits] = Unitary(_ENTRIES[name](1 << n_qubits))
+    return gate
 
 
 def qft(n_qubits: int) -> Unitary:
@@ -89,16 +149,10 @@ def qft(n_qubits: int) -> Unitary:
     Roots of unity on the real or imaginary axis are exact, so the one- and
     two-qubit matrices reproduce their printed forms with no rounding dust.
     Each of the ``2**n`` scaled roots is computed once and gathered by
-    ``j*k mod 2**n``.
+    ``j*k mod 2**n``.  Every call for one size returns the same read-only
+    object.
     """
-    dim = _gate_dim(n_qubits)
-    k = np.arange(dim)
-    roots = np.exp(2j * np.pi * k / dim)
-    quarter, rem = np.divmod(4 * k, dim)
-    on_axis = rem == 0
-    roots[on_axis] = _AXIS_ROOTS[quarter[on_axis]]
-    roots /= np.sqrt(dim)
-    return Unitary(roots[np.outer(k, k) % dim])
+    return _gate("qft", _gate_qubits(n_qubits))
 
 
 def lock_operator() -> Unitary:
@@ -110,40 +164,31 @@ def lock_operator() -> Unitary:
                      [0, 1, 1,  0],
                      [1, 0, 0, -1],
                      [0, 1, -1, 0]]
+
+    Every call returns the same read-only object.
     """
-    mat = np.array(
-        [
-            [1.0, 0.0, 0.0, 1.0],
-            [0.0, 1.0, 1.0, 0.0],
-            [1.0, 0.0, 0.0, -1.0],
-            [0.0, 1.0, -1.0, 0.0],
-        ]
-    ) / np.sqrt(2.0)
-    return Unitary(mat)
+    return _gate("ulock", 2)
 
 
 def hadamard() -> Unitary:
-    """The single-qubit Hadamard gate."""
-    return Unitary(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+    """The single-qubit Hadamard gate; every call returns the same read-only object."""
+    return _gate("hadamard", 1)
 
 
 def cnot() -> Unitary:
-    """CNOT with the first qubit as control, second as target."""
-    return Unitary(
-        np.array(
-            [
-                [1.0, 0.0, 0.0, 0.0],
-                [0.0, 1.0, 0.0, 0.0],
-                [0.0, 0.0, 0.0, 1.0],
-                [0.0, 0.0, 1.0, 0.0],
-            ]
-        )
-    )
+    """CNOT with the first qubit as control, second as target.
+
+    Every call returns the same read-only object.
+    """
+    return _gate("cnot", 2)
 
 
 def identity(n_qubits: int = 1) -> Unitary:
-    """The identity on ``n_qubits`` qubits (1 to ``MAX_GATE_QUBITS``)."""
-    return Unitary(np.eye(_gate_dim(n_qubits)))
+    """The identity on ``n_qubits`` qubits (1 to ``MAX_GATE_QUBITS``).
+
+    Every call for one size returns the same read-only object.
+    """
+    return _gate("identity", _gate_qubits(n_qubits))
 
 
 def adjoint(u: Unitary) -> Unitary:
@@ -160,7 +205,19 @@ def adjoint(u: Unitary) -> Unitary:
     return kept
 
 
-# Gates addressable by name from the command line.
+# Gates addressable by name from the command line: the sized ones take a
+# qubit count, at most ``MAX_GATE_QUBITS``; every other name is fixed.
+_NAMED_GATES = {
+    "u00": lambda: pauli_encoder((0, 0)),
+    "u01": lambda: pauli_encoder((0, 1)),
+    "u10": lambda: pauli_encoder((1, 0)),
+    "u11": lambda: pauli_encoder((1, 1)),
+    "hadamard": hadamard,
+    "cnot": cnot,
+    "ulock": lock_operator,
+    "qft": qft,
+    "identity": identity,
+}
 _SIZED_GATES = {"qft", "identity"}
 
 
@@ -171,22 +228,14 @@ def named_gate(name: str, n_qubits: int | None = None) -> Unitary:
     every other name is fixed:
     ``u00 u01 u10 u11 hadamard cnot ulock``.
     """
-    fixed = {
-        "u00": lambda: pauli_encoder((0, 0)),
-        "u01": lambda: pauli_encoder((0, 1)),
-        "u10": lambda: pauli_encoder((1, 0)),
-        "u11": lambda: pauli_encoder((1, 1)),
-        "hadamard": hadamard,
-        "cnot": cnot,
-        "ulock": lock_operator,
-    }
-    if name in fixed:
-        if n_qubits is not None:
-            raise ValueError(f"gate {name!r} does not take a qubit count")
-        return fixed[name]()
+    build = _NAMED_GATES.get(name)
+    if build is None:
+        known = sorted(_NAMED_GATES.keys() - _SIZED_GATES) + sorted(_SIZED_GATES)
+        raise ValueError(f"unknown gate {name!r}; known gates: {', '.join(known)}")
     if name in _SIZED_GATES:
         if n_qubits is None:
             raise ValueError(f"gate {name!r} requires a qubit count")
-        return qft(n_qubits) if name == "qft" else identity(n_qubits)
-    known = sorted(fixed) + sorted(_SIZED_GATES)
-    raise ValueError(f"unknown gate {name!r}; known gates: {', '.join(known)}")
+        return build(n_qubits)
+    if n_qubits is not None:
+        raise ValueError(f"gate {name!r} does not take a qubit count")
+    return build()

@@ -112,8 +112,8 @@ class TeleportInput:
 
     def __post_init__(self) -> None:
         n = self.n_receivers
-        # the layout table is cached, so 2.0 or True would find the entry of
-        # the equal int and skip its refusals
+        # a public input rule: the count is a whole number of receivers, so
+        # 2.0 or True is refused here rather than read as the equal int
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
             raise ValueError(f"the receiver count must be an integer, got {n!r}")
         n = int(n)
@@ -309,25 +309,25 @@ def _numbered(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(n))
 
 
-@functools.cache
 def _teleport_layout(scheme: str, n: int):
-    """Receiver labels and lock of a named scheme, built once per ``(scheme, n)``.
+    """Receiver labels and lock of a named scheme.
 
     The one place that knows the named schemes: an unknown scheme or a
     receiver count it does not support is refused before anything is built,
     so :class:`TeleportInput` and the command line call it first and a huge
-    count costs no allocation.  A refusal is not cached.  The lock is a
-    read-only ``Unitary``, so every run and enumeration of the scheme can
-    share it, and the unlock kept on it (:func:`_unlock`).
+    count costs no allocation.  The lock is read from the gate table, built
+    and checked on its first request in the process, so every run and
+    enumeration of the scheme shares it, and the unlock kept on it
+    (:func:`_unlock`).
     """
     if scheme == "ulock2":
         if n != 2:
             raise ValueError("the ulock2 scheme has exactly 2 receivers")
-        return _TWO_RECEIVERS, gates.lock_operator()
+        return _TWO_RECEIVERS, gates._gate("ulock", 2)
     if scheme == "qftN":
         if not 1 <= n <= MAX_RECEIVERS:
             raise ValueError(f"qftN supports 1..{MAX_RECEIVERS} receivers, got {n}")
-        return _numbered("B", n), gates.qft(n)
+        return _numbered("B", n), gates._gate("qft", n)
     raise ValueError(f"unknown scheme {scheme!r}; expected ulock2 or qftN")
 
 

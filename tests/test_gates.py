@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from simulq import gates, protocols
+from simulq.qlinalg import Unitary
 from tests.qft_oracle import qft_outer_exp, qft_per_entry
 
 QFT2_LITERAL = 0.5 * np.array(
@@ -86,7 +87,7 @@ def test_adjoint_is_built_once_per_unitary():
     inverse = gates.adjoint(u)
     assert gates.adjoint(u) is inverse
     assert np.array_equal(inverse.entries, u.entries.conj().T)
-    assert gates.adjoint(gates.qft(2)) is not inverse
+    assert gates.adjoint(Unitary(gates.qft(2).entries)) is not inverse
 
 
 def test_qft2_literal_is_exact():
@@ -131,6 +132,71 @@ def test_sized_gates_are_capped(gate):
     assert gates.MAX_GATE_QUBITS == 10
     with pytest.raises(ValueError, match="11 qubits requested; .* capped at 10 qubits"):
         gate(11)
+
+
+# every command-line gate name with its qubit count (None for a fixed gate)
+_ENCODER_NAMES = ("u00", "u01", "u10", "u11")
+_NAMED = [(name, None) for name in _ENCODER_NAMES + ("hadamard", "cnot", "ulock")]
+_NAMED += [(name, n) for name in ("qft", "identity") for n in range(1, gates.MAX_GATE_QUBITS + 1)]
+_CONSTRUCTORS = {
+    "hadamard": gates.hadamard,
+    "cnot": gates.cnot,
+    "ulock": gates.lock_operator,
+    "qft": gates.qft,
+    "identity": gates.identity,
+}
+
+
+def test_every_command_line_gate_is_listed():
+    assert {name for name, _ in _NAMED} == set(gates._NAMED_GATES)
+
+
+@pytest.mark.parametrize("name,n", _NAMED)
+def test_a_named_gate_is_built_and_checked_once(monkeypatch, name, n):
+    # a fresh table, so the count does not depend on which test ran first
+    monkeypatch.setattr(gates, "_GATES", {})
+    checked = []
+    check = Unitary.__post_init__
+    monkeypatch.setattr(Unitary, "__post_init__", lambda self: checked.append(self) or check(self))
+    gate = gates.named_gate(name, n)
+    assert gates.named_gate(name, n) is gate
+    if name in _CONSTRUCTORS:
+        args = () if n is None else (n,)
+        assert _CONSTRUCTORS[name](*args) is gate
+    # the Pauli encoders are built at import, every other gate on its first request
+    assert checked == ([] if name in _ENCODER_NAMES else [gate])
+    assert not gate.entries.flags.writeable
+    with pytest.raises(ValueError):
+        gate.entries[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("gate", [gates.qft, gates.identity])
+@pytest.mark.parametrize("n", [0, 11])
+def test_a_refused_size_is_refused_on_every_call(gate, n):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            gate(n)
+        with pytest.raises(ValueError):
+            gates.named_gate(gate.__name__, n)
+    assert (gate.__name__, n) not in gates._GATES
+
+
+@pytest.mark.parametrize("gate", [gates.qft, gates.identity])
+@pytest.mark.parametrize("n", [True, 2.0, "3"])
+def test_a_qubit_count_must_be_an_integer(gate, n):
+    message = f"^the qubit count must be an integer, got {re.escape(repr(n))}$"
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            gate(n)
+        # the equal ints are kept now, and still not found
+        gate(1)
+        gate(2)
+
+
+def test_a_numpy_qubit_count_is_keyed_as_an_int():
+    assert gates.qft(np.int64(3)) is gates.qft(3)
+    assert gates.identity(np.uint8(2)) is gates.identity(2)
+    assert all(type(n) is int for _, n in gates._GATES)
 
 
 def test_lock_operator_literal():

@@ -638,6 +638,7 @@ def test_a_named_layout_is_built_once_with_a_read_only_lock(scheme, n):
     assert protocols._teleport_layout(scheme, n)[1] is lock
     assert not lock.entries.flags.writeable
     want = gates.lock_operator() if scheme == "ulock2" else gates.qft(n)
+    assert lock is want
     assert lock.entries.tobytes() == want.entries.tobytes()
     assert labels == (("B", "C") if scheme == "ulock2" else tuple(f"B{i + 1}" for i in range(n)))
 
