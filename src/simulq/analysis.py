@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gates, states
 from .measurement import _born_weights, resolve_rng, sample_projective, support_distinguisher
-from .protocols import _require_unitary, enumerate_teleportation_with_lock
+from .protocols import _require_lock, enumerate_teleportation_with_lock
 from .qlinalg import ATOL, ATOL_STRICT, StateVector, Unitary, _grouped, _jsonable, to_wire
 
 BIT_NAMES = ("b1", "b2", "c1", "c2")
@@ -361,6 +361,7 @@ def verify_counterexample(seed=1789) -> LockingReport:
     ``seed`` gives.  The support projector comes from the same bit averages
     the receiver's report judged.
     """
+    rng = resolve_rng(seed)
     stacks, decode_ok = _stacked_sweep("bell", gates.lock_operator())
     averages = {name: _bit_averages(v) for name, v in stacks.items()}
     report = LockingReport(
@@ -393,7 +394,6 @@ def verify_counterexample(seed=1789) -> LockingReport:
     report.checks["bob_view_invariant_in_other_bits"] = b1["within_class_max_diff"] < ATOL
 
     # The support measurement itself: each receiver's 16 views sampled at once, from one stream.
-    rng = resolve_rng(seed)
     accuracy = {}
     for name, bit_idx, bit in ((bob, 0, "b1"), (charlie, 3, "c2")):
         analysis = support_distinguisher(*averages[name][bit_idx])
@@ -505,11 +505,9 @@ def classify_locking_unitary(u: Unitary, task: str, channel: str = "bell") -> Lo
     invariant under a global phase of ``u``.  For dense coding the unlock is
     the adjoint of ``u``; the report carries per-subsystem independence, any
     recoverable or leaky bits, and end-to-end decode correctness.  A ``u``
-    that is not a ``Unitary`` raises ``ValueError``.
+    that is not a 4x4 ``Unitary`` raises ``ValueError``.
     """
-    _require_unitary(u)
-    if u.dim != 4:
-        raise ValueError(f"a channel lock acts on two sender qubits; got dim {u.dim}")
+    _require_lock(u, 2)
     if task == "dense_coding":
         stacks, decode_ok = _stacked_sweep(channel, u)
         return _dense_report(channel, stacks, decode_ok, "custom", theorem=False)

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qlinalg import Unitary
+from .qlinalg import Unitary, _as_count
 
 
 class EncodedBits(NamedTuple):
@@ -78,9 +78,7 @@ def _gate_qubits(n_qubits) -> int:
     table is keyed by equality, so ``True`` or ``2.0`` would find the gate of
     ``1`` or ``2``.  A numpy integer is accepted and keyed as an ``int``.
     """
-    if not isinstance(n_qubits, (int, np.integer)) or isinstance(n_qubits, bool):
-        raise ValueError(f"the qubit count must be an integer, got {n_qubits!r}")
-    n = int(n_qubits)
+    n = _as_count(n_qubits, "qubit count")
     if n < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n}")
     if n > MAX_GATE_QUBITS:

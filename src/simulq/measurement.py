@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qlinalg import ATOL, DensityMatrix, StateVector, _ungrouped_outer, contract
+from .qlinalg import ATOL, DensityMatrix, StateVector, _as_count, _ungrouped_outer, contract
 from .states import BasisFamily
 
 #: eigenvalues above this count towards the support of a density matrix
@@ -38,9 +38,12 @@ class MeasurementOutcome:
 
 
 def resolve_rng(seed) -> np.random.Generator:
-    """Accept an integer seed or a ready generator (PCG64 via default_rng)."""
+    """A ready generator as given, or PCG64 seeded by a non-negative ``int``, ``bool``
+    (``True`` as 1) or numpy integer.  Any other seed is refused here, before any draw."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"the seed must be a Generator or a non-negative integer, got {seed!r}")
     return np.random.default_rng(int(seed))
 
 
@@ -200,11 +203,14 @@ def sample_projective(
     ``rng.random()``, so the shots and the generator's end state are those
     of drawing them one by one, view after view in C order.
 
-    A projector whose shape differs from a view's, and a ``p`` that is not
+    ``shots`` is a count (:func:`~simulq.qlinalg._as_count`), at least 0.  A
+    projector whose shape differs from a view's, and a ``p`` that is not
     finite or lies outside ``[-ATOL, 1 + ATOL]``, raise ``ValueError``; the
     message gives the first such ``p`` in C order.  Rounding inside that
     band is clamped to ``[0, 1]``.
     """
+    if (shots := _as_count(shots, "shot count")) < 0:
+        raise ValueError(f"the shot count must be >= 0, got {shots}")
     mat = _entries(rho)
     projector = np.asarray(projector)
     if projector.shape != mat.shape[-2:]:

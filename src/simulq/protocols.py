@@ -52,6 +52,7 @@ from .qlinalg import (
     DensityMatrix,
     StateVector,
     Unitary,
+    _as_count,
     _check_labels,
     _jsonable,
     _StateTable,
@@ -102,8 +103,8 @@ class TeleportInput:
     ``scheme`` is ``ulock2`` (two receivers, Hadamard--CNOT lock) or ``qftN``
     (1 to ``MAX_RECEIVERS`` receivers, Fourier lock), as
     :func:`_teleport_layout` checks.  ``payloads`` are the single-qubit
-    states to teleport, one per receiver.  ``n_receivers`` must be an
-    integer, not a ``bool``; a numpy integer is stored as ``int``.
+    states to teleport, one per receiver.  ``n_receivers`` is a count
+    (:func:`~simulq.qlinalg._as_count`), stored as an ``int``.
     """
 
     scheme: str
@@ -111,12 +112,7 @@ class TeleportInput:
     n_receivers: int
 
     def __post_init__(self) -> None:
-        n = self.n_receivers
-        # a public input rule: the count is a whole number of receivers, so
-        # 2.0 or True is refused here rather than read as the equal int
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-            raise ValueError(f"the receiver count must be an integer, got {n!r}")
-        n = int(n)
+        n = _as_count(self.n_receivers, "receiver count")
         _teleport_layout(self.scheme, n)
         payloads = tuple(self.payloads)
         if len(payloads) != n:
@@ -126,10 +122,13 @@ class TeleportInput:
         object.__setattr__(self, "payloads", payloads)
 
 
-def _require_unitary(lock) -> None:
-    """Refuse a lock that is not a :class:`~simulq.qlinalg.Unitary`, before any of it is read."""
+def _require_lock(lock, n: int) -> None:
+    """Refuse a lock that is not a ``Unitary`` on ``n`` sender qubits, before any of it is read."""
     if not isinstance(lock, Unitary):
         raise ValueError(f"the lock must be a Unitary, got {type(lock).__name__}")
+    if lock.dim != 1 << n:
+        qubits = f"{n} sender qubit" + "s" * (n != 1)
+        raise ValueError(f"the lock must act on {qubits}, got a {lock.dim}x{lock.dim} matrix")
 
 
 def _check_payloads(payloads) -> None:
@@ -228,39 +227,38 @@ def run_dense_coding_with_lock(
     channel, bits that are not a pair of 0/1 values, a lock that is not a
     ``Unitary`` or a lock of another size raise ``ValueError``.
     """
-    _require_unitary(lock)
-    if lock.dim != 4:
-        raise ValueError(f"the lock acts on (A1, A2) and must be 4x4, got {lock.dim}")
+    _require_lock(lock, 2)
     state = states.initial_state(channel)
     cfg = DENSE_CHANNELS[channel]
     fam = states.family(channel)
     rng = resolve_rng(seed)
+    init, encode, lock_send, unlock, measure = DENSE_STEPS
 
     t = ProtocolTranscript(
-        protocol=f"dense_coding:{channel}:{lock_name}", seed=_recorded_seed(seed)
+        protocol=f"dense_coding:{channel}:{lock_name}", seed=None if rng is seed else int(seed)
     )
-    t.record("step0_init", state)
+    t.record(init, state)
 
     # step 1: Alice encodes one message per receiver on her qubits
     state = apply(state, gates.pauli_encoder(bob_bits), ("A1",))
     state = apply(state, gates.pauli_encoder(charlie_bits), ("A2",))
-    t.record("step1_encode", state)
+    t.record(encode, state)
 
     # step 2: joint lock on (A1, A2); the qubits are then in transit, so
     # record what each receiver's subsystem alone reveals
     state = apply(state, lock, ("A1", "A2"))
-    t.record("step2_lock_send", state)
+    t.record(lock_send, state)
     for sub in (cfg["bob"], cfg["charlie"]):
-        t.intercepts[("step2_lock_send", sub)] = partial_trace(state, sub)
+        t.intercepts[(lock_send, sub)] = partial_trace(state, sub)
 
     # step 3: the receivers jointly invert the lock
     state = apply(state, gates.adjoint(lock), ("A1", "A2"))
-    t.record("step3_unlock", state)
+    t.record(unlock, state)
 
     # step 4: each receiver measures his subsystem in the channel family
     bob_out = measure_in_family(state, fam, cfg["bob"], rng)
     charlie_out = measure_in_family(bob_out.post_state, fam, cfg["charlie"], rng)
-    t.record("step4_measure", charlie_out.post_state)
+    t.record(measure, charlie_out.post_state)
     t.outcomes = {"bob": bob_out.label, "charlie": charlie_out.label}
     return t
 
@@ -396,11 +394,6 @@ def _snapshot_register(rows: np.ndarray, cols: np.ndarray, order, labels) -> Sta
     return _StateTable(amplitudes.reshape(1, -1), labels)[0]
 
 
-def _recorded_seed(seed) -> int | None:
-    """The seed a run records: the integer it draws from, or ``None`` for a ready generator."""
-    return int(seed) if isinstance(seed, (int, np.integer)) else None
-
-
 def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     """Run one teleportation protocol, sampling each Bell measurement.
 
@@ -430,6 +423,7 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
     r_labels, lock = _teleport_layout(inp.scheme, n)
     t_labels, a_labels = _numbered("T", n), _numbered("A", n)
     rng = resolve_rng(seed)
+    init, lock_step, bsm, send, unlock_step, correct = TELEPORT_STEPS
     bell = states.family("bell")
     members = list(bell.members.items())
     rows = _locked_pairs(n, lock)
@@ -447,11 +441,13 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
         return functools.partial(_snapshot_register, rows, cols, order, labels)
 
     payloads = functools.reduce(np.multiply.outer, [p.amplitudes for p in inp.payloads])
-    t = ProtocolTranscript(protocol=f"teleportation:{inp.scheme}:n={n}", seed=_recorded_seed(seed))
-    t.record("step0_init", snapshot(payloads, _locked_pairs(n), unmeasured))
+    t = ProtocolTranscript(
+        protocol=f"teleportation:{inp.scheme}:n={n}", seed=None if rng is seed else int(seed)
+    )
+    t.record(init, snapshot(payloads, _locked_pairs(n), unmeasured))
 
     # step 1: Alice locks her halves of the shared pairs
-    t.record("step1_lock", snapshot(payloads, rows, unmeasured))
+    t.record(lock_step, snapshot(payloads, rows, unmeasured))
 
     # step 2: Bell measurement on each (Ai, Ti) pair; ``rows`` runs over the
     # unmeasured sender qubits and ``pairs`` holds the drawn members so far
@@ -463,21 +459,21 @@ def run_teleportation(inp: TeleportInput, seed=0) -> ProtocolTranscript:
         pairs = np.multiply.outer(pairs, member.amplitudes).reshape(-1)
     received = StateVector(rows, r_labels)
     drawn = snapshot(pairs, received.amplitudes, measured)
-    t.record("step2_bsm", drawn)
+    t.record(bsm, drawn)
     for r in r_labels:
-        t.intercepts[("step2_bsm", (r,))] = partial_trace(received, (r,))
+        t.intercepts[(bsm, (r,))] = partial_trace(received, (r,))
 
     # step 3: the classical result bits travel to their receivers
-    t.record("step3_classical_send", drawn)
+    t.record(send, drawn)
 
     # step 4: joint unlock on the receiver register
     received = apply(received, _unlock(lock), r_labels)
-    t.record("step4_unlock", snapshot(pairs, received.amplitudes, measured))
+    t.record(unlock_step, snapshot(pairs, received.amplitudes, measured))
 
     # step 5: each receiver re-applies their own encoder
     for bits, r in zip(results, r_labels):
         received = apply(received, gates.pauli_encoder(bits), (r,))
-    t.record("step5_correct", snapshot(pairs, received.amplitudes, measured))
+    t.record(correct, snapshot(pairs, received.amplitudes, measured))
 
     recovered = {r: partial_trace(received, (r,)) for r in r_labels}
     t.outcomes = {
@@ -617,9 +613,7 @@ def enumerate_teleportation_with_lock(
         raise ValueError(
             f"{n} receivers requested; the enumerator takes 1..{MAX_RECEIVERS} receivers"
         )
-    _require_unitary(lock)
-    if lock.dim != 1 << n:
-        raise ValueError(f"{n} receivers need a {1 << n}-dimensional lock")
+    _require_lock(lock, n)
     _check_payloads(payloads)
     if receiver_labels is None:
         receiver_labels = _TWO_RECEIVERS if n == 2 else _numbered("B", n)

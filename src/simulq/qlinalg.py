@@ -439,6 +439,13 @@ def _is_number(value) -> bool:
     return type(value) in (int, float)
 
 
+def _as_count(value, what: str) -> int:
+    """A count of qubits, receivers or shots as an ``int``; a bool, float or string is refused."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"the {what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _number_array(values) -> np.ndarray:
     """A float array of a number or of nested lists of numbers (see :func:`_is_number`)."""
     arr = np.array(values, dtype=float)

@@ -20,6 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .gates import as_bits
 from .qlinalg import ATOL_STRICT, StateVector, tensor
 
 _SQRT2 = np.sqrt(2.0)
@@ -27,15 +28,9 @@ _SQRT2 = np.sqrt(2.0)
 _BIT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _check_bit(value: int, name: str) -> int:
-    if value not in (0, 1):
-        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
-    return int(value)
-
-
 def phi(x: int, y: int, labels=("q0", "q1")) -> StateVector:
     """Bell-family member ``(|0 x> + (-1)**y |1 ~x>) / sqrt(2)``."""
-    x, y = _check_bit(x, "x"), _check_bit(y, "y")
+    x, y = as_bits((x, y))
     v = np.zeros(4, dtype=np.complex128)
     v[x] = 1.0 / _SQRT2
     v[2 + (1 - x)] = (-1.0) ** y / _SQRT2
@@ -44,7 +39,7 @@ def phi(x: int, y: int, labels=("q0", "q1")) -> StateVector:
 
 def ghz(x: int, y: int, labels=("q0", "q1", "q2")) -> StateVector:
     """GHZ-family member ``(|0 x x> + (-1)**y |1 ~x ~x>) / sqrt(2)``."""
-    x, y = _check_bit(x, "x"), _check_bit(y, "y")
+    x, y = as_bits((x, y))
     v = np.zeros(8, dtype=np.complex128)
     v[3 * x] = 1.0 / _SQRT2
     v[4 + 3 * (1 - x)] = (-1.0) ** y / _SQRT2
@@ -53,7 +48,7 @@ def ghz(x: int, y: int, labels=("q0", "q1", "q2")) -> StateVector:
 
 def w(x: int, y: int, labels=("q0", "q1", "q2")) -> StateVector:
     """W-family member ``(|x 1 0> + |x 0 1> + (-1)**y sqrt(2) |~x 0 0>) / 2``."""
-    x, y = _check_bit(x, "x"), _check_bit(y, "y")
+    x, y = as_bits((x, y))
     v = np.zeros(8, dtype=np.complex128)
     v[4 * x + 2] = 0.5
     v[4 * x + 1] = 0.5
@@ -147,10 +142,10 @@ def initial_state(channel: str) -> StateVector:
     the sender qubit ``A1`` and receiver Bob, the second by ``A2`` and
     receiver Charlie.  Every call for one channel returns the same object.
     """
-    try:
-        return _INITIAL_STATES[channel]
-    except KeyError:
-        raise ValueError(f"unknown channel {channel!r}; expected bell, ghz or w") from None
+    if channel not in _INITIAL_STATES:
+        *names, last = DENSE_CHANNELS
+        raise ValueError(f"unknown channel {channel!r}; expected {', '.join(names)} or {last}")
+    return _INITIAL_STATES[channel]
 
 
 # Named states addressable from the command line: phi00 ... w11.  Each

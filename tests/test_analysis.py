@@ -183,7 +183,7 @@ class TestClassifierDenseCoding:
             classify_locking_unitary(gates.qft(2).entries, task)
 
     def test_rejections_name_the_lock_size_and_the_channel(self):
-        size = "^a channel lock acts on two sender qubits; got dim 2$"
+        size = "^the lock must act on 2 sender qubits, got a 2x2 matrix$"
         with pytest.raises(ValueError, match=size):
             classify_locking_unitary(gates.hadamard(), "dense_coding")
         with pytest.raises(ValueError, match="^unknown channel 'cluster'"):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from simulq import cli, gates, protocols, qlinalg, states
+from simulq import analysis, cli, gates, protocols, qlinalg, states
 from simulq.cli import main
 from simulq.qlinalg import ATOL, StateVector, to_wire
 from tests.conftest import random_unitary
@@ -369,6 +369,22 @@ def test_verify_counterexample(capsys):
     assert data["passed"] is True
     assert data["valid_lock"] is False
     assert data["notes"]["recoverable_bits"]["A1B"] == ["b1"]
+
+
+def test_verify_counterexample_takes_its_default_seed_from_the_analysis(capsys, monkeypatch):
+    seeds = []
+    resolve = analysis.resolve_rng
+    monkeypatch.setattr(analysis, "resolve_rng", lambda seed: seeds.append(seed) or resolve(seed))
+    default = run_cli(capsys, "verify", "counterexample")
+    assert default == run_cli(capsys, "verify", "counterexample", "--seed", "1789")
+    assert seeds == [1789, 1789]
+
+
+def test_dump_gate_help_lists_every_named_gate(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dump-gate", "--help"])
+    assert exc.value.code == 0
+    assert "|".join(gates._NAMED_GATES) in capsys.readouterr().out
 
 
 def test_verify_counterexample_table(capsys):

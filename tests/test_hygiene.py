@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import re
 from pathlib import Path
 
 import pytest
@@ -128,17 +129,64 @@ def test_no_dead_private_name(path):
     assert dead_private_names(str(path), _parsed_modules()) == []
 
 
+def calls(name: str):
+    """A node test: a call of ``name(...)`` or ``x.name(...)``."""
+    return lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None),
+        getattr(node.func, "attr", None),
+    )
+
+
+def holds_text(fragment: str):
+    """A node test: a string constant, or a literal part of an f-string, containing ``fragment``."""
+    return lambda node: (
+        isinstance(node, ast.Constant) and isinstance(node.value, str) and fragment in node.value
+    )
+
+
+def sites_of(test, trees: dict[str, ast.Module]) -> list[str]:
+    """``key:function`` for each node of ``trees`` that passes ``test``, once per function.
+
+    The function is the innermost one around the node; a node outside every
+    function is at ``key:<module>``.
+    """
+    found = set()
+
+    def visit(key: str, node: ast.AST, where: str) -> None:
+        if test(node):
+            found.add(f"{key}:{where}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(key, child, where)
+
+    for key, tree in trees.items():
+        visit(key, tree, "<module>")
+    return sorted(found)
+
+
+def test_checker_finds_sites():
+    source = (
+        "import numpy as np\n"
+        "RNG = np.random.default_rng(1)\n"
+        "def resolve(seed):\n"
+        "    def inner():\n"
+        "        raise ValueError(f'the seed must be an integer, got {seed!r}')\n"
+        "    return default_rng(seed), inner\n"
+        "def refuse(n):\n"
+        "    raise ValueError('the count must be an integer')\n"
+        "def quiet():\n"
+        "    return default_rng\n"
+    )
+    trees = {"m": ast.parse(source)}
+    assert sites_of(calls("default_rng"), trees) == ["m:<module>", "m:resolve"]
+    assert sites_of(holds_text("must be an integer"), trees) == ["m:inner", "m:refuse"]
+    assert sites_of(holds_text("must be a float"), trees) == []
+
+
 def constructors_of(name: str, trees: dict[str, ast.Module]) -> list[str]:
     """The keys of ``trees`` whose module calls ``name(...)`` (or ``x.name(...)``)."""
-    return sorted(
-        key
-        for key, tree in trees.items()
-        if any(
-            isinstance(node, ast.Call)
-            and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
-            for node in ast.walk(tree)
-        )
-    )
+    return sorted({site.partition(":")[0] for site in sites_of(calls(name), trees)})
 
 
 def test_checker_finds_constructors():
@@ -256,3 +304,32 @@ def test_checker_finds_decorated_public_functions():
 def test_public_functions_are_plain():
     trees = {p.name: _parsed_modules()[str(p)] for p in SRC_MODULES}
     assert decorated_public_functions(trees) == []
+
+
+# Each input rule's home, by a text that only its refusal holds, or the call only it makes
+_RULE_HOMES = [
+    (calls("default_rng"), "measurement.py:resolve_rng"),
+    (holds_text("must be an integer, got "), "qlinalg.py:_as_count"),
+    (holds_text("must be 0 or 1, got "), "gates.py:as_bits"),
+    (holds_text("the lock must be a Unitary, got "), "protocols.py:_require_lock"),
+    (holds_text("the lock must act on "), "protocols.py:_require_lock"),
+]
+
+
+@pytest.mark.parametrize(
+    "test, home", _RULE_HOMES, ids=["seed", "count", "bits", "lock type", "lock size"]
+)
+def test_each_input_rule_has_one_home(test, home):
+    # a second copy of a rule would hold its message, or call default_rng, itself
+    trees = {p.name: _parsed_modules()[str(p)] for p in SRC_MODULES}
+    assert sites_of(test, trees) == [home]
+
+
+def test_step_names_are_written_once():
+    # the engines record their steps under DENSE_STEPS and TELEPORT_STEPS, not literals
+    trees = {p.name: _parsed_modules()[str(p)] for p in SRC_MODULES}
+    sites = sites_of(
+        lambda node: isinstance(node, ast.Constant) and re.fullmatch(r"step\d_\w+", str(node.value)),
+        trees,
+    )
+    assert sites == ["protocols.py:<module>"]

@@ -830,7 +830,8 @@ def test_enumerator_refuses_an_empty_payload_tuple():
 @pytest.mark.parametrize("n_lock", [1, 3])
 def test_enumerator_refuses_a_lock_of_another_size(rng, n_lock):
     payloads = tuple(random_state(rng, 1, (f"p{i}",)) for i in range(2))
-    with pytest.raises(ValueError, match="^2 receivers need a 4-dimensional lock$"):
+    d = 1 << n_lock
+    with pytest.raises(ValueError, match=f"^the lock must act on 2 sender qubits, got a {d}x{d} matrix$"):
         enumerate_teleportation_with_lock(payloads, gates.qft(n_lock))
 
 
@@ -1153,6 +1154,27 @@ class TestLazySnapshots:
         t = run_dense_coding_with_lock("w", (1, 0), (0, 1), gates.qft(2), seed=3)
         assert [name for name, _ in t._steps] == list(DENSE_STEPS)
         assert all(isinstance(snap, StateVector) for _, snap in t._steps)
+
+
+# Every named run: each channel under each named lock, and each scheme at each receiver count
+_NAMED_RUNS = [
+    *((channel, lock) for channel in CHANNELS for lock in LOCKS),
+    ("ulock2", 2),
+    *(("qftN", n) for n in range(1, MAX_RECEIVERS + 1)),
+]
+
+
+@pytest.mark.parametrize("name, arg", _NAMED_RUNS)
+def test_a_transcript_records_its_engines_steps_in_order(name, arg):
+    if name in CHANNELS:
+        t = run_dense_coding_with_lock(name, (1, 1), (0, 1), LOCKS[arg], arg, seed=4)
+        steps = DENSE_STEPS
+    else:
+        plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        payloads = tuple(StateVector(plus, (f"p{i}",)) for i in range(arg))
+        t, steps = run_teleportation(TeleportInput(name, payloads, arg), seed=4), TELEPORT_STEPS
+    assert tuple(step["name"] for step in t.to_dict()["steps"]) == steps
+    assert {stage for stage, _ in t.intercepts} < set(steps)
 
 
 _SQRT_HALF = 1 / np.sqrt(2)

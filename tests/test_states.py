@@ -164,8 +164,8 @@ _KETS = [StateVector(np.eye(4)[i], ("a", "b")) for i in range(4)]
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: states.phi(2, 0), "x must be 0 or 1, got 2"),
-        (lambda: states.ghz(0, -1), "y must be 0 or 1, got -1"),
+        (lambda: states.phi(2, 0), "bits must be 0 or 1, got (2, 0)"),
+        (lambda: states.ghz(0, -1), "bits must be 0 or 1, got (0, -1)"),
         (
             lambda: states.BasisFamily("kets", dict(zip(ALL_BITS[::-1], _KETS))),
             f"family members must be keyed by {tuple(ALL_BITS)}",
