@@ -55,23 +55,13 @@ def _v_image(v: np.ndarray) -> np.ndarray:
     return _read_only(iv @ iv.T / 4.0)
 
 
+# The closed-form intercepted view under the Fourier lock, per channel.
+# Bell channel: the fully mixed state on two qubits.  The GHZ and W members
+# are Bell members seen through a receiver isometry ``V``, so their views are
+# the V-images of ``I/4``.  GHZ channel: an even mixture of |000>, |011>,
+# |100>, |111>.  W channel: a rank-4 mixture that is encoding-independent but
+# *not* maximally mixed (it is maximally mixed on its four-dimensional support).
 _EXPECTED_VIEWS = {channel: _v_image(v) for channel, v in _RECEIVER_ISOMETRY.items()}
-
-
-def _expected_view(channel: str) -> np.ndarray:
-    """The closed-form intercepted view under the Fourier lock.
-
-    Bell channel: the fully mixed state on two qubits.  The GHZ and W
-    members are Bell members seen through a receiver isometry ``V``, so
-    their views are the V-images of ``I/4``.  GHZ channel: an even mixture
-    of |000>, |011>, |100>, |111>.  W channel: a rank-4 mixture that is
-    encoding-independent but *not* maximally mixed (it is maximally mixed
-    on its four-dimensional support).
-    """
-    try:
-        return _EXPECTED_VIEWS[channel]
-    except KeyError:
-        raise ValueError(f"unknown channel {channel!r}") from None
 
 
 # Bob's intercepted (A1, B) view under the Hadamard--CNOT lock depends on
@@ -314,7 +304,7 @@ def _dense_report(
         protocol=f"dense_coding:{channel}",
         lock_used=lock_used,
         per_subsystem={
-            name: _subsystem_report(v, _bit_averages(v), _expected_view(channel))
+            name: _subsystem_report(v, _bit_averages(v), _EXPECTED_VIEWS[channel])
             for name, v in stacks.items()
         },
         end_to_end_correct=decode_ok,

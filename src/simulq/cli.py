@@ -123,13 +123,22 @@ def _default_payloads(n: int) -> tuple[StateVector, ...]:
 
 
 def _emit_json(payload: dict) -> None:
-    print(_json_text(payload))
+    """Write :func:`_json_text` of ``payload`` and a newline to stdout, its pieces unjoined.
+
+    Every piece is made before the first write, so a payload that json
+    rejects raises with nothing written.
+    """
+    out: list[str] = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    sys.stdout.writelines(out)
 
 
 # A numeric matrix with at least this many entries formats each distinct float
-# bit pattern once.  With ranks read by hash (one BLAS thread), that breaks even
-# with formatting every entry near 32-64 entries of a gate's few values and is
-# ~4x faster at 256; with every value distinct it is 5-15% slower at any size.
+# bit pattern once.  With each body one flat join (one BLAS thread), that is
+# ~1.4x faster than formatting every entry at 64 entries of a gate's few values,
+# ~2x at 128, ~3.5x at 256 and ~8x at 1,024; with every value distinct it is
+# 15-40% slower below 256 entries and 13-25% slower from 256 on.
 _DISTINCT_MIN_ENTRIES = 256
 
 
@@ -140,13 +149,13 @@ def _json_text(obj) -> str:
     one ``float.__repr__`` per value.  Every command hands its matrices over
     as the wire format's ``re``/``im`` float64 arrays (``_wire_arrays``), and
     a 2-D float64 ``ndarray`` is written as json writes its ``tolist()``,
-    straight from the array: joined in bulk (a 10-qubit gate holds 2**21
-    floats), and when large with each distinct value formatted once, as
-    gates and states repeat few values many times; each entry's value is
-    then found by hash, not by sort (:func:`_distinct_ranks`).  A matrix's
-    text joins the output as three pieces, its body uncopied.  Any other
-    data, lists of floats included, is written value by value as json
-    writes it.
+    straight from the array: its body one join of a piece per entry (a
+    10-qubit gate holds 2**21 floats), and when large with each distinct
+    value formatted once, as gates and states repeat few values many times;
+    each entry's value is then found by hash, not by sort
+    (:func:`_distinct_ranks`).  Any other data, lists of floats included,
+    is written value by value as json writes it.  The pieces are joined
+    here; :func:`_emit_json` writes them without joining.
     """
     out: list[str] = []
     _write_json(obj, "\n", out)
@@ -211,20 +220,33 @@ def _matrix_text(matrix: np.ndarray, newline: str) -> tuple[str, str, str]:
     """A non-empty 2-D float64 array as json writes its ``tolist()``, in three pieces.
 
     ``newline`` ends in the indent of the array's depth, as for
-    :func:`_write_json`.  A large array formats each distinct value once,
-    keyed by bit pattern, not by value, so ``-0.0`` and ``0.0`` keep their
-    own texts.  Each row is then one join, and the rows one more: the body.
-    The brackets around it are separate pieces, so the body is not copied.
+    :func:`_write_json`.  The body is one join of one piece per entry: the
+    entry's text followed by the separator json writes after it, within a
+    row, at a row's end, or none after the last entry.  A large array
+    formats each distinct value once, keyed by bit pattern, not by value,
+    so ``-0.0`` and ``0.0`` keep their own texts; each entry's piece is
+    then read from a table of every distinct text with each of the three
+    separators.  The brackets around the body are separate pieces, so the
+    body is not copied.
     """
-    if matrix.size < _DISTINCT_MIN_ENTRIES:
-        rows = [list(map(_float_text, row)) for row in matrix.tolist()]
-    else:
-        bits, inverse = _distinct_ranks(matrix.view(np.uint64))
-        texts = np.array(list(map(_float_text, bits.view(np.float64).tolist())), dtype=object)
-        rows = texts[inverse].tolist()
     inner = newline + "  "
     cell = inner + "  "
-    body = f"{inner}],{inner}[{cell}".join(map(f",{cell}".join, rows))
+    seps = (f",{cell}", f"{inner}],{inner}[{cell}", "")
+    if matrix.size < _DISTINCT_MIN_ENTRIES:
+        # each entry's text, then the separator after it: the last entry's is dropped
+        rows, cols = matrix.shape
+        pieces = ([seps[0]] * (2 * cols - 1) + [seps[1]]) * rows
+        pieces[::2] = map(_float_text, matrix.ravel().tolist())
+        pieces.pop()
+        body = "".join(pieces)
+    else:
+        bits, index = _distinct_ranks(matrix.view(np.uint64))
+        texts = list(map(_float_text, bits.view(np.float64).tolist()))
+        table = np.array([text + sep for sep in seps for text in texts], dtype=object)
+        # the last column's entries take the row-end pieces, the last entry the bare text
+        index[:, -1] += len(texts)
+        index[-1, -1] += len(texts)
+        body = "".join(table[index.ravel()].tolist())
     return f"[{inner}[{cell}", body, f"{inner}]{newline}]"
 
 
@@ -327,6 +349,7 @@ def _render_report_table(payload: dict) -> str:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     dense = args.protocol is not None
+    seed = {} if args.seed is None else {"seed": args.seed}
     flags = {"--bits": args.bits, "--lock": args.lock, "--n": args.n, "--states": args.states}
     for flag in ("--n", "--states") if dense else ("--bits", "--lock"):
         if flags[flag] is not None:
@@ -338,7 +361,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if lock == "ulock":
             print(_ULOCK_WARNING["dense coding"], file=sys.stderr)
         transcript = run_dense_coding_with_lock(
-            args.protocol, bits[:2], bits[2:], _LOCKS[lock](), lock_name=lock, seed=args.seed
+            args.protocol, bits[:2], bits[2:], _LOCKS[lock](), lock_name=lock, **seed
         )
     else:
         n = 2 if args.n is None else args.n
@@ -351,7 +374,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         inp = TeleportInput(scheme, payloads, n)
         if args.teleport == "ulock":
             print(_ULOCK_WARNING["teleportation"], file=sys.stderr)
-        transcript = run_teleportation(inp, seed=args.seed)
+        transcript = run_teleportation(inp, **seed)
     payload = transcript._data(_wire_arrays, args.snapshots)
     if args.format == "json":
         _emit_json(payload)
@@ -417,7 +440,7 @@ def _parser() -> argparse.ArgumentParser:
         help="JSON file with one [re+im, re+im] amplitude pair per payload"
         " (default: every payload is (|0>+|1>)/sqrt(2))",
     )
-    run.add_argument("--seed", type=_seed, default=0, help="measurement seed (default 0)")
+    run.add_argument("--seed", type=_seed, help="measurement seed")
     run.add_argument("--format", choices=("json", "table"), default="json")
     run.add_argument(
         "--snapshots", action="store_true", help="include full register snapshots per step"

@@ -44,12 +44,12 @@ import numpy as np
 from simulq import gates, states
 from simulq.analysis import (
     _ENCODINGS,
+    _EXPECTED_VIEWS,
     BIT_NAMES,
     LOCKED_VIEW_BOB,
     SUPPORT_SHOTS,
     LockingReport,
     SubsystemReport,
-    _expected_view,
 )
 from simulq.measurement import _born_weights, resolve_rng, support_distinguisher
 from simulq.protocols import enumerate_teleportation_with_lock, run_dense_coding_with_lock
@@ -190,7 +190,7 @@ def classify_dense_per_run(
         protocol=f"dense_coding:{channel}",
         lock_used=lock_used,
         per_subsystem={
-            name: _subsystem_report(v, _expected_view(channel)) for name, v in views.items()
+            name: _subsystem_report(v, _EXPECTED_VIEWS[channel]) for name, v in views.items()
         },
         end_to_end_correct=decode_ok,
     )

@@ -380,6 +380,21 @@ def test_verify_counterexample_takes_its_default_seed_from_the_analysis(capsys, 
     assert seeds == [1789, 1789]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--protocol", "ghz", "--bits", "0110"], ["run", "--teleport", "qft", "--n", "3"]],
+)
+def test_run_takes_its_default_seed_from_the_engine(capsys, monkeypatch, argv):
+    assert cli._parser().parse_args(argv).seed is None
+    seeds = []
+    resolve = protocols.resolve_rng
+    monkeypatch.setattr(protocols, "resolve_rng", lambda seed: seeds.append(seed) or resolve(seed))
+    default = run_cli(capsys, *argv)
+    assert default == run_cli(capsys, *argv, "--seed", "0")
+    assert seeds == [0, 0]
+    assert json.loads(default[1])["seed"] == 0
+
+
 def test_dump_gate_help_lists_every_named_gate(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dump-gate", "--help"])
@@ -671,7 +686,22 @@ def test_json_writer_matches_json_dumps(obj):
     assert cli._json_text(obj) == _dumps(obj)
 
 
-def test_json_writer_rejects_what_json_rejects():
+class _RecordingStdout:
+    """A stdout that keeps each string written to it, one write at a time."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def writelines(self, lines) -> None:
+        for line in lines:
+            self.write(line)
+
+
+def test_json_writer_rejects_what_json_rejects(monkeypatch):
     other_arrays = (np.zeros(3), np.zeros((2, 2), dtype=np.float32), np.zeros((2, 2, 2)))
     for obj in ({"k": np.int64(1)}, {"k": [object()]}, {1: "a", "b": 2}, *other_arrays):
         with pytest.raises(TypeError) as want:
@@ -679,6 +709,27 @@ def test_json_writer_rejects_what_json_rejects():
         with pytest.raises(TypeError) as got:
             cli._json_text(obj)
         assert str(got.value) == str(want.value)
+        # after a matrix, so a writer that wrote as it went would have written it
+        payload = {"a": np.zeros((2, 2)), "b": obj}
+        stdout = _RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        with pytest.raises(TypeError) as want:
+            _dumps(payload)
+        with pytest.raises(TypeError) as got:
+            cli._emit_json(payload)
+        assert str(got.value) == str(want.value)
+        assert stdout.writes == []
+
+
+def test_emit_json_writes_the_document_in_pieces(monkeypatch):
+    wire = qlinalg._wire_arrays(gates.qft(8))
+    stdout = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    cli._emit_json(wire)
+    assert "".join(stdout.writes) == _dumps(to_wire(gates.qft(8))) + "\n"
+    # no piece is the whole document: none is longer than a matrix body
+    body = max(len(cli._matrix_text(wire[part], "\n  ")[1]) for part in ("re", "im"))
+    assert max(map(len, stdout.writes)) == body
 
 
 # around the threshold, and long single columns (a state's amplitudes) well past it
